@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .gf import FieldCtx, Fe, FieldError
-from .report import Report, Stopwatch
+from .report import DEFAULT_NODE_BUDGET, Report, Stopwatch
 
 DensePoly = tuple  # tuple[int, ...], trimmed
 
@@ -393,11 +393,14 @@ def shortcut_scan(ctx: FieldCtx) -> Report:
 # power map classification
 
 
-def mcconnel_scan(ctx: FieldCtx, delta: int, node_budget: int = 10**7) -> list:
+def mcconnel_scan(
+    ctx: FieldCtx, delta: int, node_budget: int = DEFAULT_NODE_BUDGET
+) -> list | None:
     """All F: F_q -> F_q with F(0) = 0, F(1) = 1 and
     (F(x) - F(y))^((q-1)/delta) = (x - y)^((q-1)/delta) for all x != y,
     found by backtracking with first-violation pruning in element order.
-    Returns sorted value tables."""
+    Returns sorted value tables, or None when the scan would visit more
+    than node_budget nodes."""
     q = ctx.q
     if delta <= 1 or (q - 1) % delta != 0:
         raise ValueError("delta must exceed 1 and divide q-1")
@@ -408,16 +411,18 @@ def mcconnel_scan(ctx: FieldCtx, delta: int, node_budget: int = 10**7) -> list:
     vals[1] = 1
     found = []
     nodes = 0
+    aborted = False
 
     def walk(pos: int):
-        nonlocal nodes
+        nonlocal nodes, aborted
         if pos == q:
             found.append(tuple(vals))
             return
         for z in range(q):
             nodes += 1
             if nodes > node_budget:
-                raise RuntimeError("node budget exhausted in power map scan")
+                aborted = True
+                return
             ok = True
             for y in range(pos):
                 if pw[sub(z, vals[y])] != pw[sub(pos, y)]:
@@ -426,9 +431,11 @@ def mcconnel_scan(ctx: FieldCtx, delta: int, node_budget: int = 10**7) -> list:
             if ok:
                 vals[pos] = z
                 walk(pos + 1)
+                if aborted:
+                    return
 
     walk(2)
-    return sorted(found)
+    return None if aborted else sorted(found)
 
 
 def power_map_prediction(ctx: FieldCtx, delta: int) -> list:

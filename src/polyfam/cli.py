@@ -25,7 +25,7 @@ from .polyfun import (
     pair_intersects_fast,
     parse_poly,
 )
-from .report import CSV_HEADER, DEFAULT_SEED, Report, Stopwatch
+from .report import CSV_HEADER, DEFAULT_NODE_BUDGET, DEFAULT_SEED, Report, Stopwatch
 
 
 def _emit(reports, fmt: str) -> int:
@@ -123,8 +123,7 @@ def cmd_directions_set(args) -> int:
 
 def cmd_directions_carlitz(args) -> int:
     ctx = parse_field_spec(args.field)
-    rep = directions.carlitz_scan(ctx, mode=args.mode, samples=args.samples, seed=args.seed)
-    return _emit([rep], args.format)
+    return _emit([directions.carlitz_scan(ctx)], args.format)
 
 
 def cmd_charsum_weil(args) -> int:
@@ -179,9 +178,18 @@ def cmd_charsum_mcconnel(args) -> int:
     return _emit([rep], args.format)
 
 
-def _mcconnel_report(ctx, delta) -> Report:
+def _mcconnel_report(ctx, delta, node_budget: int = DEFAULT_NODE_BUDGET) -> Report:
     watch = Stopwatch()
-    found = charsum.mcconnel_scan(ctx, delta)
+    params = {"delta": delta, "exponent": (ctx.q - 1) // delta}
+    found = charsum.mcconnel_scan(ctx, delta, node_budget)
+    if found is None:
+        return Report(
+            claim_id="power-map-class",
+            field_spec=ctx.report_spec_string(),
+            verdict="budget-exceeded",
+            parameters={**params, "nodeBudget": node_budget},
+            wall_time_ms=watch.ms(),
+        )
     predicted = charsum.power_map_prediction(ctx, delta)
     match = found == predicted
     witnesses = []
@@ -196,7 +204,7 @@ def _mcconnel_report(ctx, delta) -> Report:
         claim_id="power-map-class",
         field_spec=ctx.report_spec_string(),
         verdict="pass" if match else "fail",
-        parameters={"delta": delta, "exponent": (ctx.q - 1) // delta},
+        parameters=params,
         witnesses=witnesses,
         counters={"found": len(found), "predicted": len(predicted)},
         wall_time_ms=watch.ms(),
@@ -516,15 +524,10 @@ def run_weil(tier: str, seed: int) -> list[Report]:
 
 
 def run_carlitz(tier: str, seed: int) -> list[Report]:
-    out = []
     qs = [(2, 2)] if tier == "fast" else [(2, 2), (2, 3)]
-    for p, n in qs:
-        ctx = make_field(p, n)
-        out.append(directions.carlitz_scan(ctx, "exhaustive"))
     if tier == "extended":
-        ctx = make_field(3, 2)
-        out.append(directions.carlitz_scan(ctx, "sample", samples=10**6, seed=seed))
-    return out
+        qs += [(3, 2), (2, 4)]
+    return [directions.carlitz_scan(make_field(p, n)) for p, n in qs]
 
 
 def run_shortcut(tier: str, seed: int) -> list[Report]:
@@ -729,9 +732,6 @@ def build_parser() -> argparse.ArgumentParser:
     dd.set_defaults(func=cmd_directions_set)
     dc = dsub.add_parser("carlitz", help="proper direction span forces affine")
     dc.add_argument("--field", required=True)
-    dc.add_argument("--mode", choices=("exhaustive", "sample"), default="exhaustive")
-    dc.add_argument("--samples", type=int, default=10**6)
-    dc.add_argument("--seed", type=int, default=DEFAULT_SEED)
     _add_format(dc)
     dc.set_defaults(func=cmd_directions_carlitz)
 
@@ -844,9 +844,6 @@ def main(argv=None) -> int:
     except (FieldError, families.FamilyError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except RuntimeError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
 
 
 def entry() -> None:

@@ -9,13 +9,10 @@ functions it meets along the way.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .gf import FieldCtx, Fe
-from .report import Report, Stopwatch, DEFAULT_SEED
-
-EXHAUSTIVE_Q_CAP = 8
+from .report import DEFAULT_NODE_BUDGET, Report, Stopwatch
 
 
 @dataclass(frozen=True)
@@ -103,25 +100,21 @@ def is_affine(ctx: FieldCtx, values) -> bool:
     return all(values[x] == ctx.add(ctx.mul(a, x), b) for x in range(2, ctx.q))
 
 
-def carlitz_scan(
-    ctx: FieldCtx,
-    mode: str = "exhaustive",
-    samples: int = 10**6,
-    seed: int = DEFAULT_SEED,
-    exhaustive_q_cap: int = EXHAUSTIVE_Q_CAP,
-) -> Report:
+def carlitz_scan(ctx: FieldCtx, node_budget: int = DEFAULT_NODE_BUDGET) -> Report:
     """Check that a proper direction span forces affinity.
 
-    Exhaustive mode covers all q^q value tables in odometer order
-    (sigma at element 0 varies slowest). Subtrees whose assigned prefix
-    already has directions spanning all of F_q are skipped: no completion
-    of such a prefix can be a candidate, and affine functions (span dim
-    at most 1) are never skipped, so the verdict and the affine count are
-    exact. Sample mode draws value tables from a seeded RNG instead.
+    The scan covers all q^q value tables in odometer order (sigma at
+    element 0 varies slowest). Subtrees whose assigned prefix already has
+    directions spanning all of F_q are skipped: no completion of such a
+    prefix can be a candidate, and affine functions (span dim at most 1)
+    are never skipped, so the verdict and the affine count are exact.
+    Visiting more than node_budget nodes stops the scan with verdict
+    budget-exceeded and partial counters. At q = 2 the claim does not
+    apply, so the verdict is inapplicable.
     """
     watch = Stopwatch()
     q, n = ctx.q, ctx.n
-    params: dict = {"mode": mode}
+    params: dict = {"mode": "exhaustive", "order": "odometer, low element index first"}
     if q == 2:
         params["hypothesisNote"] = "classification needs q > 2; this run is vacuous"
 
@@ -132,77 +125,54 @@ def carlitz_scan(
     affine = 0
     candidates = 0
     nodes = 0
+    aborted = False
     witnesses: list = []
+    vals = [0] * q
 
-    if mode == "exhaustive":
-        if q > exhaustive_q_cap:
-            raise ValueError(
-                f"exhaustive scan is capped at q <= {exhaustive_q_cap}; "
-                f"use mode='sample' for q = {q}"
-            )
-        vals = [0] * q
+    def walk(m: int, span: _FpSpan):
+        nonlocal affine, candidates, nodes, aborted
+        for v in range(q):
+            nodes += 1
+            if nodes > node_budget:
+                aborted = True
+                return
+            vals[m] = v
+            child = span.clone()
+            full = False
+            row = inv_diff[m]
+            for j in range(m):
+                child.add(ctx.mul(ctx.sub(v, vals[j]), row[j]))
+                if child.dim == n:
+                    full = True
+                    break
+            if full:
+                continue
+            if m + 1 == q:
+                # leaf with a proper direction span: must be affine
+                candidates += 1
+                if is_affine(ctx, vals):
+                    affine += 1
+                elif len(witnesses) < 8:
+                    witnesses.append({"values": list(vals)})
+            else:
+                walk(m + 1, child)
+                if aborted:
+                    return
 
-        def walk(m: int, span: _FpSpan):
-            nonlocal affine, candidates, nodes
-            for v in range(q):
-                nodes += 1
-                vals[m] = v
-                child = span.clone()
-                full = False
-                row = inv_diff[m]
-                for j in range(m):
-                    child.add(ctx.mul(ctx.sub(v, vals[j]), row[j]))
-                    if child.dim == n:
-                        full = True
-                        break
-                if full:
-                    continue
-                if m + 1 == q:
-                    # leaf with a proper direction span: must be affine
-                    candidates += 1
-                    if is_affine(ctx, vals):
-                        affine += 1
-                    elif len(witnesses) < 8:
-                        witnesses.append({"values": list(vals)})
-                else:
-                    walk(m + 1, child)
-
-        walk(0, _FpSpan(ctx))
-        scanned = q**q
+    walk(0, _FpSpan(ctx))
+    counters = {"affine": affine, "candidates": candidates, "nodesVisited": nodes}
+    if aborted:
+        verdict = "budget-exceeded"
+    else:
+        counters["scanned"] = q**q
         # over a prime field only constants have a proper span, since any
         # single nonzero direction already spans F_p
         expected_affine = q * q if n >= 2 else q
         verdict = "pass" if not witnesses and affine == expected_affine else "fail"
         if verdict == "fail" and not witnesses:
             witnesses.append({"affineCount": affine, "expected": expected_affine})
-        params["order"] = "odometer, low element index first"
-    elif mode == "sample":
-        rng = random.Random(seed)
-        for _ in range(samples):
-            vals = [rng.randrange(q) for _ in range(q)]
-            span = _FpSpan(ctx)
-            proper = True
-            for i in range(q):
-                if not proper:
-                    break
-                row = inv_diff[i]
-                for j in range(i):
-                    span.add(ctx.mul(ctx.sub(vals[i], vals[j]), row[j]))
-                    if span.dim == n:
-                        proper = False
-                        break
-            nodes += 1
-            if proper:
-                candidates += 1
-                if is_affine(ctx, vals):
-                    affine += 1
-                elif len(witnesses) < 8:
-                    witnesses.append({"values": list(vals)})
-        scanned = samples
-        verdict = "pass" if not witnesses else "fail"
-        params["samples"] = samples
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+        if q == 2:
+            verdict = "inapplicable"
 
     return Report(
         claim_id="direction-span-affine",
@@ -210,13 +180,7 @@ def carlitz_scan(
         verdict=verdict,
         parameters=params,
         witnesses=witnesses,
-        counters={
-            "scanned": scanned,
-            "affine": affine,
-            "candidates": candidates,
-            "nodesVisited": nodes,
-        },
+        counters=counters,
         wall_time_ms=watch.ms(),
-        seed=seed if mode == "sample" else None,
         primary_counter="affine",
     )

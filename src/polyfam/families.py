@@ -151,20 +151,13 @@ def is_t_intersecting(ctx: FieldCtx, fam: Family, t: int):
 def common_point(ctx: FieldCtx, fam: Family) -> PointAG | None:
     """The lex-least point on every member's graph, or None."""
     if "common_point" not in fam._cache:
-        found = None
-        if fam.members:
-            for alpha in ctx.elements():
-                beta = evaluate(ctx, fam.members[0], alpha)
-                if all(
-                    evaluate(ctx, g, alpha) == beta for g in fam.members[1:]
-                ):
-                    found = PointAG(alpha, beta)
-                    break
-        fam._cache["common_point"] = found
+        points = all_common_points(ctx, fam)
+        fam._cache["common_point"] = points[0] if points else None
     return fam._cache["common_point"]
 
 
 def all_common_points(ctx: FieldCtx, fam: Family) -> list[PointAG]:
+    """Every point on all members' graphs, in ascending order of x."""
     if not fam.members:
         return []
     out = []
@@ -260,10 +253,6 @@ def exceeds_threshold(q: int, size: int, k: int = 2) -> bool:
     if k == 2:
         return threshold_for(q).exceeded_by(size)
     return size > q**k - q ** (k - 1)
-
-
-def stability_exceeds(ctx: FieldCtx, size: int, k: int = 2) -> bool:
-    return exceeds_threshold(ctx.q, size, k)
 
 
 # ---------------------------------------------------------------------------

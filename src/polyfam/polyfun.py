@@ -112,15 +112,11 @@ def shift_argument(ctx: FieldCtx, f: PolyK, alpha: Fe) -> PolyK:
         # expand c*(x+alpha)^i by the binomial theorem; binomials live in F_p
         term = 1
         for j in range(i, -1, -1):
-            binom = _binom_mod(i, j, ctx.p)
+            binom = math.comb(i, j) % ctx.p
             if binom and term:
                 out[j] = ctx.add(out[j], ctx.mul(c, ctx.mul(binom, term)))
             term = ctx.mul(term, alpha)
     return PolyK(f.k, tuple(out))
-
-
-def _binom_mod(i: int, j: int, p: int) -> int:
-    return math.comb(i, j) % p
 
 
 def format_poly(f: PolyK) -> str:

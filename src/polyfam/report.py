@@ -16,6 +16,9 @@ VERDICTS = ("pass", "fail", "inapplicable", "budget-exceeded")
 
 DEFAULT_SEED = 20240 + 8
 
+# node budget of the exhaustive scans (direction span, power map)
+DEFAULT_NODE_BUDGET = 10**7
+
 
 @dataclass
 class Report:

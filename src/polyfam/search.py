@@ -13,9 +13,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .families import Family, all_common_points, common_point, exceeds_threshold
+from .families import Family, common_point, exceeds_threshold
 from .gf import FieldCtx
-from .polyfun import PolyK, evaluate
+from .polyfun import PolyK, intersection_count
 from .report import DEFAULT_SEED, Report, Stopwatch
 
 VERTEX_CAP = 4096
@@ -51,16 +51,6 @@ def poly_to_vertex(q: int, f: PolyK) -> int:
     return v
 
 
-def _root_counts(ctx: FieldCtx, k: int) -> list[int]:
-    # number of roots of each polynomial, indexed by vertex number
-    q = ctx.q
-    counts = []
-    for v in range(q ** (k + 1)):
-        f = vertex_to_poly(q, k, v)
-        counts.append(sum(1 for x in range(q) if evaluate(ctx, f, x) == 0))
-    return counts
-
-
 def build_graph(
     ctx: FieldCtx, k: int, t: int = 1, predicate: str = "min_shared"
 ) -> IntersectionGraph:
@@ -77,12 +67,13 @@ def build_graph(
         raise ValueError(f"graph would have {nv} vertices, cap is {VERTEX_CAP}")
     if predicate not in ("min_shared", "max_shared"):
         raise ValueError(f"unknown predicate {predicate!r}")
-    counts = _root_counts(ctx, k)
-    good = [
-        h
-        for h in range(1, nv)
-        if (counts[h] >= t if predicate == "min_shared" else counts[h] <= t)
-    ]
+    zero = PolyK(k, (0,) * (k + 1))
+    good = []
+    for h in range(1, nv):
+        # shared points of u and u + h = roots of h
+        count = intersection_count(ctx, vertex_to_poly(q, k, h), zero)
+        if count >= t if predicate == "min_shared" else count <= t:
+            good.append(h)
     # digit-wise field addition of vertex numbers, precomputed per digit
     adj = [0] * nv
     add = ctx.add

@@ -130,7 +130,7 @@ def test_c06_direction_scan_exhaustive():
     with criterion("C6 direction scan q=4 and q=8", 600):
         for p, n in ((2, 2), (2, 3)):
             ctx = make_field(p, n)
-            rep = directions.carlitz_scan(ctx, "exhaustive")
+            rep = directions.carlitz_scan(ctx)
             q = ctx.q
             assert rep.verdict == "pass", rep.to_json()
             assert rep.counters["scanned"] == q**q

@@ -4,8 +4,10 @@ import json
 
 import pytest
 
-from polyfam.cli import main
-from polyfam.report import CSV_HEADER
+from polyfam import charsum, directions
+from polyfam.cli import _mcconnel_report, main, run_carlitz
+from polyfam.gf import make_field
+from polyfam.report import CSV_HEADER, DEFAULT_SEED
 
 
 def run(capsys, *argv):
@@ -81,6 +83,55 @@ def test_directions_carlitz_jsonl(capsys):
     assert d["claimId"] == "direction-span-affine"
     assert d["verdict"] == "pass"
     assert d["counters"]["affine"] == 16
+
+
+def test_directions_carlitz_q9_exhaustive(capsys):
+    code, out, _ = run(capsys, "directions", "carlitz", "--field", "3^2")
+    assert code == 0
+    d = json.loads(out)
+    assert d["verdict"] == "pass"
+    assert d["counters"]["affine"] == 81
+    assert d["parameters"]["mode"] == "exhaustive"
+
+
+@pytest.mark.parametrize("flag", ["--mode", "--samples", "--seed"])
+def test_directions_carlitz_has_no_sampler_flags(capsys, flag):
+    with pytest.raises(SystemExit) as ei:
+        main(["directions", "carlitz", "--field", "2^2", flag, "1"])
+    assert ei.value.code == 2
+    capsys.readouterr()
+
+
+def test_run_carlitz_extended_is_exhaustive():
+    reps = run_carlitz("extended", DEFAULT_SEED)
+    assert [r.field_spec for r in reps] == ["2^2", "2^3", "3^2", "2^4"]
+    for r in reps:
+        p, n = map(int, r.field_spec.split("^"))
+        assert r.verdict == "pass"
+        assert r.parameters["mode"] == "exhaustive"
+        assert r.counters["scanned"] == (p**n) ** (p**n)
+    q16 = reps[-1].counters
+    assert q16["affine"] == 256 and q16["candidates"] == 256
+
+
+def test_mcconnel_report_budget_exceeded():
+    rep = _mcconnel_report(make_field(3, 2), 2, node_budget=5)
+    assert rep.verdict == "budget-exceeded"
+    assert rep.parameters["nodeBudget"] == 5
+
+
+def test_exhausted_budget_prints_report_and_exits_1(capsys, monkeypatch):
+    carlitz, mcconnel = directions.carlitz_scan, charsum.mcconnel_scan
+    monkeypatch.setattr(directions, "carlitz_scan", lambda ctx: carlitz(ctx, node_budget=10))
+    monkeypatch.setattr(charsum, "mcconnel_scan", lambda ctx, delta, budget: mcconnel(ctx, delta, 5))
+    for argv in (
+        ("directions", "carlitz", "--field", "3^2"),
+        ("charsum", "mcconnel", "--field", "3^2", "--delta", "2"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert json.loads(out)["verdict"] == "budget-exceeded"
+        assert err == ""
 
 
 def test_mcconnel_human(capsys):

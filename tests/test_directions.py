@@ -115,8 +115,9 @@ def test_carlitz_scan_matches_naive(q):
     ctx = make_field_of_order(q)
     affine, candidates, bad = naive_scan(ctx)
     assert not bad
-    rep = carlitz_scan(ctx, "exhaustive")
-    assert rep.verdict == "pass"
+    rep = carlitz_scan(ctx)
+    # the classification needs q > 2, so q = 2 counts but does not judge
+    assert rep.verdict == ("inapplicable" if q == 2 else "pass")
     assert rep.counters["affine"] == affine
     assert rep.counters["candidates"] == candidates
     assert rep.counters["scanned"] == q**q
@@ -126,7 +127,7 @@ def test_carlitz_scan_matches_naive(q):
 
 
 def test_carlitz_scan_frozen_q4():
-    rep = carlitz_scan(make_field(2, 2), "exhaustive")
+    rep = carlitz_scan(make_field(2, 2))
     assert rep.counters == {
         "scanned": 256,
         "affine": 16,
@@ -136,13 +137,13 @@ def test_carlitz_scan_frozen_q4():
 
 
 def test_carlitz_scan_q2_vacuous_flag():
-    rep = carlitz_scan(make_field(2, 1), "exhaustive")
-    assert rep.verdict == "pass"
+    rep = carlitz_scan(make_field(2, 1))
+    assert rep.verdict == "inapplicable"
     assert "hypothesisNote" in rep.parameters
 
 
 def test_carlitz_scan_q8_prunes_hard():
-    rep = carlitz_scan(make_field(2, 3), "exhaustive")
+    rep = carlitz_scan(make_field(2, 3))
     assert rep.verdict == "pass"
     assert rep.counters["affine"] == 64
     assert rep.counters["scanned"] == 8**8
@@ -150,23 +151,22 @@ def test_carlitz_scan_q8_prunes_hard():
     assert rep.counters["nodesVisited"] < 10_000
 
 
-def test_carlitz_scan_cap():
-    with pytest.raises(ValueError):
-        carlitz_scan(make_field(3, 2), "exhaustive")
-    carlitz_scan(make_field(3, 2), "exhaustive", exhaustive_q_cap=9)
+def test_carlitz_scan_frozen_q9():
+    rep = carlitz_scan(make_field(3, 2))
+    assert rep.verdict == "pass"
+    assert rep.counters == {
+        "scanned": 9**9,
+        "affine": 81,
+        "candidates": 81,
+        "nodesVisited": 7137,
+    }
 
 
-def test_carlitz_sample_mode_deterministic():
-    ctx = make_field(3, 2)
-    a = carlitz_scan(ctx, "sample", samples=2000, seed=5)
-    b = carlitz_scan(ctx, "sample", samples=2000, seed=5)
-    assert a.canonical_json() == b.canonical_json()
-    assert a.verdict == "pass"
-    assert a.counters["scanned"] == 2000
-    c = carlitz_scan(ctx, "sample", samples=2000, seed=6)
-    assert c.counters != a.counters or c.seed != a.seed
-
-
-def test_carlitz_scan_rejects_unknown_mode():
-    with pytest.raises(ValueError):
-        carlitz_scan(make_field(2, 2), "both")
+def test_carlitz_scan_budget_exceeded():
+    rep = carlitz_scan(make_field(3, 2), node_budget=1000)
+    assert rep.verdict == "budget-exceeded"
+    assert rep.counters["nodesVisited"] == 1001
+    assert "scanned" not in rep.counters
+    assert rep.counters["affine"] <= rep.counters["candidates"] < 81
+    # a budget the scan fits in changes nothing
+    assert carlitz_scan(make_field(3, 2), node_budget=7137).verdict == "pass"

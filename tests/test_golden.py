@@ -1,0 +1,27 @@
+"""Frozen suite output: the full-tier reports of the direction-span and
+power-map claims, byte for byte in canonical form."""
+
+import pytest
+
+from polyfam.cli import main
+from polyfam.report import Report
+
+GOLDEN = {
+    "direction-span-affine": [
+        '{"claimId":"direction-span-affine","counters":{"affine":16,"candidates":16,"nodesVisited":148,"scanned":256},"fieldSpec":"2^2","parameters":{"mode":"exhaustive","order":"odometer, low element index first"},"primaryCounter":"affine","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
+        '{"claimId":"direction-span-affine","counters":{"affine":64,"candidates":64,"nodesVisited":6728,"scanned":16777216},"fieldSpec":"2^3","parameters":{"mode":"exhaustive","order":"odometer, low element index first"},"primaryCounter":"affine","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
+    ],
+    "power-map-class": [
+        '{"claimId":"power-map-class","counters":{"found":1,"predicted":1},"fieldSpec":"5^1","parameters":{"delta":2,"exponent":2},"primaryCounter":"found","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
+        '{"claimId":"power-map-class","counters":{"found":2,"predicted":2},"fieldSpec":"3^2","parameters":{"delta":2,"exponent":4},"primaryCounter":"found","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
+    ],
+}
+
+
+@pytest.mark.parametrize("claim", sorted(GOLDEN))
+def test_full_tier_canonical_json_is_frozen(capsys, claim):
+    code = main(["suite", "--tier", "full", "--claim", claim])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    got = [Report.from_json(line).canonical_json() for line in out.splitlines()]
+    assert got == GOLDEN[claim]
