@@ -265,21 +265,12 @@ def cmd_families_extend(args) -> int:
 
 def cmd_families_threshold(args) -> int:
     factor_prime_power(args.q)  # validates the order
+    exceeds = families.exceeds_threshold(args.q, args.size, args.k)  # validates k
     if args.k == 2:
-        th = families.threshold_for(args.q)
-        out = {
-            "q": args.q,
-            "size": args.size,
-            "threshold": th.as_float(),
-            "exceeds": th.exceeded_by(args.size),
-        }
+        threshold = families.threshold_for(args.q).as_float()
     else:
-        out = {
-            "q": args.q,
-            "size": args.size,
-            "threshold": args.q**args.k - args.q ** (args.k - 1),
-            "exceeds": families.exceeds_threshold(args.q, args.size, args.k),
-        }
+        threshold = args.q**args.k - args.q ** (args.k - 1)
+    out = {"q": args.q, "size": args.size, "threshold": threshold, "exceeds": exceeds}
     print(json.dumps(out, sort_keys=True))
     return 0
 

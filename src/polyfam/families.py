@@ -16,9 +16,13 @@ from .gf import FieldCtx, Fe, parse_field_spec
 from .polyfun import (
     PointAG,
     PolyK,
+    common_lanes,
     evaluate,
     format_poly,
+    graph_vector,
     intersection_count,
+    lane_masks,
+    lane_points,
     parse_poly,
 )
 from .report import Report, Stopwatch
@@ -32,6 +36,8 @@ class FamilyError(ValueError):
 class Family:
     k: int
     members: tuple[PolyK, ...]
+    # check results and graph vectors, keyed by (name, field, ...): the
+    # same members can be read over more than one field
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
@@ -79,7 +85,7 @@ def pencil(ctx: FieldCtx, alpha: Fe, beta: Fe, k: int) -> Family:
         else:
             break
     fam = Family.from_polys(k, out)
-    fam._cache["common_point"] = PointAG(alpha, beta)
+    fam._cache[("common_point", ctx)] = PointAG(alpha, beta)
     return fam
 
 
@@ -128,44 +134,55 @@ def tangent_family(ctx: FieldCtx, A: Fe, B: Fe, C: Fe) -> Family:
     return Family.from_polys(2, members)
 
 
+def _graph_vectors(ctx: FieldCtx, fam: Family) -> tuple[int, ...]:
+    """The members' packed graph vectors (polyfun.graph_vector), in
+    member order, computed once per family."""
+    key = ("vectors", ctx)
+    if key not in fam._cache:
+        fam._cache[key] = tuple(graph_vector(ctx, f) for f in fam.members)
+    return fam._cache[key]
+
+
 def is_t_intersecting(ctx: FieldCtx, fam: Family, t: int):
     """(ok, witness): every pair of members shares at least t points.
     witness is the lexicographically least failing pair, or None."""
     if t < 0:
         raise FamilyError("t must be nonnegative")
-    key = ("t_intersecting", t)
+    key = ("t_intersecting", ctx, t)
     if key not in fam._cache:
-        result = (True, None)
-        ms = fam.members
-        for i in range(len(ms)):
-            if not result[0]:
-                break
-            for j in range(i + 1, len(ms)):
-                if intersection_count(ctx, ms[i], ms[j]) < t:
-                    result = (False, (ms[i], ms[j]))
-                    break
-        fam._cache[key] = result
+        fam._cache[key] = _first_pair_below(ctx, fam, t)
     return fam._cache[key]
+
+
+def _first_pair_below(ctx: FieldCtx, fam: Family, t: int):
+    # polyfun.shared_points, inlined because this loop meets every pair:
+    # a pair shares fewer than t points when its graph vectors differ in
+    # more than q - t lanes
+    m, h = lane_masks(ctx.q)
+    most = ctx.q - t
+    vs = _graph_vectors(ctx, fam)
+    for i, vi in enumerate(vs):
+        for j in range(i + 1, len(vs)):
+            if (((vi ^ vs[j]) + m) & h).bit_count() > most:
+                return False, (fam.members[i], fam.members[j])
+    return True, None
 
 
 def common_point(ctx: FieldCtx, fam: Family) -> PointAG | None:
     """The lex-least point on every member's graph, or None."""
-    if "common_point" not in fam._cache:
+    key = ("common_point", ctx)
+    if key not in fam._cache:
         points = all_common_points(ctx, fam)
-        fam._cache["common_point"] = points[0] if points else None
-    return fam._cache["common_point"]
+        fam._cache[key] = points[0] if points else None
+    return fam._cache[key]
 
 
 def all_common_points(ctx: FieldCtx, fam: Family) -> list[PointAG]:
     """Every point on all members' graphs, in ascending order of x."""
-    if not fam.members:
+    vs = _graph_vectors(ctx, fam)
+    if not vs:
         return []
-    out = []
-    for alpha in ctx.elements():
-        beta = evaluate(ctx, fam.members[0], alpha)
-        if all(evaluate(ctx, g, alpha) == beta for g in fam.members[1:]):
-            out.append(PointAG(alpha, beta))
-    return out
+    return lane_points(ctx.q, vs[0], common_lanes(ctx.q, vs))
 
 
 @dataclass(frozen=True)
@@ -248,8 +265,10 @@ def threshold_for(q: int, k: int = 2) -> StabilityThreshold:
 
 
 def exceeds_threshold(q: int, size: int, k: int = 2) -> bool:
-    """Integer-only decision of size > q^k - q^(k-1) for k > 2, or the
-    refined k = 2 threshold."""
+    """Integer-only decision of size > q^k - q^(k-1) for k = 1 or k > 2,
+    or the refined k = 2 threshold."""
+    if k < 1:
+        raise FamilyError(f"the threshold needs k >= 1, got {k}")
     if k == 2:
         return threshold_for(q).exceeded_by(size)
     return size > q**k - q ** (k - 1)

@@ -3,11 +3,14 @@
 A PolyK holds the k+1 coefficients (element indices, low degree first) of
 a polynomial of degree at most k. Its graph is the point set
 {(x, f(x)) : x in F_q} in the affine plane; two graphs intersect where
-the difference polynomial vanishes.
+the difference polynomial vanishes. Family checks work on packed graph
+vectors instead, one int per polynomial holding f(x) in lane x, which
+compare all q points of two graphs in a few big-int operations.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -75,6 +78,73 @@ def intersection_count(ctx: FieldCtx, f: PolyK, g: PolyK) -> int:
             return ctx.q
         return len(roots)
     return sum(1 for x in ctx.elements() if evaluate(ctx, h, x) == 0)
+
+
+# ---------------------------------------------------------------------------
+# packed graph vectors: lane x of lane_width(q) bits holds f(x); the top bit
+# of every lane is a guard that stays 0, so lanewise adds never carry across
+
+
+def lane_width(q: int) -> int:
+    """Bits per lane: room for the largest element index plus a guard."""
+    return (q - 1).bit_length() + 1
+
+
+@functools.lru_cache(maxsize=None)
+def lane_masks(q: int) -> tuple[int, int]:
+    """(M, H) for q lanes: M holds 2^(w-1) - 1 in every lane, H the guard
+    bit of every lane. ((u ^ v) + M) & H keeps a lane's guard bit exactly
+    when u and v differ in that lane."""
+    w = lane_width(q)
+    ones = sum(1 << (x * w) for x in range(q))
+    return ones * ((1 << (w - 1)) - 1), ones << (w - 1)
+
+
+@functools.lru_cache(maxsize=256)
+def graph_vector(ctx: FieldCtx, f: PolyK) -> int:
+    """The graph of f packed into one int, lane x holding f(x). Memoised,
+    since family checks meet the same polynomials in many families: the
+    256 entries hold a whole pencil up to q = 16 while each of its
+    members is dropped in turn."""
+    w = lane_width(ctx.q)
+    v = 0
+    for x in reversed(ctx.elements()):
+        v = v << w | evaluate(ctx, f, x)
+    return v
+
+
+def shared_points(q: int, vf: int, vg: int) -> int:
+    """Number of x with f(x) = g(x), from the two graph vectors."""
+    m, h = lane_masks(q)
+    return q - (((vf ^ vg) + m) & h).bit_count()
+
+
+def common_lanes(q: int, vectors) -> int:
+    """Guard bits of the lanes in which every vector of the sequence
+    agrees with the first one; 0 for an empty sequence."""
+    if not vectors:
+        return 0
+    m, e = lane_masks(q)
+    v0 = vectors[0]
+    for v in vectors[1:]:
+        e &= ~((v0 ^ v) + m)
+        if not e:
+            break
+    return e
+
+
+def lane_points(q: int, v: int, lanes: int) -> list[PointAG]:
+    """The points (x, f(x)) of graph vector v at the lanes whose guard bit
+    is set in `lanes`, in ascending order of x."""
+    w = lane_width(q)
+    low = (1 << (w - 1)) - 1
+    out = []
+    while lanes:
+        bit = lanes & -lanes
+        x = (bit.bit_length() - 1) // w
+        out.append(PointAG(x, v >> (x * w) & low))
+        lanes ^= bit
+    return out
 
 
 def pair_intersects_fast(ctx: FieldCtx, f: PolyK, g: PolyK) -> bool:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .families import Family, common_point, exceeds_threshold
 from .gf import FieldCtx
-from .polyfun import PolyK, intersection_count
+from .polyfun import PolyK, common_lanes, graph_vector, intersection_count
 from .report import DEFAULT_SEED, Report, Stopwatch
 
 VERTEX_CAP = 4096
@@ -302,32 +302,64 @@ def sam0_check(ctx: FieldCtx, k: int, t: int) -> Report:
     )
 
 
+def _nth_set_bit(mask: int, r: int) -> int:
+    """Index of the r-th set bit of mask (r = 0 is the lowest). A rank
+    within 16 of either end clears the set bits before it from that end;
+    the others bisect on the popcount of mask's low bits."""
+    if r < 16:
+        for _ in range(r):
+            mask &= mask - 1
+        return (mask & -mask).bit_length() - 1
+    above = mask.bit_count() - 1 - r
+    if above < 16:
+        for _ in range(above):
+            mask ^= 1 << (mask.bit_length() - 1)
+        return mask.bit_length() - 1
+    lo, hi = 0, mask.bit_length()
+    # popcount of the low lo bits is <= r, of the low hi bits > r
+    while hi - lo > 1:
+        mid = (lo + hi) >> 1
+        if (mask & ((1 << mid) - 1)).bit_count() > r:
+            hi = mid
+        else:
+            lo = mid
+    return lo
+
+
 def _greedy_maximal_clique(adj: list[int], nv: int, rng: random.Random) -> list[int]:
+    """Seed 1-3 random vertices, then add a uniformly random current
+    candidate until none is left. This draws the same cliques, with the
+    same probabilities, as taking the vertices in a uniformly shuffled
+    order: candidate sets only shrink, so every current candidate lies in
+    the unexamined part of the order, and the first of them there is
+    uniform over the candidates."""
     clique: list[int] = []
     cand = (1 << nv) - 1
-    seeds = rng.sample(range(nv), rng.randint(1, 3))
-    for v in seeds:
+    for v in rng.sample(range(nv), rng.randint(1, 3)):
         if cand >> v & 1:
             clique.append(v)
             cand &= adj[v]
-    order = list(range(nv))
-    rng.shuffle(order)
-    for v in order:
-        if cand >> v & 1:
-            clique.append(v)
-            cand &= adj[v]
+    while cand:
+        v = _nth_set_bit(cand, rng.randrange(cand.bit_count()))
+        clique.append(v)
+        cand &= adj[v]
     return clique
 
 
 def stability_probe(ctx: FieldCtx, trials: int, seed: int = DEFAULT_SEED) -> Report:
     """Randomized maximal intersecting families at k = 2: seed 1-3
-    members, complete greedily in a shuffled order, then check that no
-    family beats q^2 and that every family over the size threshold has a
-    common point. Trials are independently seeded for stable merging."""
+    members, complete greedily with uniformly random candidates, then
+    check that no family beats q^2 and that every family over the size
+    threshold has a common point. Trials are independently seeded for
+    stable merging; zero trials check nothing and are inapplicable."""
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     watch = Stopwatch()
     q = ctx.q
     g = build_graph(ctx, 2, 1)
     adj, nv = g.adj, g.n_vertices
+    vectors = [graph_vector(ctx, vertex_to_poly(q, 2, v)) for v in range(nv)]
+    over = [exceeds_threshold(q, m, 2) for m in range(q * q + 1)]
     sizes: dict[int, int] = {}
     witnesses = []
     over_threshold = 0
@@ -339,15 +371,18 @@ def stability_probe(ctx: FieldCtx, trials: int, seed: int = DEFAULT_SEED) -> Rep
         if m > q * q:
             witnesses.append({"trial": i, "size": m, "clique": clique})
             continue
-        if exceeds_threshold(q, m, 2):
+        if over[m]:
             over_threshold += 1
-            fam = family_from_vertices(q, 2, clique)
-            if common_point(ctx, fam) is None:
+            if not common_lanes(q, [vectors[v] for v in clique]):
                 witnesses.append({"trial": i, "size": m, "clique": clique, "commonPoint": None})
+    if witnesses:
+        verdict = "fail"
+    else:
+        verdict = "pass" if trials else "inapplicable"
     return Report(
         claim_id="stability-probe",
         field_spec=ctx.report_spec_string(),
-        verdict="pass" if not witnesses else "fail",
+        verdict=verdict,
         parameters={
             "trials": trials,
             "k": 2,

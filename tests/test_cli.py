@@ -185,6 +185,16 @@ def test_families_threshold(capsys):
     assert json.loads(out)["exceeds"] is False
 
 
+def test_families_threshold_rejects_k_below_one(capsys):
+    code, out, err = run(capsys, "families", "threshold", "--q", "7", "--size", "1", "--k", "0")
+    assert code == 2
+    assert out == ""
+    assert "k >= 1" in err
+    code, out, _ = run(capsys, "families", "threshold", "--q", "7", "--size", "7", "--k", "1")
+    assert code == 0
+    assert json.loads(out) == {"exceeds": True, "q": 7, "size": 7, "threshold": 6}
+
+
 def test_search_clique_and_budget(capsys):
     code, out, _ = run(capsys, "search", "clique", "--field", "3", "--k", "2")
     assert code == 0
@@ -201,6 +211,18 @@ def test_search_probe(capsys):
     assert code == 0
     d = json.loads(out)
     assert d["counters"]["trials"] == 100
+
+
+def test_search_probe_empty_and_negative_trials(capsys):
+    code, out, _ = run(capsys, "search", "probe", "--field", "3", "--trials", "0")
+    assert code == 0
+    d = json.loads(out)
+    assert d["verdict"] == "inapplicable"
+    assert d["counters"]["trials"] == 0
+    code, out, err = run(capsys, "search", "probe", "--field", "3", "--trials", "-5")
+    assert code == 2
+    assert out == ""
+    assert "trials" in err
 
 
 def test_search_graph_stdout(capsys):

@@ -1,6 +1,7 @@
 """Family constructions, intersection checks, thresholds, and files."""
 
 import itertools
+import random
 
 import pytest
 
@@ -25,6 +26,26 @@ from polyfam.families import (
     top_coeff_injective,
     verify_file,
 )
+
+
+def pairwise_t_intersecting(ctx, fam, t):
+    """Reference check: intersection_count on every pair, in (i, j) order."""
+    ms = fam.members
+    for i in range(len(ms)):
+        for j in range(i + 1, len(ms)):
+            if intersection_count(ctx, ms[i], ms[j]) < t:
+                return False, (ms[i], ms[j])
+    return True, None
+
+
+def evaluated_common_points(ctx, fam):
+    """Reference: evaluate every member at every x."""
+    out = []
+    for alpha in ctx.elements():
+        beta = evaluate(ctx, fam.members[0], alpha)
+        if all(evaluate(ctx, g, alpha) == beta for g in fam.members[1:]):
+            out.append(PointAG(alpha, beta))
+    return out
 
 
 def brute_intersecting(ctx, fam, t):
@@ -145,6 +166,18 @@ def test_is_t_intersecting_witness():
     assert ok2 and w2 is None
 
 
+def test_family_checks_are_cached_per_field():
+    # x^2 and the constant 2 meet over F_7 (2 = 3^2) but not over F_5
+    fam = Family.from_polys(2, [poly(2, (0, 0, 1)), poly(2, (2, 0, 0))])
+    f7, f5 = make_field(7, 1), make_field(5, 1)
+    assert is_t_intersecting(f7, fam, 1)[0]
+    assert not is_t_intersecting(f5, fam, 1)[0]
+    assert common_point(f7, fam) == PointAG(3, 2)
+    assert common_point(f5, fam) is None
+    assert all_common_points(f7, fam) == [PointAG(3, 2), PointAG(4, 2)]
+    assert all_common_points(f5, fam) == []
+
+
 def test_extend_unique_drop_one():
     ctx = make_field(5, 1)
     pen = pencil(ctx, 2, 3, 2)
@@ -214,6 +247,14 @@ def test_threshold_only_quadratic_refined():
         threshold_for(5, k=3)
     assert exceeds_threshold(3, 19, 3)  # 27 - 9 = 18
     assert not exceeds_threshold(3, 18, 3)
+
+
+def test_threshold_needs_k_at_least_one():
+    for k in (0, -1):
+        with pytest.raises(FamilyError):
+            exceeds_threshold(7, 1, k)
+    assert exceeds_threshold(7, 7, 1)  # 7 - 1 = 6
+    assert not exceeds_threshold(7, 6, 1)
 
 
 def test_stability_thresholds_frozen_parameters():
@@ -286,3 +327,59 @@ def test_verify_file_pass_and_fail(tmp_path):
     rep3 = verify_file(str(bad), 1)
     assert rep3.verdict == "fail"
     assert rep3.witnesses
+
+
+# -- packed family checks against the evaluate and pairwise loops -------------
+
+
+def _random_families(ctx, k, seed):
+    """Seeded random families: free ones (mostly not intersecting) and
+    pencil subsets with a stray member (intersecting, few common points)."""
+    rng = random.Random(seed)
+    q = ctx.q
+
+    def rand():
+        return PolyK(k, tuple(rng.randrange(q) for _ in range(k + 1)))
+
+    out = []
+    for size in (1, 2, 3, 5, 9):
+        out.append(Family.from_polys(k, [rand() for _ in range(size)]))
+        pen = pencil(ctx, rng.randrange(q), rng.randrange(q), k).members
+        part = rng.sample(pen, min(size + 1, len(pen)))
+        out.append(Family.from_polys(k, part))
+        out.append(Family.from_polys(k, part + [rand()]))
+    return out
+
+
+def _cross_check_families():
+    cases = []
+    for q, k in ((3, 2), (4, 2), (5, 2), (7, 2), (8, 2), (9, 2), (5, 1), (3, 3), (4, 3)):
+        ctx = make_field_of_order(q)
+        for fam in _random_families(ctx, k, seed=100 * q + k):
+            cases.append((ctx, fam))
+        cases.append((ctx, pencil(ctx, 1, q - 1, k)))
+    for q in (3, 4, 5, 7, 8, 9):
+        ctx = make_field_of_order(q)
+        cases.append((ctx, hilton_milner(ctx, (0, 1), 0, 0)))
+        cases.append((ctx, hilton_milner(ctx, (0, 0), 1, 1)))
+    for q in (5, 7, 9):
+        ctx = make_field_of_order(q)
+        cases.append((ctx, tangent_family(ctx, 1, 0, 0)))
+        cases.append((ctx, tangent_family(ctx, 2, 1, 3)))
+    return cases
+
+
+def test_packed_checks_match_evaluate_and_pairwise_loops():
+    cases = _cross_check_families()
+    seen = {True: 0, False: 0}
+    for ctx, fam in cases:
+        for t in (0, 1, 2):
+            fresh = Family.from_polys(fam.k, fam.members)
+            got = is_t_intersecting(ctx, fresh, t)
+            assert got == pairwise_t_intersecting(ctx, fam, t), (ctx, fam.members, t)
+            seen[got[0]] += 1
+        fresh = Family.from_polys(fam.k, fam.members)
+        want = evaluated_common_points(ctx, fam)
+        assert all_common_points(ctx, fresh) == want, (ctx, fam.members)
+        assert common_point(ctx, fresh) == (want[0] if want else None)
+    assert seen[True] and seen[False]  # both verdicts and witnesses exercised

@@ -1,5 +1,6 @@
-"""Frozen suite output: the full-tier reports of the direction-span and
-power-map claims, byte for byte in canonical form."""
+"""Frozen suite output: the full-tier reports of the direction-span,
+power-map, EKR, Hilton-Milner and pencil-extension claims, byte for byte
+in canonical form."""
 
 import pytest
 
@@ -7,6 +8,16 @@ from polyfam.cli import main
 from polyfam.report import Report
 
 GOLDEN = {
+    "ekr-bound": [
+        '{"claimId":"ekr-bound","counters":{"edges":243,"maxClique":9,"maximumCliques":9,"nodesExplored":9,"vertices":27},"fieldSpec":"3^1","parameters":{"k":2,"pencilPoints":[[0,0],[2,0],[1,0],[1,1],[0,1],[2,1],[2,2],[1,2],[0,2]],"proven":true},"primaryCounter":"maxClique","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
+        '{"claimId":"ekr-bound","counters":{"edges":1344,"maxClique":16,"maximumCliques":16,"nodesExplored":16,"vertices":64},"fieldSpec":"2^2","parameters":{"k":2,"pencilPoints":[[0,0],[1,0],[2,0],[3,0],[1,1],[0,1],[3,1],[2,1],[2,2],[3,2],[0,2],[1,2],[3,3],[2,3],[1,3],[0,3]],"proven":true},"primaryCounter":"maxClique","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
+    ],
+    "hm-properties": [
+        '{"claimId":"hm-properties","counters":{"cases":7},"fieldSpec":"multiple","parameters":{},"primaryCounter":"cases","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
+    ],
+    "pencil-extension": [
+        '{"claimId":"pencil-extension","counters":{"cases":2},"fieldSpec":"multiple","parameters":{},"primaryCounter":"cases","seed":20248,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
+    ],
     "direction-span-affine": [
         '{"claimId":"direction-span-affine","counters":{"affine":16,"candidates":16,"nodesVisited":148,"scanned":256},"fieldSpec":"2^2","parameters":{"mode":"exhaustive","order":"odometer, low element index first"},"primaryCounter":"affine","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
         '{"claimId":"direction-span-affine","counters":{"affine":64,"candidates":64,"nodesVisited":6728,"scanned":16777216},"fieldSpec":"2^3","parameters":{"mode":"exhaustive","order":"odometer, low element index first"},"primaryCounter":"affine","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',

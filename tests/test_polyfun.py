@@ -1,6 +1,7 @@
 """Bounded-degree polynomials and graph intersection, brute force checked."""
 
 import itertools
+import random
 
 import pytest
 
@@ -13,9 +14,14 @@ from polyfam.polyfun import (
     format_poly,
     graph_points,
     intersection_count,
+    common_lanes,
+    graph_vector,
+    lane_points,
+    lane_width,
     pair_intersects_fast,
     parse_poly,
     poly,
+    shared_points,
     shift_argument,
 )
 
@@ -156,3 +162,66 @@ def test_polyk_is_hashable_and_ordered_by_coeffs():
     b = poly(2, (0, 1, 2))
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+# -- packed graph vectors ----------------------------------------------------
+
+
+def _all_polys(q, k):
+    return [PolyK(k, c) for c in itertools.product(range(q), repeat=k + 1)]
+
+
+@pytest.mark.parametrize(
+    "q,k", [(q, 2) for q in (2, 3, 4, 5, 7, 8, 9)] + [(2, 3), (3, 3)]
+)
+def test_shared_points_matches_closed_form_and_brute_force(q, k):
+    ctx = make_field_of_order(q)
+    polys = _all_polys(q, k)
+    values = [graph_points(ctx, f) for f in polys]
+    vectors = [graph_vector(ctx, f) for f in polys]
+    for i, f in enumerate(polys):
+        for j in range(i, len(polys)):
+            brute = sum(a == b for a, b in zip(values[i], values[j]))
+            packed = shared_points(q, vectors[i], vectors[j])
+            assert packed == brute == intersection_count(ctx, f, polys[j]), (f, polys[j])
+
+
+@pytest.mark.parametrize("p,n", [(2, 8), (3, 5)])
+def test_shared_points_sampled_pairs_large_lanes(p, n):
+    # nine-bit lanes; every g also comes shifted to share a point with f
+    ctx = make_field(p, n)
+    q = ctx.q
+    rng = random.Random(q)
+    for _ in range(300):
+        f = PolyK(2, tuple(rng.randrange(q) for _ in range(3)))
+        g = PolyK(2, tuple(rng.randrange(q) for _ in range(3)))
+        x = rng.randrange(q)
+        shift = ctx.sub(evaluate(ctx, f, x), evaluate(ctx, g, x))
+        h = PolyK(2, (ctx.add(g.coeffs[0], shift), *g.coeffs[1:]))
+        for other in (g, h):
+            got = shared_points(q, graph_vector(ctx, f), graph_vector(ctx, other))
+            assert got == intersection_count(ctx, f, other)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9, 16])
+def test_graph_vector_lanes_hold_the_values(q):
+    ctx = make_field_of_order(q)
+    w = lane_width(q)
+    assert 1 << (w - 1) >= q  # every value fits below the guard bit
+    f = PolyK(2, (q - 1, 1 % q, q - 1))
+    v = graph_vector(ctx, f)
+    assert [(v >> (x * w)) & ((1 << w) - 1) for x in range(q)] == [
+        evaluate(ctx, f, x) for x in range(q)
+    ]
+    assert v >> (q * w) == 0
+
+
+def test_common_lanes_and_points():
+    ctx = make_field(7, 1)
+    polys = [poly(2, (3, 0, 0)), poly(2, (3, 1, 0)), poly(2, (3, 0, 1))]
+    vs = [graph_vector(ctx, f) for f in polys]
+    # all three take the value 3 at x = 0 and nowhere else in common
+    assert lane_points(7, vs[0], common_lanes(7, vs)) == [PointAG(0, 3)]
+    assert common_lanes(7, []) == 0
+    one = lane_points(7, vs[1], common_lanes(7, vs[1:2]))
+    assert one == graph_points(ctx, polys[1])

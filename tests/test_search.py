@@ -1,7 +1,10 @@
 """Intersection graphs, exact cliques, and the randomized probes."""
 
 import itertools
+import math
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -9,6 +12,8 @@ from polyfam.gf import make_field, make_field_of_order
 from polyfam.polyfun import intersection_count
 from polyfam.search import (
     IntersectionGraph,
+    _greedy_maximal_clique,
+    _nth_set_bit,
     build_graph,
     ekr_oracle,
     enumerate_maximum_cliques,
@@ -285,3 +290,115 @@ def test_graph_dump_roundtrip():
     assert lines[0].startswith("#")
     masks = [int(ln, 16) for ln in lines if not ln.startswith("#")]
     assert masks == g.adj
+
+
+def test_stability_probe_zero_trials_inapplicable_negative_rejected():
+    ctx = make_field(3, 1)
+    rep = stability_probe(ctx, 0)
+    assert rep.verdict == "inapplicable"
+    assert rep.counters == {"trials": 0, "distinctSizes": 0, "overThreshold": 0, "maxSize": 0}
+    with pytest.raises(ValueError):
+        stability_probe(ctx, -5)
+
+
+def test_nth_set_bit_matches_sorted_bits():
+    rng = random.Random(5)
+    for bits in (1, 7, 64, 300, 729):
+        for _ in range(40):
+            mask = rng.getrandbits(bits) | 1 << (bits - 1)
+            ones = [i for i in range(bits) if mask >> i & 1]
+            n = len(ones)
+            for r in {0, 1, 15, 16, 17, n // 2, n - 17, n - 16, n - 15, n - 1}:
+                if 0 <= r < n:
+                    assert _nth_set_bit(mask, r) == ones[r]
+
+
+def _shuffle_greedy(adj, start, order):
+    """Reference greedy: complete the clique of `start` with the vertices
+    of `order` that are still candidates when their turn comes."""
+    clique = [start]
+    cand = adj[start]
+    for v in order:
+        if cand >> v & 1:
+            clique.append(v)
+            cand &= adj[v]
+    return clique
+
+
+class _ScriptedRng:
+    """Stands in for random.Random in _greedy_maximal_clique: one seed
+    vertex, then the given randrange answers (0 once they run out), with
+    every randrange bound recorded."""
+
+    def __init__(self, start, answers):
+        self.start, self.answers, self.bounds = start, answers, []
+
+    def randint(self, a, b):
+        return 1
+
+    def sample(self, population, k):
+        return [self.start]
+
+    def randrange(self, n):
+        i = len(self.bounds)
+        self.bounds.append(n)
+        return self.answers[i] if i < len(self.answers) else 0
+
+
+def _uniform_candidate_cliques(adj, nv, start):
+    """Exact distribution of the cliques _greedy_maximal_clique draws from
+    one seed vertex, by branching over every randrange answer."""
+    dist: Counter = Counter()
+
+    def walk(answers, prob):
+        rng = _ScriptedRng(start, answers)
+        clique = _greedy_maximal_clique(adj, nv, rng)
+        if len(rng.bounds) == len(answers):
+            dist[frozenset(clique)] += prob
+            return
+        n = rng.bounds[len(answers)]
+        for a in range(n):
+            walk(answers + [a], prob / n)
+
+    walk([], Fraction(1))
+    return dist
+
+
+def _size_distribution(dist):
+    out: Counter = Counter()
+    for clique, prob in dist.items():
+        out[len(clique)] += prob
+    return out
+
+
+def test_uniform_candidate_draws_match_shuffled_greedy_exactly():
+    g = build_graph(make_field(2, 1), 2, 1)
+    adj, nv = g.adj, g.n_vertices
+    assert nv == 8
+    perms = math.factorial(nv - 1)
+    for start in range(nv):
+        rest = [v for v in range(nv) if v != start]
+        counts = Counter(
+            frozenset(_shuffle_greedy(adj, start, order)) for order in itertools.permutations(rest)
+        )
+        shuffled = {cl: Fraction(c, perms) for cl, c in counts.items()}
+        uniform = _uniform_candidate_cliques(adj, nv, start)
+        assert sum(uniform.values()) == 1
+        assert uniform == shuffled, start  # the same cliques, equally likely
+        assert _size_distribution(uniform) == _size_distribution(shuffled), start
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_probe_cliques_are_maximal_cliques(q):
+    g = build_graph(make_field_of_order(q), 2, 1)
+    adj, nv = g.adj, g.n_vertices
+    seed = 20248
+    for i in range(300):
+        clique = _greedy_maximal_clique(adj, nv, random.Random(seed * 2654435761 + i))
+        assert len(set(clique)) == len(clique) <= q * q
+        for u, v in itertools.combinations(clique, 2):
+            assert adj[u] >> v & 1
+        common = (1 << nv) - 1
+        for v in clique:
+            common &= adj[v]
+        assert common == 0, (i, clique)
