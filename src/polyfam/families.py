@@ -9,6 +9,7 @@ filtration, and the tangent family of parabolas touching a fixed one.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -21,9 +22,9 @@ from .polyfun import (
     format_poly,
     graph_vector,
     intersection_count,
-    lane_masks,
     lane_points,
     parse_poly,
+    shared_points,
 )
 from .report import Report, Stopwatch
 
@@ -36,8 +37,8 @@ class FamilyError(ValueError):
 class Family:
     k: int
     members: tuple[PolyK, ...]
-    # check results and graph vectors, keyed by (name, field, ...): the
-    # same members can be read over more than one field
+    # check results, keyed by (name, field, ...): the same members can
+    # be read over more than one field
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
@@ -134,13 +135,17 @@ def tangent_family(ctx: FieldCtx, A: Fe, B: Fe, C: Fe) -> Family:
     return Family.from_polys(2, members)
 
 
-def _graph_vectors(ctx: FieldCtx, fam: Family) -> tuple[int, ...]:
+# Family checks meet the same polynomials in many families: the
+# pencil-extension claim drops each member of a 25- or 49-member pencil in
+# turn and checks the rest, so 64 vectors keep a whole pencil in memory
+# (at q = 2^16 they would take about 13 MB).
+_member_vector = functools.lru_cache(maxsize=64)(graph_vector)
+
+
+def _graph_vectors(ctx: FieldCtx, fam: Family) -> list[int]:
     """The members' packed graph vectors (polyfun.graph_vector), in
-    member order, computed once per family."""
-    key = ("vectors", ctx)
-    if key not in fam._cache:
-        fam._cache[key] = tuple(graph_vector(ctx, f) for f in fam.members)
-    return fam._cache[key]
+    member order."""
+    return [_member_vector(ctx, f) for f in fam.members]
 
 
 def is_t_intersecting(ctx: FieldCtx, fam: Family, t: int):
@@ -155,15 +160,10 @@ def is_t_intersecting(ctx: FieldCtx, fam: Family, t: int):
 
 
 def _first_pair_below(ctx: FieldCtx, fam: Family, t: int):
-    # polyfun.shared_points, inlined because this loop meets every pair:
-    # a pair shares fewer than t points when its graph vectors differ in
-    # more than q - t lanes
-    m, h = lane_masks(ctx.q)
-    most = ctx.q - t
     vs = _graph_vectors(ctx, fam)
     for i, vi in enumerate(vs):
-        for j in range(i + 1, len(vs)):
-            if (((vi ^ vs[j]) + m) & h).bit_count() > most:
+        for j, shared in enumerate(shared_points(ctx.q, vi, vs[i + 1 :]), i + 1):
+            if shared < t:
                 return False, (fam.members[i], fam.members[j])
     return True, None
 

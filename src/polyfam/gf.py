@@ -334,6 +334,18 @@ class FieldCtx:
             return self._add[x * self.q + y]
         return self._digit_add(x, y)
 
+    def translation(self, c: Fe) -> list[Fe]:
+        """[c + y for y in elements()], built digit by digit in O(q)
+        list steps: the table for the low i+1 digits is p copies of the
+        table for the low i digits, the j-th shifted by digit (c_i + j)."""
+        p = self.p
+        table = [0]
+        weight = 1
+        for d in self._digit_vec(c):
+            table = [t + (d + j) % p * weight for j in range(p) for t in table]
+            weight *= p
+        return table
+
     def neg(self, x: Fe) -> Fe:
         return self._neg[x]
 

@@ -86,8 +86,9 @@ def intersection_count(ctx: FieldCtx, f: PolyK, g: PolyK) -> int:
 
 
 def lane_width(q: int) -> int:
-    """Bits per lane: room for the largest element index plus a guard."""
-    return (q - 1).bit_length() + 1
+    """Bits per lane: the whole bytes that hold the largest element index
+    plus a guard bit."""
+    return 8 * ((q - 1).bit_length() // 8 + 1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -96,27 +97,35 @@ def lane_masks(q: int) -> tuple[int, int]:
     bit of every lane. ((u ^ v) + M) & H keeps a lane's guard bit exactly
     when u and v differ in that lane."""
     w = lane_width(q)
-    ones = sum(1 << (x * w) for x in range(q))
+    ones = int.from_bytes((1).to_bytes(w // 8, "little") * q, "little")
     return ones * ((1 << (w - 1)) - 1), ones << (w - 1)
 
 
-@functools.lru_cache(maxsize=256)
+def graph_values(ctx: FieldCtx, f: PolyK) -> list[Fe]:
+    """[f(x) for x in ctx.elements()], by Horner's rule on the whole list
+    at once: each step multiplies entry x by x and adds a coefficient
+    through its translation table."""
+    mul = ctx.mul
+    acc = [f.coeffs[-1]] * ctx.q
+    for c in reversed(f.coeffs[:-1]):
+        plus_c = ctx.translation(c)
+        acc = [plus_c[mul(a, x)] for x, a in enumerate(acc)]
+    return acc
+
+
 def graph_vector(ctx: FieldCtx, f: PolyK) -> int:
-    """The graph of f packed into one int, lane x holding f(x). Memoised,
-    since family checks meet the same polynomials in many families: the
-    256 entries hold a whole pencil up to q = 16 while each of its
-    members is dropped in turn."""
-    w = lane_width(ctx.q)
-    v = 0
-    for x in reversed(ctx.elements()):
-        v = v << w | evaluate(ctx, f, x)
-    return v
+    """The graph of f packed into one int, lane x holding f(x), in time
+    linear in q."""
+    size = lane_width(ctx.q) // 8
+    lanes = b"".join([y.to_bytes(size, "little") for y in graph_values(ctx, f)])
+    return int.from_bytes(lanes, "little")
 
 
-def shared_points(q: int, vf: int, vg: int) -> int:
-    """Number of x with f(x) = g(x), from the two graph vectors."""
+def shared_points(q: int, v: int, others) -> list[int]:
+    """For each graph vector u of others, the number of x at which the
+    graphs of v and u agree."""
     m, h = lane_masks(q)
-    return q - (((vf ^ vg) + m) & h).bit_count()
+    return [q - (((v ^ u) + m) & h).bit_count() for u in others]
 
 
 def common_lanes(q: int, vectors) -> int:

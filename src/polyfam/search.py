@@ -303,26 +303,17 @@ def sam0_check(ctx: FieldCtx, k: int, t: int) -> Report:
 
 
 def _nth_set_bit(mask: int, r: int) -> int:
-    """Index of the r-th set bit of mask (r = 0 is the lowest). A rank
-    within 16 of either end clears the set bits before it from that end;
-    the others bisect on the popcount of mask's low bits."""
-    if r < 16:
-        for _ in range(r):
-            mask &= mask - 1
-        return (mask & -mask).bit_length() - 1
-    above = mask.bit_count() - 1 - r
-    if above < 16:
-        for _ in range(above):
-            mask ^= 1 << (mask.bit_length() - 1)
-        return mask.bit_length() - 1
+    """Index of the r-th set bit of mask (r = 0 is the lowest), by
+    bisection on the popcount of mask's high bits."""
+    above = mask.bit_count() - 1 - r  # set bits above the one sought
     lo, hi = 0, mask.bit_length()
-    # popcount of the low lo bits is <= r, of the low hi bits > r
+    # mask >> lo has more than `above` set bits, mask >> hi at most that
     while hi - lo > 1:
         mid = (lo + hi) >> 1
-        if (mask & ((1 << mid) - 1)).bit_count() > r:
-            hi = mid
-        else:
+        if (mask >> mid).bit_count() > above:
             lo = mid
+        else:
+            hi = mid
     return lo
 
 

@@ -272,6 +272,13 @@ def test_frobenius_is_automorphism(q):
             )
 
 
+@pytest.mark.parametrize("p,n", [(2, 1), (5, 1), (2, 4), (3, 2), (3, 3), (17, 2)])
+def test_translation_matches_add(p, n):
+    ctx = make_field(p, n)
+    for c in ctx.elements():
+        assert ctx.translation(c) == [ctx.add(c, y) for y in ctx.elements()], c
+
+
 def test_digit_roundtrip():
     ctx = make_field(3, 3)
     for x in range(27):

@@ -15,7 +15,9 @@ from polyfam.polyfun import (
     graph_points,
     intersection_count,
     common_lanes,
+    graph_values,
     graph_vector,
+    lane_masks,
     lane_points,
     lane_width,
     pair_intersects_fast,
@@ -180,9 +182,9 @@ def test_shared_points_matches_closed_form_and_brute_force(q, k):
     values = [graph_points(ctx, f) for f in polys]
     vectors = [graph_vector(ctx, f) for f in polys]
     for i, f in enumerate(polys):
-        for j in range(i, len(polys)):
+        row = shared_points(q, vectors[i], vectors[i:])
+        for j, packed in enumerate(row, i):
             brute = sum(a == b for a, b in zip(values[i], values[j]))
-            packed = shared_points(q, vectors[i], vectors[j])
             assert packed == brute == intersection_count(ctx, f, polys[j]), (f, polys[j])
 
 
@@ -198,22 +200,43 @@ def test_shared_points_sampled_pairs_large_lanes(p, n):
         x = rng.randrange(q)
         shift = ctx.sub(evaluate(ctx, f, x), evaluate(ctx, g, x))
         h = PolyK(2, (ctx.add(g.coeffs[0], shift), *g.coeffs[1:]))
-        for other in (g, h):
-            got = shared_points(q, graph_vector(ctx, f), graph_vector(ctx, other))
-            assert got == intersection_count(ctx, f, other)
+        got = shared_points(q, graph_vector(ctx, f), [graph_vector(ctx, g), graph_vector(ctx, h)])
+        assert got == [intersection_count(ctx, f, g), intersection_count(ctx, f, h)]
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 9, 16])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9, 16, 289])
 def test_graph_vector_lanes_hold_the_values(q):
+    # 289 = 17^2 is past the flat addition table and has two-byte lanes
     ctx = make_field_of_order(q)
     w = lane_width(q)
-    assert 1 << (w - 1) >= q  # every value fits below the guard bit
+    assert w % 8 == 0 and 1 << (w - 1) >= q  # whole bytes, values below the guard
     f = PolyK(2, (q - 1, 1 % q, q - 1))
     v = graph_vector(ctx, f)
     assert [(v >> (x * w)) & ((1 << w) - 1) for x in range(q)] == [
         evaluate(ctx, f, x) for x in range(q)
     ]
     assert v >> (q * w) == 0
+
+
+@pytest.mark.parametrize("p,n,k", [(7, 1, 3), (2, 3, 2), (3, 2, 1), (17, 2, 2), (3, 6, 2)])
+def test_graph_values_match_evaluate(p, n, k):
+    ctx = make_field(p, n)
+    rng = random.Random(ctx.q + k)
+    for _ in range(4):
+        f = PolyK(k, tuple(rng.randrange(ctx.q) for _ in range(k + 1)))
+        assert graph_values(ctx, f) == [evaluate(ctx, f, x) for x in ctx.elements()]
+    assert graph_values(ctx, PolyK(0, (5 % ctx.q,))) == [5 % ctx.q] * ctx.q
+
+
+@pytest.mark.parametrize("q", [2, 5, 127, 128, 289, 32768, 32769])
+def test_lane_masks_mark_every_lane(q):
+    w = lane_width(q)
+    assert (q - 1).bit_length() < w <= (q - 1).bit_length() + 8
+    m, h = lane_masks(q)
+    ones = h >> (w - 1)
+    assert h.bit_count() == q and h.bit_length() == q * w
+    assert ones * ((1 << w) - 1) == (1 << (q * w)) - 1  # one 1 at the foot of every lane
+    assert m == ones * ((1 << (w - 1)) - 1)
 
 
 def test_common_lanes_and_points():
