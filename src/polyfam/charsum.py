@@ -8,10 +8,12 @@ care about true degree, not a degree bound.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 from .gf import FieldCtx, Fe, FieldError
+from .polyfun import PolyK, graph_values
 from .report import DEFAULT_NODE_BUDGET, Report, Stopwatch
 
 DensePoly = tuple  # tuple[int, ...], trimmed
@@ -112,13 +114,6 @@ def poly_deriv(ctx: FieldCtx, f: DensePoly) -> DensePoly:
     return poly_trim(out)
 
 
-def poly_eval(ctx: FieldCtx, f: DensePoly, x: Fe) -> Fe:
-    acc = 0
-    for c in reversed(f):
-        acc = ctx.add(ctx.mul(acc, x), c)
-    return acc
-
-
 def poly_pth_root(ctx: FieldCtx, f: DensePoly) -> DensePoly:
     """g with g^p = f, valid exactly when f' = 0 (all exponents divisible
     by p); coefficientwise p-th roots are Frobenius inverses."""
@@ -175,8 +170,13 @@ def char_sum(ctx: FieldCtx, f: DensePoly, a: Fe = 1) -> int:
     """Sum over x of the quadratic character of a*f(x). Odd q."""
     if ctx.q % 2 == 0:
         raise FieldError("character sums need odd q")
-    qc = ctx.qchar_table
-    return sum(qc[ctx.mul(a, poly_eval(ctx, f, x))] for x in ctx.elements())
+    if not f:
+        return 0
+    # f = f[0] + x g(x): g's values by whole-list Horner, then the last
+    # step straight into the sum; chi(a y) = chi(a) chi(y)
+    g = graph_values(ctx, PolyK(len(f) - 2, f[1:])) if len(f) > 1 else [0] * ctx.q
+    plus_c, qc, mul = ctx.translation(f[0]), ctx.qchar_table, ctx.mul
+    return qc[a] * sum(qc[plus_c[mul(y, x)]] for x, y in enumerate(g))
 
 
 def quad_sum_exact(ctx: FieldCtx, a: Fe, b: Fe, c: Fe) -> int:
@@ -312,11 +312,28 @@ def square_coefficient_scan(ctx: FieldCtx, frob_k: int = 1) -> Report:
     )
 
 
+def _in_at_most(masks, allowed: int, full: int) -> int:
+    """The bits of full that are set in at most `allowed` of the masks.
+    at_least[j] holds the bits seen in at least j + 1 masks so far; the
+    scan stops once every bit is over the limit."""
+    at_least = [0] * (allowed + 1)
+    for m in masks:
+        for j in range(allowed, 0, -1):
+            at_least[j] |= at_least[j - 1] & m
+        at_least[0] |= m
+        if at_least[-1] == full:
+            return 0
+    return full ^ at_least[-1]
+
+
 def shortcut_scan(ctx: FieldCtx) -> Report:
     """For odd square q > 9, scan every l(x) = a x^(s+1) + d x^s + b x + c
     with a != 0 (s = sqrt(q)): whenever l takes square values on more
     than q - s/2 + 1/2 points, assert a^s b = d^s a. Also runs the
-    positive control: s0^2 (t + r x)^(s+1) takes only square values."""
+    positive control: s0^2 (t + r x)^(s+1) takes only square values.
+
+    The main scan takes all q^2 pairs (b, c) of one (a, d) at once: bit
+    b*q + c of a mask stands for the l with those b and c."""
     watch = Stopwatch()
     q = ctx.q
     if q % 2 == 0 or ctx.sqrt_q is None:
@@ -336,41 +353,46 @@ def shortcut_scan(ctx: FieldCtx) -> Report:
 
     add = ctx.add
     mul = ctx.mul
+    # nonsq[w * q + x]: the (b, c) with w + b x + c a nonsquare, read at
+    # w = a x^(s+1) + d x^s
+    nonsq_c = [sum(1 << c for c in xs if qc[add(w, c)] < 0) for w in xs]
+    nonsq = [
+        sum(nonsq_c[add(w, mul(b, x))] << b * q for b in xs) for w in xs for x in xs
+    ]
+    all_bc = (1 << q * q) - 1
     large = 0
     violations = []
     for a in range(1, q):
         fa = ctx.frobenius(a, half_n)
         t1 = [mul(a, v) for v in xp_s1]
         for d in range(q):
-            fd = ctx.frobenius(d, half_n)
-            rel_rhs = mul(fd, a)
-            t2 = [add(t1[x], mul(d, xp_s[x])) for x in xs]
-            for b in range(q):
-                t3 = [add(t2[x], mul(b, x)) for x in xs]
-                rel_ok = mul(fa, b) == rel_rhs
-                for c in range(q):
-                    bad = 0
-                    for v in t3:
-                        if qc[add(v, c)] < 0:
-                            bad += 1
-                            if bad > allowed_nonsquare:
-                                break
-                    if bad <= allowed_nonsquare:
-                        large += 1
-                        if not rel_ok and len(violations) < 8:
-                            violations.append({"a": a, "d": d, "b": b, "c": c})
+            row = [add(t1[x], mul(d, xp_s[x])) * q + x for x in xs]
+            ok = _in_at_most(map(nonsq.__getitem__, row), allowed_nonsquare, all_bc)
+            if not ok:
+                continue
+            large += ok.bit_count()
+            # a^s b = d^s a holds for exactly one b, as a^s != 0
+            b_rel = ctx.div(mul(ctx.frobenius(d, half_n), a), fa)
+            bad = ok & ~(((1 << q) - 1) << b_rel * q)
+            while bad and len(violations) < 8:
+                low = bad & -bad
+                b, c = divmod(low.bit_length() - 1, q)
+                violations.append({"a": a, "d": d, "b": b, "c": c})
+                bad ^= low
 
-    control_bad = []
-    for s0 in range(1, q):
-        s0sq = mul(s0, s0)
-        for t in range(q):
-            for r in range(1, q):
-                for x in xs:
-                    if qc[mul(s0sq, norm[add(t, mul(r, x))])] < 0:
-                        if len(control_bad) < 8:
-                            control_bad.append({"s": s0, "t": t, "r": r, "x": x})
-                        break
+    def control_failures():
+        # x -> t + r x is a bijection for r != 0, so (s0, t, r) fails exactly
+        # when some y has s0^2 N(y) nonsquare, first at x = min (y - t) / r
+        for s0 in range(1, q):
+            s0sq = mul(s0, s0)
+            bad_y = [y for y in xs if qc[mul(s0sq, norm[y])] < 0]
+            if bad_y:
+                for t in xs:
+                    for r in range(1, q):
+                        x = min(ctx.div(ctx.sub(y, t), r) for y in bad_y)
+                        yield {"s": s0, "t": t, "r": r, "x": x}
 
+    control_bad = list(itertools.islice(control_failures(), 8))
     witnesses = violations + control_bad
     return Report(
         claim_id="square-value-shortcut",

@@ -57,9 +57,12 @@ def build_graph(
     """Graph on all degree-<=k polynomials; u ~ v when their graphs share
     at least t points ("min_shared") or at most t points ("max_shared").
 
-    The shared-point count of (u, v) only depends on u - v, so adjacency
-    is the orbit of the difference polynomials with an eligible root
-    count under coefficientwise translation.
+    The shared-point count of (u, v) only depends on u - v, so this is a
+    Cayley graph on (Z_p)^((k+1)n): a vertex number is the base-p packing
+    of its coefficients' digits, and coefficientwise field addition adds
+    those digits mod p. Row 0 holds the differences h with an eligible
+    root count; every other row is an earlier row translated by one unit
+    in a single digit, which is two masked shifts.
     """
     q = ctx.q
     nv = q ** (k + 1)
@@ -68,36 +71,29 @@ def build_graph(
     if predicate not in ("min_shared", "max_shared"):
         raise ValueError(f"unknown predicate {predicate!r}")
     zero = PolyK(k, (0,) * (k + 1))
-    good = []
+    row0 = 0
     for h in range(1, nv):
         # shared points of u and u + h = roots of h
         count = intersection_count(ctx, vertex_to_poly(q, k, h), zero)
         if count >= t if predicate == "min_shared" else count <= t:
-            good.append(h)
-    # digit-wise field addition of vertex numbers, precomputed per digit
-    adj = [0] * nv
-    add = ctx.add
-    good_digits = []
-    for h in good:
-        hh = h
-        d = []
-        for _ in range(k + 1):
-            d.append(hh % q)
-            hh //= q
-        good_digits.append(d)
-    for u in range(nv):
-        mask = 0
-        du = vertex_to_poly(q, k, u).coeffs
-        for hd in good_digits:
-            v = 0
-            mult = 1
-            for i in range(k + 1):
-                v += add(du[i], hd[i]) * mult
-                mult *= q
-            mask |= 1 << v
-        adj[u] = mask
-    edges = sum(m.bit_count() for m in adj) // 2
-    return IntersectionGraph(q, k, t, predicate, nv, adj, edges)
+            row0 |= 1 << h
+    p = ctx.p
+    full = (1 << nv) - 1
+    adj = [row0]
+    w = 1  # p^i, the weight of digit i
+    while w < nv:
+        # top: the vertices whose digit i is p - 1, which wrap round to 0
+        period = p * w
+        top = full // ((1 << period) - 1) * (((1 << w) - 1) << (period - w))
+        rest = full ^ top
+        wrap = period - w
+        # row u = row (u - w) translated by +1 in digit i, digit i of u >= 1
+        for u in range(w, period):
+            m = adj[u - w]
+            adj.append((m & rest) << w | (m & top) >> wrap)
+        w = period
+    # every row of a Cayley graph has the same degree
+    return IntersectionGraph(q, k, t, predicate, nv, adj, nv * row0.bit_count() // 2)
 
 
 @dataclass(frozen=True)
@@ -164,6 +160,9 @@ def max_clique(graph: IntersectionGraph, budget: int | None = None) -> CliqueRes
 
     if n:
         expand([], (1 << n) - 1)
+    # expand refers to itself through its closure cell; clearing the cell
+    # frees the closure, and adj with it, now rather than at a full GC
+    expand = None
     return CliqueResult(len(best), tuple(sorted(best)), nodes, not aborted)
 
 
@@ -194,6 +193,7 @@ def enumerate_maximum_cliques(graph: IntersectionGraph, size: int) -> list[tuple
 
     if graph.n_vertices:
         ext([], (1 << graph.n_vertices) - 1)
+    ext = None  # break the closure's self-reference, as in max_clique
     return out
 
 

@@ -1,5 +1,6 @@
 """Character sums, square detection, and the value-set scans."""
 
+import copy
 import functools
 import itertools
 import random
@@ -8,13 +9,13 @@ import pytest
 
 from polyfam.gf import FieldError, make_field, make_field_of_order
 from polyfam.charsum import (
+    _in_at_most,
     char_sum,
     distinct_root_count,
     mcconnel_scan,
     perfect_square_test,
     poly_deg,
     poly_divmod,
-    poly_eval,
     poly_gcd,
     poly_mul,
     poly_pth_root,
@@ -135,9 +136,16 @@ def test_poly_pth_root():
         poly_pth_root(ctx, (0, 1))  # exponent not divisible by p
 
 
+def horner(ctx, f, x):
+    acc = 0
+    for c in reversed(f):
+        acc = ctx.add(ctx.mul(acc, x), c)
+    return acc
+
+
 def brute_char_sum(ctx, f, a):
     return sum(
-        ctx.quadratic_character(ctx.mul(a, poly_eval(ctx, f, x)))
+        ctx.quadratic_character(ctx.mul(a, horner(ctx, f, x)))
         for x in range(ctx.q)
     )
 
@@ -152,6 +160,19 @@ def test_char_sum_is_the_plain_sum(q):
             continue
         for a in (1, 2):
             assert char_sum(ctx, f, a) == brute_char_sum(ctx, f, a)
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (7, 1), (3, 3), (5, 2), (3, 6), (17, 2)])
+def test_char_sum_every_degree_and_scalar(p, n):
+    """Constants, zero, a = 0 and fields past the flat addition table
+    (3^6, 17^2), against the pointwise sum."""
+    ctx = make_field(p, n)
+    rng = random.Random(p * n)
+    assert char_sum(ctx, (), 1) == 0
+    for deg in range(0, 6):
+        f = tuple(rng.randrange(ctx.q) for _ in range(deg)) + (rng.randrange(1, ctx.q),)
+        for a in (0, 1, rng.randrange(1, ctx.q)):
+            assert char_sum(ctx, f, a) == brute_char_sum(ctx, f, a), (f, a)
 
 
 def test_char_sum_frozen():
@@ -307,6 +328,123 @@ def test_shortcut_scan_q25():
         "controlTriples": 14400,
     }
     assert rep.parameters["minLargeCount"] == 24
+
+
+def test_shortcut_scan_q49_frozen():
+    rep = shortcut_scan(make_field(7, 2))
+    assert rep.verdict == "pass"
+    assert rep.counters == {
+        "scanned": 5647152,
+        "largeValueSets": 8232,
+        "violations": 0,
+        "controlTriples": 112896,
+    }
+    assert rep.parameters["minLargeCount"] == 47
+    assert rep.witnesses == []
+
+
+def pointwise_shortcut_scan(ctx):
+    """(largeValueSets, violations, control witnesses) by the loops
+    shortcut_scan used before its mask kernels: one polynomial and one
+    control triple at a time, x in element order."""
+    q, s, half_n = ctx.q, ctx.sqrt_q, ctx.n // 2
+    qc, norm, add, mul = ctx.qchar_table, ctx.norm_table, ctx.add, ctx.mul
+    xs = range(q)
+    allowed = q - ((2 * q - s + 1) // 2 + 1)
+    xp_s = [ctx.pow(x, s) for x in xs]
+    xp_s1 = [ctx.pow(x, s + 1) for x in xs]
+    large = 0
+    violations = []
+    for a in range(1, q):
+        fa = ctx.frobenius(a, half_n)
+        for d in range(q):
+            rel_rhs = mul(ctx.frobenius(d, half_n), a)
+            t2 = [add(mul(a, xp_s1[x]), mul(d, xp_s[x])) for x in xs]
+            for b in range(q):
+                t3 = [add(t2[x], mul(b, x)) for x in xs]
+                for c in range(q):
+                    bad = 0
+                    for v in t3:
+                        bad += qc[add(v, c)] < 0
+                        if bad > allowed:
+                            break
+                    else:
+                        large += 1
+                        if mul(fa, b) != rel_rhs and len(violations) < 8:
+                            violations.append({"a": a, "d": d, "b": b, "c": c})
+    control = []
+    for s0 in range(1, q):
+        for t in xs:
+            for r in range(1, q):
+                for x in xs:
+                    if qc[mul(mul(s0, s0), norm[add(t, mul(r, x))])] < 0:
+                        if len(control) < 8:
+                            control.append({"s": s0, "t": t, "r": r, "x": x})
+                        break
+    return large, violations, control
+
+
+def perturbed_field(p, n, seed, square_rate):
+    """A copy of the field whose quadratic-character table calls a share
+    of the nonsquares squares and one value of the norm a nonsquare, so
+    that violations and control witnesses appear. make_field caches its
+    contexts, so the cached one is never touched."""
+    ctx = copy.copy(make_field(p, n))
+    rng = random.Random(seed)
+    qc = list(ctx.qchar_table)
+    for w in range(1, ctx.q):
+        if rng.random() < square_rate:
+            qc[w] = 1
+    qc[ctx.norm_table[rng.randrange(1, ctx.q)]] = -1
+    ctx.qchar_table = qc
+    return ctx
+
+
+@pytest.mark.parametrize(
+    "seed,square_rate", [(None, 0), (1, 0.5), (0, 0.5)]
+)
+def test_shortcut_scan_matches_pointwise_loops(seed, square_rate):
+    ctx = make_field(5, 2) if seed is None else perturbed_field(5, 2, seed, square_rate)
+    large, violations, control = pointwise_shortcut_scan(ctx)
+    rep = shortcut_scan(ctx)
+    assert rep.counters["largeValueSets"] == large
+    assert rep.counters["violations"] == len(violations)
+    assert rep.witnesses == violations + control
+    assert rep.verdict == ("fail" if violations or control else "pass")
+    if seed is not None:
+        assert len(control) == 8  # every triple of a failing s0 fails
+        assert len(violations) == (0 if seed == 1 else 8)
+        assert shortcut_scan(make_field(5, 2)).verdict == "pass"
+
+
+def test_shortcut_control_witnesses_with_one_bad_norm():
+    """A norm table with one nonsquare entry N(y0): the failing set is
+    {y0}, not closed under y -> -y as real norms are, so the first failing
+    x = y0 / r of each triple pins the sign of y - t."""
+    ctx = copy.copy(make_field(5, 2))
+    nonsquare = next(w for w in range(1, ctx.q) if ctx.qchar_table[w] < 0)
+    ctx.norm_table = list(ctx.norm_table)
+    ctx.norm_table[7] = nonsquare
+    _, violations, control = pointwise_shortcut_scan(ctx)
+    rep = shortcut_scan(ctx)
+    assert rep.witnesses == violations + control
+    assert [w["x"] for w in control] == [ctx.div(7, r) for r in range(1, 9)]
+    assert ctx.div(7, 2) != ctx.div(ctx.neg(7), 2)
+
+
+@pytest.mark.parametrize("allowed", range(5))
+def test_in_at_most_matches_a_naive_count(allowed):
+    rng = random.Random(allowed)
+    for width in (1, 7, 64, 200):
+        full = (1 << width) - 1
+        for n_masks in (0, 1, 3, 9):
+            masks = [rng.getrandbits(width) & rng.getrandbits(width) for _ in range(n_masks)]
+            want = sum(
+                1 << i
+                for i in range(width)
+                if sum(m >> i & 1 for m in masks) <= allowed
+            )
+            assert _in_at_most(iter(masks), allowed, full) == want
 
 
 def test_shortcut_scan_validation():

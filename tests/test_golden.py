@@ -1,6 +1,7 @@
 """Frozen suite output: the full-tier reports of the direction-span,
-power-map, EKR, Hilton-Milner and pencil-extension claims, byte for byte
-in canonical form."""
+power-map, EKR, Hilton-Milner, pencil-extension, square-value-shortcut,
+clique-bounds, Weil-bound and quadratic-sum claims, byte for byte in
+canonical form."""
 
 import pytest
 
@@ -25,6 +26,37 @@ GOLDEN = {
     "power-map-class": [
         '{"claimId":"power-map-class","counters":{"found":1,"predicted":1},"fieldSpec":"5^1","parameters":{"delta":2,"exponent":2},"primaryCounter":"found","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
         '{"claimId":"power-map-class","counters":{"found":2,"predicted":2},"fieldSpec":"3^2","parameters":{"delta":2,"exponent":4},"primaryCounter":"found","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
+    ],
+    "clique-bounds": [
+        '{"claimId":"clique-bounds","counters":{"intersectingBound":2,"intersectingMax":2,"scatteredBound":2,"scatteredMax":2},"fieldSpec":"2^1","parameters":{"k":1,"t":1},"primaryCounter":"intersectingMax","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
+        '{"claimId":"clique-bounds","counters":{"intersectingBound":4,"intersectingMax":4,"scatteredBound":2,"scatteredMax":2},"fieldSpec":"2^1","parameters":{"k":2,"t":1},"primaryCounter":"intersectingMax","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
+        '{"claimId":"clique-bounds","counters":{"intersectingBound":2,"intersectingMax":2,"scatteredBound":4,"scatteredMax":4},"fieldSpec":"2^1","parameters":{"k":2,"t":2},"primaryCounter":"intersectingMax","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
+        '{"claimId":"clique-bounds","counters":{"intersectingBound":3,"intersectingMax":3,"scatteredBound":3,"scatteredMax":3},"fieldSpec":"3^1","parameters":{"k":1,"t":1},"primaryCounter":"intersectingMax","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
+        '{"claimId":"clique-bounds","counters":{"intersectingBound":9,"intersectingMax":9,"scatteredBound":3,"scatteredMax":3},"fieldSpec":"3^1","parameters":{"k":2,"t":1},"primaryCounter":"intersectingMax","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
+        '{"claimId":"clique-bounds","counters":{"intersectingBound":3,"intersectingMax":3,"scatteredBound":9,"scatteredMax":9},"fieldSpec":"3^1","parameters":{"k":2,"t":2},"primaryCounter":"intersectingMax","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
+        '{"claimId":"clique-bounds","counters":{"intersectingBound":4,"intersectingMax":4,"scatteredBound":4,"scatteredMax":4},"fieldSpec":"2^2","parameters":{"k":1,"t":1},"primaryCounter":"intersectingMax","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
+        '{"claimId":"clique-bounds","counters":{"intersectingBound":16,"intersectingMax":16,"scatteredBound":4,"scatteredMax":4},"fieldSpec":"2^2","parameters":{"k":2,"t":1},"primaryCounter":"intersectingMax","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
+        '{"claimId":"clique-bounds","counters":{"intersectingBound":4,"intersectingMax":4,"scatteredBound":16,"scatteredMax":16},"fieldSpec":"2^2","parameters":{"k":2,"t":2},"primaryCounter":"intersectingMax","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
+        '{"claimId":"clique-bounds","counters":{"intersectingBound":5,"intersectingMax":5,"scatteredBound":5,"scatteredMax":5},"fieldSpec":"5^1","parameters":{"k":1,"t":1},"primaryCounter":"intersectingMax","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
+        '{"claimId":"clique-bounds","counters":{"intersectingBound":25,"intersectingMax":25,"scatteredBound":5,"scatteredMax":5},"fieldSpec":"5^1","parameters":{"k":2,"t":1},"primaryCounter":"intersectingMax","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
+        '{"claimId":"clique-bounds","counters":{"intersectingBound":5,"intersectingMax":5,"scatteredBound":25,"scatteredMax":25},"fieldSpec":"5^1","parameters":{"k":2,"t":2},"primaryCounter":"intersectingMax","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
+    ],
+    "quad-sum-identity": [
+        '{"claimId":"quad-sum-identity","counters":{"checked":18},"fieldSpec":"3^1","parameters":{},"primaryCounter":"checked","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
+        '{"claimId":"quad-sum-identity","counters":{"checked":100},"fieldSpec":"5^1","parameters":{},"primaryCounter":"checked","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
+        '{"claimId":"quad-sum-identity","counters":{"checked":294},"fieldSpec":"7^1","parameters":{},"primaryCounter":"checked","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
+        '{"claimId":"quad-sum-identity","counters":{"checked":648},"fieldSpec":"3^2","parameters":{},"primaryCounter":"checked","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
+        '{"claimId":"quad-sum-identity","counters":{"checked":1210},"fieldSpec":"11^1","parameters":{},"primaryCounter":"checked","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
+        '{"claimId":"quad-sum-identity","counters":{"checked":2028},"fieldSpec":"13^1","parameters":{},"primaryCounter":"checked","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
+    ],
+    "square-value-shortcut": [
+        '{"claimId":"square-value-shortcut","counters":{"controlTriples":14400,"largeValueSets":1500,"scanned":375000,"violations":0},"fieldSpec":"5^2","parameters":{"minLargeCount":24},"primaryCounter":"largeValueSets","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
+    ],
+    "weil-bound": [
+        '{"claimId":"weil-bound","counters":{"checked":1000},"fieldSpec":"3^2","parameters":{"maxDegree":5},"primaryCounter":"checked","seed":20257,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
+        '{"claimId":"weil-bound","counters":{"checked":1000},"fieldSpec":"5^2","parameters":{"maxDegree":5},"primaryCounter":"checked","seed":20273,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
+        '{"claimId":"weil-bound","counters":{"checked":1000},"fieldSpec":"7^2","parameters":{"maxDegree":5},"primaryCounter":"checked","seed":20297,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
+        '{"claimId":"weil-bound","counters":{"checked":1000},"fieldSpec":"11^2","parameters":{"maxDegree":5},"primaryCounter":"checked","seed":20369,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
     ],
 }
 

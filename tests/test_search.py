@@ -1,5 +1,6 @@
 """Intersection graphs, exact cliques, and the randomized probes."""
 
+import gc
 import itertools
 import math
 import random
@@ -78,6 +79,90 @@ def test_build_graph_rejects_bad_input():
         build_graph(ctx, 1, 1, "weird")
     with pytest.raises(ValueError):
         build_graph(make_field(2, 4), 3, 1, "min_shared")  # 16^4 vertices
+
+
+def digit_add_graph(ctx, k, t, predicate):
+    """Adjacency by the loop build_graph used before its translate kernel:
+    for every vertex u and eligible difference h, add the coefficient
+    digits of u and h in the field."""
+    q = ctx.q
+    nv = q ** (k + 1)
+    zero = vertex_to_poly(q, k, 0)
+    good = []
+    for h in range(1, nv):
+        count = intersection_count(ctx, vertex_to_poly(q, k, h), zero)
+        if count >= t if predicate == "min_shared" else count <= t:
+            good.append(vertex_to_poly(q, k, h).coeffs)
+    adj = []
+    for u in range(nv):
+        du = vertex_to_poly(q, k, u).coeffs
+        mask = 0
+        for hd in good:
+            v = 0
+            for i in reversed(range(k + 1)):
+                v = v * q + ctx.add(du[i], hd[i])
+            mask |= 1 << v
+        adj.append(mask)
+    return adj
+
+
+@pytest.mark.parametrize(
+    "p,n,k",
+    [
+        (2, 1, 1), (2, 1, 2), (2, 1, 3), (2, 2, 1), (2, 2, 2), (2, 2, 3), (2, 3, 1),
+        (2, 3, 2), (3, 1, 1), (3, 1, 2), (3, 1, 3), (3, 2, 1), (3, 2, 2), (3, 3, 1),
+        (5, 1, 1), (5, 1, 2), (5, 2, 1), (7, 1, 1), (7, 1, 2),
+    ],
+)
+def test_build_graph_matches_digit_add_loop(p, n, k):
+    ctx = make_field(p, n)
+    q = ctx.q
+    for predicate, t in sorted(
+        {("min_shared", 1), ("min_shared", k), ("max_shared", 0), ("max_shared", k - 1)}
+    ):
+        g = build_graph(ctx, k, t, predicate)
+        want = digit_add_graph(ctx, k, t, predicate)
+        assert g.adj == want, (predicate, t)
+        assert g.edge_count == sum(m.bit_count() for m in want) // 2
+        assert g.n_vertices == q ** (k + 1)
+
+
+def test_build_graph_q16_k2():
+    ctx = make_field(2, 4)
+    g = build_graph(ctx, 2, 1)
+    assert g.n_vertices == 4096
+    assert g.edge_count == 4669440
+    assert sum(m.bit_count() for m in g.adj) == 2 * g.edge_count
+    rng = random.Random(16)
+    for _ in range(2000):
+        u, v = rng.randrange(4096), rng.randrange(4096)
+        want = u != v and intersection_count(
+            ctx, vertex_to_poly(16, 2, u), vertex_to_poly(16, 2, v)
+        ) >= 1
+        assert bool(g.adj[u] >> v & 1) == want, (u, v)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g: max_clique(g),
+        lambda g: enumerate_maximum_cliques(g, 9),
+        lambda g: ekr_oracle(make_field(3, 1), 2),
+    ],
+    ids=["max_clique", "enumerate", "ekr_oracle"],
+)
+def test_recursive_searches_leave_no_cycles(call):
+    """A recursive closure names itself through its cell. Unless the
+    search clears that name, the closure and everything it holds (the
+    whole adjacency list, for max_clique) lives until a full collection."""
+    g = build_graph(make_field(3, 1), 2, 1)
+    gc.collect()
+    gc.disable()
+    try:
+        call(g)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def brute_max_clique(adj, nv):
