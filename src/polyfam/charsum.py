@@ -457,6 +457,7 @@ def mcconnel_scan(
                     return
 
     walk(2)
+    walk = None  # the closure names itself; free it now, not at a full GC
     return None if aborted else sorted(found)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -681,7 +682,10 @@ def _add_format(p):
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once: each build leaves about a
+    thousand objects in reference cycles that only a full GC frees."""
     ap = argparse.ArgumentParser(
         prog="polyfam",
         description="workbench for intersecting families of polynomial graphs over finite fields",

@@ -160,6 +160,7 @@ def carlitz_scan(ctx: FieldCtx, node_budget: int = DEFAULT_NODE_BUDGET) -> Repor
                     return
 
     walk(0, _FpSpan(ctx))
+    walk = None  # the closure names itself; free it now, not at a full GC
     counters = {"affine": affine, "candidates": candidates, "nodesVisited": nodes}
     if aborted:
         verdict = "budget-exceeded"

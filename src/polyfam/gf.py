@@ -1,11 +1,12 @@
 """Finite field construction and arithmetic backed by lookup tables.
 
 A field F_{p^n} is built once into an immutable FieldCtx holding exp/log,
-negation, trace, square-indicator and (for even n) norm tables. Elements
-are plain ints in [0, q): the base-p packing of the coefficient vector of
-the residue class, low degree first. Index 0 is the zero element and
-indices 0..p-1 are the prime subfield in the obvious way. All operations
-are pure functions of (context, operands).
+negation, trace, square-indicator and (for even n) norm tables, and one
+digitwise addition table over chunks of base-p digits. Elements are plain
+ints in [0, q): the base-p packing of the coefficient vector of the residue
+class, low degree first. Index 0 is the zero element and indices 0..p-1 are
+the prime subfield in the obvious way. All operations are pure functions of
+(context, operands).
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from dataclasses import dataclass
 Fe = int  # element index in [0, q)
 
 MAX_FIELD_ORDER = 1 << 16
-# a flat q*q addition table is only worth the memory for small fields
-_ADD_TABLE_MAX = 256
+# the addition table covers chunks of digits with at most this many values
+_CHUNK_MAX = 256
 
 
 class FieldError(ValueError):
@@ -189,9 +190,12 @@ class FieldCtx:
     """Immutable arithmetic context for one finite field.
 
     Tables built eagerly: exp/log for a fixed generator, negation, trace
-    to F_p, square indicator (odd q), norm to F_sqrt(q) (even n), and a
-    flat addition table when q <= 256. The generator is the first element
-    index of multiplicative order q-1.
+    to F_p, square indicator (odd q), norm to F_sqrt(q) (even n), and one
+    digitwise addition table over chunks of c base-p digits, c the largest
+    with p^c <= 256. For q <= 256 the chunk is the whole element and the
+    table is the flat q*q addition table; past that an add reads it once
+    per chunk. The generator is the first element index of multiplicative
+    order q-1.
     """
 
     def __init__(self, spec: FieldSpec):
@@ -201,116 +205,139 @@ class FieldCtx:
         self.q = spec.q
         self._default_mod: bool | None = None
         q, p, n = self.q, self.p, self.n
+        self._pw = [p**i for i in range(n)]
 
-        pw = [p**i for i in range(n)]
-        if n > 1:
-            digits = []
-            for x in range(q):
-                t = x
-                v = []
-                for _ in range(n):
-                    v.append(t % p)
-                    t //= p
-                digits.append(tuple(v))
-            self._digits = digits
+        c = 1
+        while c < n and p ** (c + 1) <= _CHUNK_MAX:
+            c += 1
+        b = p**c
+        if b > _CHUNK_MAX:
+            # F_p with p > 256: its one digit is too wide to tabulate
+            self._chunk, self._add = b, None
         else:
-            self._digits = None
-        self._pw = pw
+            # None marks one chunk: the flat table, read whole
+            self._chunk = None if b == q else b
+            self._add = [s for x in range(b) for s in self._digitwise(x, c)]
 
-        self._neg = [self._digit_neg(x) for x in range(q)]
-        if q <= _ADD_TABLE_MAX:
-            flat = []
-            for x in range(q):
-                for y in range(q):
-                    flat.append(self._digit_add(x, y))
-            self._add = flat
-        else:
-            self._add = None
-
+        self._neg = self._digitwise(0, n, sign=-1)
         self.generator = self._find_generator()
-        exp = [1] * (q - 1)
-        gvec = self._digit_vec(self.generator)
-        acc = [0] * n
-        acc[0] = 1
-        mod = list(spec.modulus)
-        for i in range(1, q - 1):
-            acc = _vec_mul_mod(acc, gvec, mod, p)
-            exp[i] = self._pack(acc)
-        log: list[int | None] = [None] * q
-        for i, x in enumerate(exp):
-            if log[x] is not None:
-                raise FieldError("generator order check failed")
-            log[x] = i
-        closing = _vec_mul_mod(acc, gvec, mod, p)
-        if self._pack(closing) != 1:
-            raise FieldError("generator order check failed")
-        self.exp = exp
-        self.log = log
-
-        trace = []
-        for x in range(q):
-            t = x
-            y = x
-            for _ in range(n - 1):
-                y = self.frobenius(y)
-                t = self.add(t, y)
-            if self._digit_vec(t)[1:] != ((0,) * (n - 1) if n > 1 else ()):
-                raise FieldError("trace landed outside the prime subfield")
-            trace.append(t % p)
-        self.trace_table = trace
+        self.exp, self.log = exp, log = self._exp_log(c)
+        qm = q - 1
 
         if q % 2 == 1:
-            qc = [0] * q
-            for x in range(1, q):
-                qc[x] = 1 if (log[x] % 2 == 0) else -1
-            if sum(1 for x in range(1, q) if qc[x] == 1) != (q - 1) // 2:
+            qc = [0] + [1 - 2 * (e & 1) for e in log[1:]]
+            if qc.count(1) != qm // 2:
                 raise FieldError("square count check failed")
             self.qchar_table = qc
-            self._as_root = None
         else:
             self.qchar_table = None
-            # preimage table for z^2 + z = u, used to extract char-2 roots
-            as_root: list[int | None] = [None] * q
-            for z in range(q):
-                u = self.add(self.mul(z, z), z)
-                if as_root[u] is None:
-                    as_root[u] = z
-            self._as_root = as_root
 
         if n % 2 == 0:
             s = p ** (n // 2)
             self.sqrt_q = s
-            norm = [0] * q
-            for x in range(1, q):
-                norm[x] = exp[(log[x] * (s + 1)) % (q - 1)]
-                if self.frobenius(norm[x], n // 2) != norm[x]:
-                    raise FieldError("norm landed outside the subfield")
+            norm = [0] + [exp[e * (s + 1) % qm] for e in log[1:]]
+            # the norm is fixed by x -> x^s, the Frobenius of the subfield
+            if any(exp[log[y] * s % qm] != y for y in norm[1:]):
+                raise FieldError("norm landed outside the subfield")
             self.norm_table = norm
         else:
             self.sqrt_q = None
             self.norm_table = None
 
-    # -- construction helpers ------------------------------------------------
+        # the trace is F_p-linear: take it on the basis 1, a, .., a^(n-1)
+        # from its definition, then expand digit by digit
+        basis_traces = []
+        for w in self._pw:
+            t = y = w
+            for _ in range(n - 1):
+                y = self.frobenius(y)
+                t = self.add(t, y)
+            if t >= p:
+                raise FieldError("trace landed outside the prime subfield")
+            basis_traces.append(t)
+        trace = [0]
+        for t in basis_traces:
+            trace = [(u + j * t) % p for j in range(p) for u in trace]
+        if any(trace[exp[log[x] * p % qm]] != trace[x] for x in range(1, q)):
+            raise FieldError("trace is not invariant under Frobenius")
+        self.trace_table = trace
 
-    def _digit_vec(self, x: Fe) -> tuple[int, ...]:
-        if self._digits is None:
-            return (x,)
-        return self._digits[x]
+        if p == 2:
+            # preimage table for z^2 + z = u, used to extract char-2 roots
+            add = self.add
+            as_root: list[int | None] = [None] * q
+            for z, zz in enumerate([0] + [exp[2 * e % qm] for e in log[1:]]):
+                u = add(zz, z)
+                if as_root[u] is None:
+                    as_root[u] = z
+            self._as_root = as_root
+        else:
+            self._as_root = None
+
+    # -- construction helpers ------------------------------------------------
 
     def _pack(self, vec) -> Fe:
         return sum(c * w for c, w in zip(vec, self._pw))
 
-    def _digit_add(self, x: Fe, y: Fe) -> Fe:
-        if self.n == 1:
-            return (x + y) % self.p
-        a = self._digits[x]
-        b = self._digits[y]
-        return sum(((c + d) % self.p) * w for c, d, w in zip(a, b, self._pw))
+    def _digitwise(self, x: Fe, m: int, sign: int = 1) -> list[Fe]:
+        """[x + sign * y for y below p^m], digit by digit mod p, in O(p^m)
+        list steps: the table for the low i+1 digits is p copies of the
+        table for the low i digits, the j-th shifted by digit
+        (x_i + sign * j)."""
+        p = self.p
+        table = [0]
+        weight = 1
+        for _ in range(m):
+            x, d = divmod(x, p)
+            shifts = [(d + sign * j) % p * weight for j in range(p)]
+            table = [t + s for s in shifts for t in table]
+            weight *= p
+        return table
 
-    def _digit_neg(self, x: Fe) -> Fe:
-        if self.n == 1:
-            return (-x) % self.p
-        return sum(((-c) % self.p) * w for c, w in zip(self._digits[x], self._pw))
+    def _exp_log(self, c: int) -> tuple[list[Fe], list[int | None]]:
+        """Powers of the generator and their inverse, with its order checked.
+
+        Multiplication by g is F_p-linear, so it is tabulated per chunk of
+        digits: one table of p^c products per chunk, combined by add."""
+        q, p = self.q, self.p
+        g = self.generator
+        mod = list(self.spec.modulus)
+        gvec = self.digits_of(g)
+        images = [
+            self._pack(_vec_mul_mod(gvec, self.digits_of(w), mod, p)) for w in self._pw
+        ]
+        add = self.add
+        b = p**c
+        maps = []
+        for j in range(0, self.n, c):
+            table = [0]
+            for gw in images[j : j + c]:
+                multiples = [0]
+                for _ in range(p - 1):
+                    multiples.append(add(multiples[-1], gw))
+                table = [add(t, m) for m in multiples for t in table]
+            maps.append(table)
+
+        def times_g(x):
+            y = 0
+            for m in maps:
+                x, v = divmod(x, b)
+                y = add(y, m[v])
+            return y
+
+        exp = [1] * (q - 1)
+        x = 1
+        for i in range(1, q - 1):
+            x = times_g(x)
+            exp[i] = x
+        log: list[int | None] = [None] * q
+        for i, x in enumerate(exp):
+            if log[x] is not None:
+                raise FieldError("generator order check failed: a power repeats")
+            log[x] = i
+        if times_g(exp[-1]) != 1:
+            raise FieldError("generator order check failed: g^(q-1) != 1")
+        return exp, log
 
     def _find_generator(self) -> Fe:
         q = self.q
@@ -319,7 +346,7 @@ class FieldCtx:
         rs = _prime_factors(q - 1)
         mod = list(self.spec.modulus)
         for c in range(2, q):
-            vec = self._digit_vec(c)
+            vec = self.digits_of(c)
             if all(
                 self._pack(_vec_pow_mod(vec, (q - 1) // r, mod, self.p)) != 1
                 for r in rs
@@ -330,21 +357,26 @@ class FieldCtx:
     # -- arithmetic ----------------------------------------------------------
 
     def add(self, x: Fe, y: Fe) -> Fe:
-        if self._add is not None:
+        if self._chunk is None:
             return self._add[x * self.q + y]
-        return self._digit_add(x, y)
+        b = self._chunk
+        table = self._add
+        if table is None:
+            return (x + y) % b
+        # one read per chunk of digits, low chunk first
+        s = 0
+        w = 1
+        while x or y:
+            x, u = divmod(x, b)
+            y, v = divmod(y, b)
+            s += table[u * b + v] * w
+            w *= b
+        return s
 
     def translation(self, c: Fe) -> list[Fe]:
         """[c + y for y in elements()], built digit by digit in O(q)
-        list steps: the table for the low i+1 digits is p copies of the
-        table for the low i digits, the j-th shifted by digit (c_i + j)."""
-        p = self.p
-        table = [0]
-        weight = 1
-        for d in self._digit_vec(c):
-            table = [t + (d + j) % p * weight for j in range(p) for t in table]
-            weight *= p
-        return table
+        list steps."""
+        return self._digitwise(c, self.n)
 
     def neg(self, x: Fe) -> Fe:
         return self._neg[x]
@@ -461,7 +493,11 @@ class FieldCtx:
         return self._pack(vec)
 
     def digits_of(self, x: Fe) -> tuple[int, ...]:
-        return self._digit_vec(x)
+        out = []
+        for _ in range(self.n):
+            x, d = divmod(x, self.p)
+            out.append(d)
+        return tuple(out)
 
     def spec_string(self) -> str:
         return f"{self.p}^{self.n}/" + ",".join(str(c) for c in self.spec.modulus)

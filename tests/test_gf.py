@@ -1,10 +1,18 @@
 """Field construction and arithmetic against brute-force oracles."""
 
+import random
+
 import pytest
 
 from polyfam.gf import (
     IDENTICALLY_ZERO,
+    FieldCtx,
     FieldError,
+    FieldSpec,
+    _prime_factors,
+    _vec_mul_mod,
+    _vec_pow_mod,
+    default_modulus,
     factor_prime_power,
     make_field,
     make_field_of_order,
@@ -353,3 +361,201 @@ def test_even_char_artin_schreier_table():
                 assert len(roots) == 2
             else:
                 assert roots == frozenset()
+
+
+# ---------------------------------------------------------------------------
+# the digit-by-digit constructor the chunked addition table replaced, kept
+# here as the oracle for every table
+
+
+def digit_add(p, n, x, y):
+    """x + y digit by digit mod p, as the old constructor added."""
+    out = 0
+    for w in (p**i for i in range(n)):
+        out += (x // w + y // w) % p * w
+    return out
+
+
+def digit_neg(p, n, x):
+    return sum((-(x // w)) % p * w for w in (p**i for i in range(n)))
+
+
+def digit_field(p, n):
+    """Every table of F_{p^n} (default modulus) as the digit-by-digit
+    constructor built it: additions digit by digit, powers of the
+    generator by schoolbook products, and the trace as the sum of the
+    Frobenius conjugates of each element."""
+    q = p**n
+    mod = list(default_modulus(p, n))
+    pw = [p**i for i in range(n)]
+    digits = [tuple(x // w % p for w in pw) for x in range(q)]
+
+    def pack(vec):
+        return sum(c * w for c, w in zip(vec, pw))
+
+    out = {"_neg": [digit_neg(p, n, x) for x in range(q)]}
+    if q <= 256:
+        out["_add"] = [digit_add(p, n, x, y) for x in range(q) for y in range(q)]
+
+    g = 1
+    if q > 2:
+        rs = _prime_factors(q - 1)
+        g = next(
+            c
+            for c in range(2, q)
+            if all(pack(_vec_pow_mod(digits[c], (q - 1) // r, mod, p)) != 1 for r in rs)
+        )
+    exp = [1] * (q - 1)
+    acc = list(digits[1])
+    for i in range(1, q - 1):
+        acc = _vec_mul_mod(acc, digits[g], mod, p)
+        exp[i] = pack(acc)
+    log = [None] * q
+    for i, x in enumerate(exp):
+        assert log[x] is None
+        log[x] = i
+    assert pack(_vec_mul_mod(acc, digits[g], mod, p)) == 1
+
+    def mul(x, y):
+        return 0 if x == 0 or y == 0 else exp[(log[x] + log[y]) % (q - 1)]
+
+    def frobenius(x, j=1):
+        return 0 if x == 0 else exp[log[x] * pow(p, j, q - 1) % (q - 1)]
+
+    trace = []
+    for x in range(q):
+        t = y = x
+        for _ in range(n - 1):
+            y = frobenius(y)
+            t = digit_add(p, n, t, y)
+        assert t < p
+        trace.append(t)
+    out.update(generator=g, exp=exp, log=log, trace_table=trace)
+
+    out["qchar_table"] = out["_as_root"] = None
+    if q % 2:
+        out["qchar_table"] = [0] + [1 if log[x] % 2 == 0 else -1 for x in range(1, q)]
+    else:
+        as_root = [None] * q
+        for z in range(q):
+            u = digit_add(p, n, mul(z, z), z)
+            if as_root[u] is None:
+                as_root[u] = z
+        out["_as_root"] = as_root
+
+    out["sqrt_q"] = out["norm_table"] = None
+    if n % 2 == 0:
+        s = p ** (n // 2)
+        out["sqrt_q"] = s
+        out["norm_table"] = [0] + [exp[log[x] * (s + 1) % (q - 1)] for x in range(1, q)]
+    return out
+
+
+def prime_powers(limit):
+    return [
+        (p, n)
+        for p in range(2, limit + 1)
+        if _prime_factors(p) == [p]
+        for n in range(1, limit.bit_length())
+        if p**n <= limit
+    ]
+
+
+def field_id(pn):
+    return f"{pn[0]}^{pn[1]}"
+
+
+# every field up to 1024, and the three-chunk fields 7^5, 17^3 and 31^3
+ORACLE_FIELDS = prime_powers(1024) + [(2, 12), (7, 5), (17, 3), (31, 3)]
+
+
+@pytest.mark.parametrize("pn", ORACLE_FIELDS, ids=field_id)
+def test_tables_match_the_digit_constructor(pn):
+    p, n = pn
+    want = digit_field(p, n)
+    ctx = FieldCtx(FieldSpec(p, n, default_modulus(p, n)))
+    for name, table in want.items():
+        assert getattr(ctx, name) == table, name
+
+
+@pytest.mark.parametrize("pn", [(2, 12), (3, 10), (251, 2), (2, 16)], ids=field_id)
+def test_add_matches_the_digit_oracle(pn):
+    p, n = pn
+    ctx = make_field(p, n)
+    rng = random.Random(20248 + ctx.q)
+    for _ in range(20_000):
+        x, y = rng.randrange(ctx.q), rng.randrange(ctx.q)
+        assert ctx.add(x, y) == digit_add(p, n, x, y), (x, y)
+
+
+# ---------------------------------------------------------------------------
+# each construction check fires on a table built wrong
+
+
+def build(p, n):
+    return FieldCtx(FieldSpec(p, n, default_modulus(p, n)))
+
+
+@pytest.mark.parametrize("pn", [(7, 1), (5, 2), (7, 5), (2, 16)], ids=field_id)
+def test_non_primitive_generator_repeats_a_power(monkeypatch, pn):
+    # g^3 has order (q-1)/3
+    cube = make_field(*pn).exp[3]
+    monkeypatch.setattr(FieldCtx, "_find_generator", lambda self: cube)
+    with pytest.raises(FieldError, match="a power repeats"):
+        build(*pn)
+
+
+def test_generator_order_closes_through_the_chunk_map(monkeypatch):
+    # at q = 3 the powers of 0 are [1, 0], with no repeat: only the
+    # product g^(q-1) = 0 shows that 0 is no generator
+    monkeypatch.setattr(FieldCtx, "_find_generator", lambda self: 0)
+    with pytest.raises(FieldError, match=r"g\^\(q-1\) != 1"):
+        build(3, 1)
+
+
+def corrupt_log(monkeypatch, change):
+    real = FieldCtx._exp_log
+
+    def corrupted(self, *args):
+        exp, log = real(self, *args)
+        return exp, change(list(log))
+
+    monkeypatch.setattr(FieldCtx, "_exp_log", corrupted)
+
+
+@pytest.mark.parametrize("pn", [(5, 1), (3, 3)], ids=field_id)
+def test_square_count_check(monkeypatch, pn):
+    q = pn[0] ** pn[1]
+    corrupt_log(monkeypatch, lambda log: [None] + [2 * e % (q - 1) for e in log[1:]])
+    with pytest.raises(FieldError, match="square count"):
+        build(*pn)
+
+
+def swap_logs(log, x, y):
+    log[x], log[y] = log[y], log[x]
+    return log
+
+
+@pytest.mark.parametrize("pn", [(2, 4), (3, 2)], ids=field_id)
+def test_norm_check(monkeypatch, pn):
+    # 1 and g^2 trade logs; both are even, so the square count still holds
+    exp = make_field(*pn).exp
+    corrupt_log(monkeypatch, lambda log: swap_logs(log, exp[0], exp[2]))
+    with pytest.raises(FieldError, match="norm landed outside"):
+        build(*pn)
+
+
+@pytest.mark.parametrize("pn", [(3, 2), (5, 3)], ids=field_id)
+def test_basis_trace_check(monkeypatch, pn):
+    # with the identity for Frobenius, Tr(a) = n a, outside F_p for p > n
+    monkeypatch.setattr(FieldCtx, "frobenius", lambda self, x, j=1: x)
+    with pytest.raises(FieldError, match="outside the prime subfield"):
+        build(*pn)
+
+
+def test_trace_frobenius_invariance_check(monkeypatch):
+    # Frobenius taken as x + 1 on F_4 gives Tr(1) = Tr(a) = 1, both in F_2,
+    # so the basis passes; but Tr(a^2) = Tr(a + 1) = 0 differs from Tr(a)
+    monkeypatch.setattr(FieldCtx, "frobenius", lambda self, x, j=1: self.add(x, 1))
+    with pytest.raises(FieldError, match="not invariant under Frobenius"):
+        build(2, 2)

@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import pytest
 
+from polyfam.charsum import mcconnel_scan
+from polyfam.directions import carlitz_scan
 from polyfam.gf import make_field, make_field_of_order
 from polyfam.polyfun import intersection_count
 from polyfam.search import (
@@ -148,14 +150,17 @@ def test_build_graph_q16_k2():
         lambda g: max_clique(g),
         lambda g: enumerate_maximum_cliques(g, 9),
         lambda g: ekr_oracle(make_field(3, 1), 2),
+        lambda g: mcconnel_scan(make_field(5, 1), 2),
+        lambda g: carlitz_scan(make_field(3, 1)),
     ],
-    ids=["max_clique", "enumerate", "ekr_oracle"],
+    ids=["max_clique", "enumerate", "ekr_oracle", "mcconnel_scan", "carlitz_scan"],
 )
 def test_recursive_searches_leave_no_cycles(call):
     """A recursive closure names itself through its cell. Unless the
     search clears that name, the closure and everything it holds (the
     whole adjacency list, for max_clique) lives until a full collection."""
     g = build_graph(make_field(3, 1), 2, 1)
+    make_field(5, 1)
     gc.collect()
     gc.disable()
     try:
