@@ -20,10 +20,12 @@ from . import __version__, charsum, directions, families, search
 from .gf import FieldError, factor_prime_power, make_field, parse_field_spec
 from .polyfun import (
     PolyK,
+    check_elements,
     evaluate,
     format_poly,
     intersection_count,
     pair_intersects_fast,
+    parse_elements,
     parse_poly,
 )
 from .report import CSV_HEADER, DEFAULT_NODE_BUDGET, DEFAULT_SEED, Report, Stopwatch
@@ -44,11 +46,18 @@ def _emit(reports, fmt: str) -> int:
     return 1 if bad else 0
 
 
-def _parse_pair(text, what):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"{what} must be 'a,b', got {text!r}")
-    return int(parts[0]), int(parts[1])
+def _parse_elements(ctx, text, what, count):
+    """The `count` field elements of the argument `what`."""
+    if text is None:
+        raise ValueError(f"{what} is required")
+    values = parse_elements(ctx, text)
+    if len(values) != count:
+        raise ValueError(f"{what} needs {count} comma-separated elements, got {text!r}")
+    return values
+
+
+def _element(ctx, value: int, what: str) -> int:
+    return check_elements(ctx, (value,), f"{what} {value}")[0]
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +82,9 @@ def cmd_field_info(args) -> int:
 
 def cmd_field_arith(args) -> int:
     ctx = parse_field_spec(args.field)
-    x, y = args.x, args.y
+    x, y = _element(ctx, args.x, "--x"), args.y
+    if args.op in ("add", "sub", "mul", "div"):
+        y = _element(ctx, y, "--y")  # pow and frobenius take an exponent
     ops = {
         "add": lambda: ctx.add(x, y),
         "sub": lambda: ctx.sub(x, y),
@@ -92,7 +103,8 @@ def cmd_field_arith(args) -> int:
 def cmd_poly_eval(args) -> int:
     ctx = parse_field_spec(args.field)
     f = parse_poly(ctx, args.poly)
-    print(json.dumps({"poly": format_poly(f), "x": args.x, "value": evaluate(ctx, f, args.x)}))
+    x = _element(ctx, args.x, "--x")
+    print(json.dumps({"poly": format_poly(f), "x": x, "value": evaluate(ctx, f, x)}))
     return 0
 
 
@@ -111,8 +123,7 @@ def cmd_poly_intersect(args) -> int:
 
 def cmd_directions_set(args) -> int:
     ctx = parse_field_spec(args.field)
-    values = [int(t) for t in args.values.split(",")]
-    ds = directions.direction_set(ctx, values)
+    ds = directions.direction_set(ctx, parse_elements(ctx, args.values))
     print(
         json.dumps(
             {"members": sorted(ds.members), "spanDim": ds.span_dim, "proper": ds.span_dim < ctx.n},
@@ -129,8 +140,8 @@ def cmd_directions_carlitz(args) -> int:
 
 def cmd_charsum_weil(args) -> int:
     ctx = parse_field_spec(args.field)
-    f = charsum.poly_trim(int(t) for t in args.poly.split(","))
-    res = charsum.weil_check(ctx, f, args.a)
+    f = charsum.poly_trim(parse_elements(ctx, args.poly))
+    res = charsum.weil_check(ctx, f, _element(ctx, args.a, "--a"))
     print(
         json.dumps(
             {
@@ -148,7 +159,7 @@ def cmd_charsum_weil(args) -> int:
 
 def cmd_charsum_quad(args) -> int:
     ctx = parse_field_spec(args.field)
-    a, b, c = (int(t) for t in args.abc.split(","))
+    a, b, c = _parse_elements(ctx, args.abc, "--abc", 3)
     exact = charsum.quad_sum_exact(ctx, a, b, c)
     brute = charsum.char_sum(ctx, charsum.poly_trim((c, b, a)), 1)
     print(json.dumps({"exact": exact, "bruteForce": brute, "agree": exact == brute}))
@@ -157,7 +168,7 @@ def cmd_charsum_quad(args) -> int:
 
 def cmd_charsum_square_test(args) -> int:
     ctx = parse_field_spec(args.field)
-    f = charsum.poly_trim(int(t) for t in args.poly.split(","))
+    f = charsum.poly_trim(parse_elements(ctx, args.poly))
     g = charsum.perfect_square_test(ctx, f)
     print(json.dumps({"isSquare": g is not None, "root": list(g) if g is not None else None}))
     return 0
@@ -232,14 +243,14 @@ def _write_family(args, ctx, fam) -> int:
 def cmd_families_construct(args) -> int:
     ctx = parse_field_spec(args.field)
     if args.kind == "pencil":
-        alpha, beta = _parse_pair(args.point, "--point")
+        alpha, beta = _parse_elements(ctx, args.point, "--point", 2)
         fam = families.pencil(ctx, alpha, beta, args.k)
     elif args.kind == "hm":
-        alpha, beta = _parse_pair(args.point, "--point")
-        v, w = _parse_pair(args.line, "--line")
+        alpha, beta = _parse_elements(ctx, args.point, "--point", 2)
+        v, w = _parse_elements(ctx, args.line, "--line", 2)
         fam = families.hilton_milner(ctx, (alpha, beta), v, w)
     else:
-        A, B, C = (int(t) for t in args.quad.split(","))
+        A, B, C = _parse_elements(ctx, args.quad, "--quad", 3)
         fam = families.tangent_family(ctx, A, B, C)
     return _write_family(args, ctx, fam)
 
@@ -532,7 +543,10 @@ def run_shortcut(tier: str, seed: int) -> list[Report]:
 
 
 def run_square_scan(tier: str, seed: int) -> list[Report]:
-    return [charsum.square_coefficient_scan(make_field(3, 2), 1)]
+    scans = [((3, 2), 1)]
+    if tier == "extended":
+        scans += [((3, 3), 1), ((3, 3), 2), ((5, 2), 1), ((3, 4), 1)]
+    return [charsum.square_coefficient_scan(make_field(*pn), k) for pn, k in scans]
 
 
 def run_mcconnel(tier: str, seed: int) -> list[Report]:

@@ -203,16 +203,29 @@ def format_poly(f: PolyK) -> str:
     return ",".join(str(c) for c in f.coeffs)
 
 
+def check_elements(ctx: FieldCtx, values, text: str) -> tuple[int, ...]:
+    """values as a tuple of element indices, or ValueError naming text
+    when one lies outside 0..q-1."""
+    values = tuple(values)
+    if any(not (0 <= v < ctx.q) for v in values):
+        raise ValueError(f"element index out of range 0..{ctx.q - 1} in {text!r}")
+    return values
+
+
+def parse_elements(ctx: FieldCtx, text: str) -> tuple[int, ...]:
+    """Comma-separated element indices, each checked to lie in 0..q-1."""
+    try:
+        values = [int(t) for t in text.strip().split(",")]
+    except ValueError:
+        raise ValueError(f"bad element list {text!r}") from None
+    return check_elements(ctx, values, text)
+
+
 def parse_poly(ctx: FieldCtx, text: str, k: int | None = None) -> PolyK:
     """Inverse of format_poly; k defaults to the token count minus one."""
-    try:
-        coeffs = tuple(int(t) for t in text.strip().split(","))
-    except ValueError:
-        raise ValueError(f"bad polynomial text {text!r}") from None
+    coeffs = parse_elements(ctx, text)
     if k is None:
         k = len(coeffs) - 1
     if len(coeffs) != k + 1:
         raise ValueError(f"expected {k + 1} coefficients, got {len(coeffs)}")
-    if any(not (0 <= c < ctx.q) for c in coeffs):
-        raise ValueError(f"coefficient index out of range in {text!r}")
     return PolyK(k, coeffs)

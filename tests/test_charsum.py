@@ -8,6 +8,7 @@ import random
 import pytest
 
 from polyfam.gf import FieldError, make_field, make_field_of_order
+from polyfam.report import Report
 from polyfam.charsum import (
     _in_at_most,
     char_sum,
@@ -295,6 +296,118 @@ def brute_square_census(ctx, pk):
     return found
 
 
+def tuple_loop_square_scan(ctx, frob_k):
+    """The report square_coefficient_scan gave before it built the squares
+    of the shape: one perfect_square_test per (a, d, b, c), in that
+    order."""
+    q = ctx.q
+    pk = ctx.p**frob_k
+    squares = 0
+    violations = []
+    for a in range(q):
+        fa = ctx.frobenius(a, frob_k)
+        for d in range(q):
+            fd = ctx.frobenius(d, frob_k)
+            rel1_lhs = ctx.mul(fd, a)
+            rel2_lhs = ctx.mul(ctx.mul(fd, d), a)
+            for b in range(q):
+                rel1_ok = rel1_lhs == ctx.mul(b, fa)
+                for c in range(q):
+                    coeffs = [0] * (pk + 2)
+                    coeffs[0] = c
+                    coeffs[1] = b
+                    coeffs[pk] = d
+                    coeffs[pk + 1] = a
+                    if perfect_square_test(ctx, poly_trim(coeffs)) is None:
+                        continue
+                    squares += 1
+                    if a != 0:
+                        ok = rel1_ok and rel2_lhs == ctx.mul(c, ctx.mul(fa, a))
+                    else:
+                        ok = b == 0 and d == 0
+                    if not ok and len(violations) < 8:
+                        violations.append({"a": a, "d": d, "b": b, "c": c})
+    return Report(
+        claim_id="square-coeff-relation",
+        field_spec=ctx.report_spec_string(),
+        verdict="pass" if not violations else "fail",
+        parameters={"frobPower": frob_k, "shapeDegree": pk + 1},
+        witnesses=violations,
+        counters={"scanned": q**4, "squares": squares, "violations": len(violations)},
+        primary_counter="squares",
+    )
+
+
+def report_dict(rep):
+    return {**rep.to_dict(), "wallTimeMs": 0}
+
+
+@pytest.mark.parametrize(
+    "p,n,frob_k",
+    [(3, 1, 1), (3, 1, 2), (3, 1, 4), (5, 1, 1), (5, 1, 2), (7, 1, 1), (7, 1, 2),
+     (11, 1, 1), (11, 1, 2), (3, 2, 1), (3, 2, 2)],
+)
+def test_square_coefficient_scan_matches_tuple_loop(p, n, frob_k):
+    ctx = make_field(p, n)
+    assert report_dict(square_coefficient_scan(ctx, frob_k)) == report_dict(
+        tuple_loop_square_scan(ctx, frob_k)
+    )
+
+
+def frobenius_off_by_one(ctx):
+    """A copy of the field whose frobenius(x, k) is x^(p^(k+1)), so that
+    the relations fail on some squares. make_field caches its contexts,
+    so the cached one is never touched."""
+    bad = copy.copy(ctx)
+    bad.frobenius = lambda x, k=1: ctx.frobenius(x, k + 1)
+    return bad
+
+
+def frobenius_squared(ctx):
+    """A copy of the field whose frobenius(x, k) is x^2: over a prime
+    field the true one is the identity."""
+    bad = copy.copy(ctx)
+    bad.frobenius = lambda x, k=1: ctx.mul(x, x)
+    return bad
+
+
+@pytest.mark.parametrize(
+    "p,n,frob_k,wrong,violations",
+    [(3, 2, 1, frobenius_off_by_one, 8), (3, 2, 2, frobenius_off_by_one, 8),
+     (5, 1, 1, frobenius_squared, 6), (7, 1, 2, frobenius_squared, 8),
+     (3, 1, 1, frobenius_squared, 1)],
+)
+def test_square_coefficient_scan_violations_match_tuple_loop(p, n, frob_k, wrong, violations):
+    """With a wrong frobenius the relations fail: the witnesses, their
+    (a, d, b, c) order and the cap at 8 must be the tuple loop's."""
+    ctx = wrong(make_field(p, n))
+    rep = square_coefficient_scan(ctx, frob_k)
+    assert report_dict(rep) == report_dict(tuple_loop_square_scan(ctx, frob_k))
+    assert rep.verdict == "fail"
+    assert rep.counters["violations"] == len(rep.witnesses) == violations
+
+
+def inverse_times(ctx, k):
+    """A copy of the field whose inv(x) is k / x."""
+    bad = copy.copy(ctx)
+    bad.inv = lambda x: ctx.mul(k, ctx.inv(x))
+    return bad
+
+
+@pytest.mark.parametrize(
+    "p,n,frob_k,k", [(3, 1, 1, 2), (5, 1, 1, 3), (7, 1, 2, 5), (3, 2, 1, 4), (3, 2, 2, 7)]
+)
+def test_square_coefficient_scan_wrong_inverse_matches_tuple_loop(p, n, frob_k, k):
+    """Over a field every root the recursion builds squares to the shape,
+    so the check at positions 2..p^k-1 never rejects one. A wrong inverse
+    breaks the recursion: then that check alone keeps the roots with
+    d != 0 out, as perfect_square_test keeps their tuples out."""
+    ctx = inverse_times(make_field(p, n), k)
+    rep = square_coefficient_scan(ctx, frob_k)
+    assert report_dict(rep) == report_dict(tuple_loop_square_scan(ctx, frob_k))
+    assert rep.counters["squares"] == (ctx.q + 1) // 2 + (ctx.q - 1) // 2
+
+
 def test_square_coefficient_scan_q9():
     ctx = make_field(3, 2)
     rep = square_coefficient_scan(ctx, 1)
@@ -303,6 +416,21 @@ def test_square_coefficient_scan_q9():
     # census cross-check from the other direction: enumerate squares g^2
     # of the right shape instead of testing all tuples
     assert len(brute_square_census(ctx, 3)) == 41
+
+
+@pytest.mark.parametrize(
+    "p,n,frob_k,scanned,squares",
+    [(3, 3, 1, 531441, 365), (3, 3, 2, 531441, 365), (5, 2, 1, 390625, 313)],
+)
+def test_square_coefficient_scan_frozen_larger_fields(p, n, frob_k, scanned, squares):
+    rep = square_coefficient_scan(make_field(p, n), frob_k)
+    assert rep.verdict == "pass"
+    assert rep.counters == {"scanned": scanned, "squares": squares, "violations": 0}
+    assert rep.witnesses == []
+
+
+def test_square_census_q27():
+    assert len(brute_square_census(make_field(3, 3), 3)) == 365
 
 
 def test_square_coefficient_scan_q5():

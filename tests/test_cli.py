@@ -61,6 +61,58 @@ def test_usage_errors_exit_2(capsys):
         assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("field", "arith", "--field", "5", "--op", "add", "--x", "7"),
+        ("field", "arith", "--field", "5", "--op", "mul", "--x", "1", "--y", "-1"),
+        ("poly", "eval", "--field", "5", "--poly", "1,2", "--x", "9"),
+        ("directions", "set", "--field", "5", "--values", "0,1,2,3,9"),
+        ("charsum", "weil", "--field", "3^2", "--poly", "9,1"),
+        ("charsum", "weil", "--field", "3^2", "--poly", "1,1", "--a", "9"),
+        ("charsum", "quad", "--field", "5", "--abc", "1,2,30"),
+        ("charsum", "square-test", "--field", "3^2", "--poly", "9"),
+        ("charsum", "square-test", "--field", "5^1", "--poly=-1"),
+        ("families", "construct", "pencil", "--field", "5", "--point", "9,0"),
+        ("families", "construct", "hm", "--field", "5", "--point", "0,1", "--line", "0,-2"),
+        ("families", "construct", "tangent", "--field", "5", "--quad", "1,2,30"),
+    ],
+    ids=lambda argv: " ".join(argv[:2] + argv[-2:]),
+)
+def test_element_out_of_range_exits_2(capsys, argv):
+    """An element index outside 0..q-1, negative ones included, is a bad
+    invocation. It used to raise IndexError, or read a negative index from
+    the end of a table."""
+    code, out, err = run(capsys, *argv)
+    assert code == 2, argv
+    assert out == ""
+    assert "error: element index out of range" in err
+
+
+def test_exponents_are_not_elements(capsys):
+    code, out, _ = run(capsys, "field", "arith", "--field", "5", "--op", "pow",
+                       "--x", "2", "--y", "7")
+    assert code == 0
+    assert json.loads(out)["result"] == 3
+    code, out, _ = run(capsys, "field", "arith", "--field", "3^2", "--op", "frobenius",
+                       "--x", "2", "--y", "9")
+    assert code == 0
+    code, out, _ = run(capsys, "charsum", "square-test", "--field", "5^1", "--poly", "4")
+    assert code == 0
+    assert json.loads(out) == {"isSquare": True, "root": [2]}
+
+
+def test_element_arguments_need_their_count(capsys):
+    for argv in (
+        ("charsum", "quad", "--field", "5", "--abc", "1,2"),
+        ("families", "construct", "pencil", "--field", "5", "--point", "1,2,3"),
+        ("families", "construct", "pencil", "--field", "5"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == "" and "error: --" in err
+
+
 def test_argparse_usage_exits_2(capsys):
     with pytest.raises(SystemExit) as ei:
         main(["field", "info"])  # missing --field
@@ -127,6 +179,23 @@ def test_run_carlitz_extended_is_exhaustive():
         assert r.counters["scanned"] == (p**n) ** (p**n)
     q16 = reps[-1].counters
     assert q16["affine"] == 256 and q16["candidates"] == 256
+
+
+def test_square_scan_extended_tier(capsys):
+    code, out, _ = run(capsys, "suite", "--tier", "extended", "--claim",
+                       "square-coeff-relation")
+    assert code == 0
+    got = [
+        (d["fieldSpec"], d["parameters"]["frobPower"], d["verdict"], d["counters"])
+        for d in map(json.loads, out.splitlines())
+    ]
+    assert got == [
+        ("3^2", 1, "pass", {"scanned": 6561, "squares": 41, "violations": 0}),
+        ("3^3", 1, "pass", {"scanned": 531441, "squares": 365, "violations": 0}),
+        ("3^3", 2, "pass", {"scanned": 531441, "squares": 365, "violations": 0}),
+        ("5^2", 1, "pass", {"scanned": 390625, "squares": 313, "violations": 0}),
+        ("3^4", 1, "pass", {"scanned": 43046721, "squares": 3281, "violations": 0}),
+    ]
 
 
 def test_mcconnel_report_budget_exceeded():

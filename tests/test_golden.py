@@ -1,7 +1,7 @@
 """Frozen suite output: the full-tier reports of the direction-span,
 power-map, EKR, Hilton-Milner, pencil-extension, square-value-shortcut,
-clique-bounds, Weil-bound and quadratic-sum claims, byte for byte in
-canonical form."""
+square-coeff-relation, clique-bounds, Weil-bound and quadratic-sum
+claims, byte for byte in canonical form."""
 
 import pytest
 
@@ -48,6 +48,9 @@ GOLDEN = {
         '{"claimId":"quad-sum-identity","counters":{"checked":648},"fieldSpec":"3^2","parameters":{},"primaryCounter":"checked","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
         '{"claimId":"quad-sum-identity","counters":{"checked":1210},"fieldSpec":"11^1","parameters":{},"primaryCounter":"checked","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
         '{"claimId":"quad-sum-identity","counters":{"checked":2028},"fieldSpec":"13^1","parameters":{},"primaryCounter":"checked","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
+    ],
+    "square-coeff-relation": [
+        '{"claimId":"square-coeff-relation","counters":{"scanned":6561,"squares":41,"violations":0},"fieldSpec":"3^2","parameters":{"frobPower":1,"shapeDegree":4},"primaryCounter":"squares","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
     ],
     "square-value-shortcut": [
         '{"claimId":"square-value-shortcut","counters":{"controlTriples":14400,"largeValueSets":1500,"scanned":375000,"violations":0},"fieldSpec":"5^2","parameters":{"minLargeCount":24},"primaryCounter":"largeValueSets","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
