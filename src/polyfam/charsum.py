@@ -172,11 +172,10 @@ def char_sum(ctx: FieldCtx, f: DensePoly, a: Fe = 1) -> int:
         raise FieldError("character sums need odd q")
     if not f:
         return 0
-    # f = f[0] + x g(x): g's values by whole-list Horner, then the last
-    # step straight into the sum; chi(a y) = chi(a) chi(y)
-    g = graph_values(ctx, PolyK(len(f) - 2, f[1:])) if len(f) > 1 else [0] * ctx.q
-    plus_c, qc, mul = ctx.translation(f[0]), ctx.qchar_table, ctx.mul
-    return qc[a] * sum(qc[plus_c[mul(y, x)]] for x, y in enumerate(g))
+    # chi(a y) = chi(a) chi(y)
+    qc = ctx.qchar_table
+    values = graph_values(ctx, PolyK(len(f) - 1, tuple(f)))
+    return qc[a] * sum(map(qc.__getitem__, values))
 
 
 def quad_sum_exact(ctx: FieldCtx, a: Fe, b: Fe, c: Fe) -> int:
@@ -428,6 +427,13 @@ def shortcut_scan(ctx: FieldCtx) -> Report:
 # power map classification
 
 
+def power_map_exponent(ctx: FieldCtx, delta: int) -> int:
+    """(q-1)/delta, or ValueError unless delta exceeds 1 and divides q-1."""
+    if delta <= 1 or (ctx.q - 1) % delta != 0:
+        raise ValueError("delta must exceed 1 and divide q-1")
+    return (ctx.q - 1) // delta
+
+
 def mcconnel_scan(
     ctx: FieldCtx, delta: int, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> list | None:
@@ -437,9 +443,7 @@ def mcconnel_scan(
     Returns sorted value tables, or None when the scan would visit more
     than node_budget nodes."""
     q = ctx.q
-    if delta <= 1 or (q - 1) % delta != 0:
-        raise ValueError("delta must exceed 1 and divide q-1")
-    e = (q - 1) // delta
+    e = power_map_exponent(ctx, delta)
     pw = [ctx.pow(x, e) for x in range(q)]
     sub = ctx.sub
     vals = [0] * q
@@ -478,8 +482,7 @@ def power_map_prediction(ctx: FieldCtx, delta: int) -> list:
     """Value tables of x -> x^(p^j) for 0 <= j < n with delta | p^j - 1,
     sorted. This is the classified solution set for mcconnel_scan."""
     q = ctx.q
-    if delta <= 1 or (q - 1) % delta != 0:
-        raise ValueError("delta must exceed 1 and divide q-1")
+    power_map_exponent(ctx, delta)
     out = set()
     for j in range(ctx.n):
         if (ctx.p**j - 1) % delta == 0:

@@ -192,7 +192,7 @@ def cmd_charsum_mcconnel(args) -> int:
 
 def _mcconnel_report(ctx, delta, node_budget: int = DEFAULT_NODE_BUDGET) -> Report:
     watch = Stopwatch()
-    params = {"delta": delta, "exponent": (ctx.q - 1) // delta}
+    params = {"delta": delta, "exponent": charsum.power_map_exponent(ctx, delta)}
     found = charsum.mcconnel_scan(ctx, delta, node_budget)
     if found is None:
         return Report(
@@ -267,7 +267,7 @@ def cmd_families_extend(args) -> int:
             {
                 "unique": res.unique,
                 "points": [list(pt) for pt in res.points],
-                "pencilSizes": [len(p) for p in res.pencils],
+                "pencilSizes": [ctx.q**fam.k] * len(res.points),
             },
             sort_keys=True,
         )
@@ -624,11 +624,8 @@ def run_extension(tier: str, seed: int) -> list[Report]:
                     2, [f for i, f in enumerate(pen.members) if i != drop]
                 )
                 res = families.extend_unique(ctx, rest)
-                if not (
-                    res.unique
-                    and len(res.pencils) == 1
-                    and res.pencils[0].members == pen.members
-                ):
+                # a pencil is fixed by its point
+                if not (res.unique and res.points == ((alpha, beta),)):
                     ok = False
                     break
             if not ok:

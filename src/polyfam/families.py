@@ -155,7 +155,11 @@ def is_t_intersecting(ctx: FieldCtx, fam: Family, t: int):
         raise FamilyError("t must be nonnegative")
     key = ("t_intersecting", ctx, t)
     if key not in fam._cache:
-        fam._cache[key] = _first_pair_below(ctx, fam, t)
+        if common_lanes(ctx.q, _graph_vectors(ctx, fam)).bit_count() >= t:
+            # t points on every graph are t points shared by every pair
+            fam._cache[key] = True, None
+        else:
+            fam._cache[key] = _first_pair_below(ctx, fam, t)
     return fam._cache[key]
 
 
@@ -187,31 +191,34 @@ def all_common_points(ctx: FieldCtx, fam: Family) -> list[PointAG]:
 
 @dataclass(frozen=True)
 class ExtensionResult:
+    """The common points of a family; the pencil through each of them
+    (q^k members) is listed only when `pencils` is read."""
+
     unique: bool
     points: tuple[PointAG, ...]
-    pencils: tuple[Family, ...]
+    ctx: FieldCtx = field(repr=False)
+    k: int
+
+    @functools.cached_property
+    def pencils(self) -> tuple[Family, ...]:
+        return tuple(pencil(self.ctx, alpha, beta, self.k) for alpha, beta in self.points)
 
 
 def extend_unique(ctx: FieldCtx, fam: Family) -> ExtensionResult:
     """Extend an intersecting family to the pencil(s) through its common
-    point(s). More members than q^(k-1) pins the pencil down uniquely
-    (two distinct common points can only support q^(k-1) polynomials);
-    smaller families get every candidate with unique=False."""
+    point(s). A family lies in the pencil of P exactly when P is a common
+    point, so the points fix the pencils. More members than q^(k-1) pins
+    the pencil down uniquely (two distinct common points can only support
+    q^(k-1) polynomials); smaller families get every candidate with
+    unique=False."""
     ok, witness = is_t_intersecting(ctx, fam, 1)
     if not ok:
         raise FamilyError(f"family is not intersecting: {witness}")
     points = all_common_points(ctx, fam)
     if not points:
         raise FamilyError("no common point; the family extends to no pencil")
-    pencils = []
-    for alpha, beta in points:
-        pen = pencil(ctx, alpha, beta, fam.k)
-        pset = set(pen.members)
-        if any(f not in pset for f in fam.members):
-            raise FamilyError("internal: member off its own pencil")
-        pencils.append(pen)
     unique = len(fam) > ctx.q ** (fam.k - 1) and len(points) == 1
-    return ExtensionResult(unique, tuple(points), tuple(pencils))
+    return ExtensionResult(unique, tuple(points), ctx, fam.k)
 
 
 def top_coeff_injective(ctx: FieldCtx, fam: Family, t: int) -> bool:

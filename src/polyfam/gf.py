@@ -1,18 +1,19 @@
 """Finite field construction and arithmetic backed by lookup tables.
 
 A field F_{p^n} is built once into an immutable FieldCtx holding exp/log,
-negation, trace, square-indicator and (for even n) norm tables, and one
-digitwise addition table over chunks of base-p digits. Elements are plain
-ints in [0, q): the base-p packing of the coefficient vector of the residue
-class, low degree first. Index 0 is the zero element and indices 0..p-1 are
-the prime subfield in the obvious way. All operations are pure functions of
-(context, operands).
+negation, trace, square-indicator and (for even n) norm tables, and for
+odd p one digitwise addition table over chunks of base-p digits; for p = 2
+addition is XOR. Elements are plain ints in [0, q): the base-p packing of
+the coefficient vector of the residue class, low degree first. Index 0 is
+the zero element and indices 0..p-1 are the prime subfield in the obvious
+way. All operations are pure functions of (context, operands).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
 Fe = int  # element index in [0, q)
@@ -145,10 +146,14 @@ def _is_irreducible(modulus, p) -> bool:
     return True
 
 
+@functools.lru_cache(maxsize=None)
 def default_modulus(p: int, n: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree n over F_p,
     coefficient tuples compared low degree first."""
-    for low in itertools.product(range(p), repeat=n):
+    # past degree 1 a zero constant term leaves the factor x, so the
+    # search starts at constant term 1
+    first = range(p) if n == 1 else range(1, p)
+    for low in itertools.product(first, *[range(p)] * (n - 1)):
         coeffs = list(low) + [1]
         if _is_irreducible(coeffs, p):
             return tuple(coeffs)
@@ -190,12 +195,13 @@ class FieldCtx:
     """Immutable arithmetic context for one finite field.
 
     Tables built eagerly: exp/log for a fixed generator, negation, trace
-    to F_p, square indicator (odd q), norm to F_sqrt(q) (even n), and one
-    digitwise addition table over chunks of c base-p digits, c the largest
-    with p^c <= 256. For q <= 256 the chunk is the whole element and the
-    table is the flat q*q addition table; past that an add reads it once
-    per chunk. The generator is the first element index of multiplicative
-    order q-1.
+    to F_p, square indicator (odd q), norm to F_sqrt(q) (even n), and for
+    odd p one digitwise addition table over chunks of c base-p digits, c
+    the largest with p^c <= 256. For q <= 256 the chunk is the whole
+    element and the table is the flat q*q addition table; past that an add
+    reads it once per chunk. For p = 2 the digitwise sum mod 2 is the XOR
+    of the indices, so add and sub are operator.xor and no table is built.
+    The generator is the first element index of multiplicative order q-1.
     """
 
     def __init__(self, spec: FieldSpec):
@@ -211,7 +217,11 @@ class FieldCtx:
         while c < n and p ** (c + 1) <= _CHUNK_MAX:
             c += 1
         b = p**c
-        if b > _CHUNK_MAX:
+        if p == 2:
+            # digits mod 2 add as bits: the instance binding shadows the
+            # table-reading methods below
+            self.add = self.sub = operator.xor
+        elif b > _CHUNK_MAX:
             # F_p with p > 256: its one digit is too wide to tabulate
             self._chunk, self._add = b, None
         else:

@@ -68,16 +68,19 @@ def intersection_count(ctx: FieldCtx, f: PolyK, g: PolyK) -> int:
     """Number of x with f(x) = g(x). Equal polynomials give q.
 
     For k <= 2 the count comes from the closed-form root finder on the
-    difference; larger k falls back to exhaustive evaluation.
+    coefficient differences; larger k falls back to exhaustive evaluation.
     """
-    h = difference(ctx, f, g)
-    if f.k <= 2:
-        c2 = h.coeffs[2] if f.k == 2 else 0
-        roots = ctx.quadratic_roots(h.coeffs[0], h.coeffs[1] if f.k >= 1 else 0, c2)
-        if roots is IDENTICALLY_ZERO:
-            return ctx.q
-        return len(roots)
-    return sum(1 for x in ctx.elements() if evaluate(ctx, h, x) == 0)
+    if f.k != g.k:
+        raise ValueError("intersection count needs matching degree bounds")
+    if f.k > 2:
+        h = difference(ctx, f, g)
+        return sum(1 for x in ctx.elements() if evaluate(ctx, h, x) == 0)
+    sub = ctx.sub
+    h = [sub(a, b) for a, b in zip(f.coeffs, g.coeffs)] + [0] * (2 - f.k)
+    roots = ctx.quadratic_roots(h[0], h[1], h[2])
+    if roots is IDENTICALLY_ZERO:
+        return ctx.q
+    return len(roots)
 
 
 # ---------------------------------------------------------------------------
@@ -103,14 +106,18 @@ def lane_masks(q: int) -> tuple[int, int]:
 
 def graph_values(ctx: FieldCtx, f: PolyK) -> list[Fe]:
     """[f(x) for x in ctx.elements()], by Horner's rule on the whole list
-    at once: each step multiplies entry x by x and adds a coefficient
-    through its translation table."""
-    mul = ctx.mul
-    acc = [f.coeffs[-1]] * ctx.q
+    at once. f(0) is the constant term; for x = 1..q-1 each step multiplies
+    entry x by x in the log domain and adds a coefficient through its
+    translation table."""
+    exp, log, qm = ctx.exp, ctx.log, ctx.q - 1
+    log_x = log[1:]
+    acc = [f.coeffs[-1]] * qm
     for c in reversed(f.coeffs[:-1]):
         plus_c = ctx.translation(c)
-        acc = [plus_c[mul(a, x)] for x, a in enumerate(acc)]
-    return acc
+        acc = [
+            plus_c[exp[(log[a] + lx) % qm]] if a else c for a, lx in zip(acc, log_x)
+        ]
+    return [f.coeffs[0], *acc]
 
 
 def graph_vector(ctx: FieldCtx, f: PolyK) -> int:

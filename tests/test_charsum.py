@@ -176,6 +176,19 @@ def test_char_sum_every_degree_and_scalar(p, n):
             assert char_sum(ctx, f, a) == brute_char_sum(ctx, f, a), (f, a)
 
 
+@pytest.mark.parametrize("p,n", [(3, 10), (251, 2)])
+def test_char_sum_matches_the_pointwise_sum_in_large_fields(p, n):
+    ctx = make_field(p, n)
+    rng = random.Random(ctx.q)
+    nonsquare = ctx.exp[1]
+    for deg in (1, 2, 3, 5):
+        f = tuple(rng.randrange(ctx.q) for _ in range(deg)) + (rng.randrange(1, ctx.q),)
+        values = [horner(ctx, f, x) for x in ctx.elements()]
+        for a in (1, nonsquare):
+            want = sum(ctx.quadratic_character(ctx.mul(a, y)) for y in values)
+            assert char_sum(ctx, f, a) == want, (f, a)
+
+
 def test_char_sum_frozen():
     c5 = make_field(5, 1)
     assert char_sum(c5, (0, 1), 1) == 0

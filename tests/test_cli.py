@@ -218,6 +218,15 @@ def test_exhausted_budget_prints_report_and_exits_1(capsys, monkeypatch):
         assert err == ""
 
 
+@pytest.mark.parametrize("delta", ["0", "-1", "4"])
+def test_mcconnel_bad_delta_exits_2(capsys, delta):
+    """delta must exceed 1 and divide q - 1 = 6. Zero used to end in a
+    ZeroDivisionError traceback."""
+    code, out, err = run(capsys, "charsum", "mcconnel", "--field", "7", "--delta", delta)
+    assert (code, out) == (2, "")
+    assert err == "error: delta must exceed 1 and divide q-1\n"
+
+
 def test_mcconnel_human(capsys):
     code, out, _ = run(capsys, "charsum", "mcconnel", "--field", "3^2",
                        "--delta", "2", "--format", "human")
@@ -242,6 +251,35 @@ def test_families_file_flow(tmp_path, capsys):
     assert code == 0
     d = json.loads(out)
     assert d["unique"] is True and d["points"] == [[0, 0]]
+
+
+def test_families_extend_at_2_16(tmp_path, capsys):
+    """Pencils of q^2 = 2^32 members are sized, not listed."""
+    ctx = make_field(2, 16)
+
+    def member(c, r, s):
+        # 5 + 3x + c (x - r)(x - s), which meets the line 5 + 3x at r and s
+        return ",".join(map(str, (
+            ctx.add(5, ctx.mul(c, ctx.mul(r, s))), ctx.add(3, ctx.mul(c, ctx.add(r, s))), c
+        )))
+
+    def extend(name, members):
+        path = tmp_path / name
+        path.write_text("\n".join([ctx.spec_string(), *members]) + "\n", encoding="utf-8")
+        code, out, _ = run(capsys, "families", "extend", "--file", str(path))
+        assert code == 0
+        return json.loads(out)
+
+    def on_line(x):
+        return [x, ctx.add(5, ctx.mul(3, x))]
+
+    two = [member(c, 10, 200) for c in (1, 2, 77, 65535)]
+    assert extend("two.fam", two) == {
+        "pencilSizes": [2**32, 2**32], "points": [on_line(10), on_line(200)], "unique": False
+    }
+    assert extend("one.fam", two + [member(9, 10, 4000)]) == {
+        "pencilSizes": [2**32], "points": [on_line(10)], "unique": False
+    }
 
 
 def test_families_verify_fail_exits_1(tmp_path, capsys):

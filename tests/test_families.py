@@ -191,6 +191,32 @@ def test_extend_unique_drop_one():
         assert res.pencils[0].members == pen.members
 
 
+def test_common_points_answer_the_pair_check(monkeypatch):
+    """t common points give every pair t shared points, so the pairwise
+    scan is skipped; with fewer it still runs."""
+    class PairScan(Exception):
+        pass
+
+    def no_pair_scan(*args):
+        raise PairScan
+
+    monkeypatch.setattr("polyfam.families.shared_points", no_pair_scan)
+    ctx = make_field(7, 1)
+    # x + c (x - 1)(x - 2): every member passes through (1, 1) and (2, 2)
+    two = Family.from_polys(2, [poly(2, (2 * c % 7, (1 - 3 * c) % 7, c)) for c in range(7)])
+    assert all_common_points(ctx, two) == [PointAG(1, 1), PointAG(2, 2)]
+    for t in (0, 1, 2):
+        assert is_t_intersecting(ctx, two, t) == (True, None)
+    with pytest.raises(PairScan):
+        is_t_intersecting(ctx, two, 3)
+    pen = pencil(ctx, 3, 4, 2)
+    assert is_t_intersecting(ctx, pen, 1) == (True, None)
+    assert extend_unique(ctx, pen).points == (PointAG(3, 4),)
+    hm = hilton_milner(ctx, (0, 1), 0, 0)
+    with pytest.raises(PairScan):
+        is_t_intersecting(ctx, hm, 1)
+
+
 def test_extend_unique_small_family_is_ambiguous():
     ctx = make_field(5, 1)
     fam = Family.from_polys(2, [poly(2, (0, 0, 1))])

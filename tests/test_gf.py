@@ -1,5 +1,6 @@
 """Field construction and arithmetic against brute-force oracles."""
 
+import itertools
 import random
 
 import pytest
@@ -92,6 +93,18 @@ def test_default_modulus_is_lex_smallest(q):
         if cand >= mod:
             continue
         assert not brute_irreducible(p, cand), cand
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (5, 1), (2, 16), (3, 10), (251, 2), (7, 5)])
+def test_default_modulus_matches_the_full_search(p, n):
+    """The search skips constant term 0 past degree 1; the first
+    irreducible over every monic tuple is the same."""
+    full = next(
+        low + (1,)
+        for low in itertools.product(range(p), repeat=n)
+        if brute_irreducible(p, low + (1,))
+    )
+    assert default_modulus(p, n) == full
 
 
 @pytest.mark.parametrize("q", SMALL_Q)
@@ -394,8 +407,6 @@ def digit_field(p, n):
         return sum(c * w for c, w in zip(vec, pw))
 
     out = {"_neg": [digit_neg(p, n, x) for x in range(q)]}
-    if q <= 256:
-        out["_add"] = [digit_add(p, n, x, y) for x in range(q) for y in range(q)]
 
     g = 1
     if q > 2:
@@ -476,6 +487,20 @@ def test_tables_match_the_digit_constructor(pn):
     ctx = FieldCtx(FieldSpec(p, n, default_modulus(p, n)))
     for name, table in want.items():
         assert getattr(ctx, name) == table, name
+    # the sums themselves, whether a table or XOR gives them
+    if ctx.q <= 256:
+        pairs = [(x, y) for x in ctx.elements() for y in ctx.elements()]
+        assert [ctx.add(x, y) for x, y in pairs] == [digit_add(p, n, x, y) for x, y in pairs]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_char2_add_sub_neg_are_xor_and_identity(n):
+    ctx = make_field(2, n)
+    for x in ctx.elements():
+        assert ctx.neg(x) == x == digit_neg(2, n, x)
+        for y in ctx.elements():
+            want = digit_add(2, n, x, y)
+            assert ctx.add(x, y) == ctx.sub(x, y) == want == x ^ y, (x, y)
 
 
 @pytest.mark.parametrize("pn", [(2, 12), (3, 10), (251, 2), (2, 16)], ids=field_id)

@@ -228,6 +228,58 @@ def test_graph_values_match_evaluate(p, n, k):
     assert graph_values(ctx, PolyK(0, (5 % ctx.q,))) == [5 % ctx.q] * ctx.q
 
 
+@pytest.mark.parametrize("p,n", [(2, 16), (3, 10), (251, 2)])
+def test_graph_values_match_evaluate_in_large_fields(p, n):
+    """The log-domain Horner step at sampled x, for k = 0..5. A zero top
+    coefficient and a root of the top part make some entries 0 mid-way."""
+    ctx = make_field(p, n)
+    q = ctx.q
+    rng = random.Random(q)
+    xs = [0, 1, q - 1] + rng.sample(range(q), 200)
+    for k in range(6):
+        polys = [PolyK(k, tuple(rng.randrange(q) for _ in range(k + 1)))]
+        if k >= 1:
+            polys.append(PolyK(k, tuple(rng.randrange(q) for _ in range(k)) + (0,)))
+        if k >= 2:
+            # 7 + x (x - r): the partial value x - r vanishes at x = r
+            polys.append(PolyK(k, (7, ctx.neg(rng.randrange(1, q)), 1) + (0,) * (k - 2)))
+        for f in polys:
+            values = graph_values(ctx, f)
+            assert len(values) == q
+            assert [values[x] for x in xs] == [evaluate(ctx, f, x) for x in xs], f
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_intersection_count_matches_brute_force_at_2_16(k):
+    ctx = make_field(2, 16)
+    q = ctx.q
+    rng = random.Random(k)
+
+    def rand(k):
+        return PolyK(k, tuple(rng.randrange(q) for _ in range(k + 1)))
+
+    pairs = []  # (f, g, brute-force count)
+    for _ in range(3):
+        f, g = rand(k), rand(k)
+        pairs.append((f, g, brute_count(ctx, f, g)))
+    # differences c (x - r_1) .. (x - r_j) with j = 0..k distinct roots
+    f = rand(k)
+    for j in range(k + 1):
+        h = [rng.randrange(1, q)]
+        for r in rng.sample(range(q), j):  # h(x) (x - r), low degree first
+            h = [ctx.sub(a, ctx.mul(r, b)) for a, b in zip(h + [0], [0] + h)]
+        h += [0] * (k + 1 - len(h))
+        g = PolyK(k, tuple(ctx.add(a, b) for a, b in zip(f.coeffs, h)))
+        assert brute_count(ctx, f, g) == j
+        pairs.append((f, g, j))
+    for f, g, want in pairs:
+        assert intersection_count(ctx, f, g) == want, (f, g)
+    f = rand(k)
+    assert intersection_count(ctx, f, PolyK(k, f.coeffs)) == q
+    with pytest.raises(ValueError):
+        intersection_count(ctx, f, rand(k + 1))
+
+
 @pytest.mark.parametrize("q", [2, 5, 127, 128, 289, 32768, 32769])
 def test_lane_masks_mark_every_lane(q):
     w = lane_width(q)
