@@ -8,7 +8,7 @@ import pytest
 from polyfam import charsum, directions
 from polyfam.cli import _mcconnel_report, main, run_carlitz
 from polyfam.gf import make_field
-from polyfam.report import CSV_HEADER, DEFAULT_SEED
+from polyfam.report import CSV_HEADER, DEFAULT_SEED, Report
 
 
 def run(capsys, *argv):
@@ -355,6 +355,15 @@ def test_search_graph_stdout(capsys):
     assert len([ln for ln in lines if not ln.startswith("#")]) == 4
 
 
+def test_search_graph_out_writes_the_stdout_lines(tmp_path, capsys):
+    argv = ("search", "graph", "--field", "2", "--k", "1")
+    _, stdout_lines, _ = run(capsys, *argv)
+    path = tmp_path / "g.txt"
+    code, out, _ = run(capsys, *argv, "--out", str(path))
+    assert code == 0
+    assert out == json.dumps({"written": str(path), "vertices": 4}) + "\n"
+    assert path.read_text(encoding="utf-8") == stdout_lines
+
 def test_suite_claim_filter_jsonl(capsys):
     code, out, _ = run(capsys, "suite", "--claim", "pencil-size")
     assert code == 0
@@ -381,6 +390,17 @@ def test_suite_emits_registry_order(capsys):
     ids = [json.loads(ln)["claimId"] for ln in out.strip().splitlines()]
     assert ids == ["ekr-bound", "ekr-bound", "hm-size"]
 
+
+def test_suite_workers_match_serial(capsys):
+    claims = ("--claim", "quad-sum-identity", "--claim", "pencil-size", "--claim", "weil-bound")
+    runs = []
+    for workers in ("1", "2"):
+        code, out, _ = run(capsys, "suite", "--tier", "fast", *claims, "--workers", workers)
+        assert code == 0
+        runs.append([Report.from_json(ln).canonical_json() for ln in out.splitlines()])
+    assert runs[0] == runs[1]
+    ids = [json.loads(line)["claimId"] for line in runs[0]]
+    assert ids == ["pencil-size"] + ["quad-sum-identity"] * 3 + ["weil-bound"] * 2
 
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as ei:

@@ -1,11 +1,9 @@
-"""Frozen suite output: the full-tier reports of the direction-span,
-power-map, EKR, Hilton-Milner, pencil-extension, square-value-shortcut,
-square-coeff-relation, clique-bounds, Weil-bound and quadratic-sum
-claims, byte for byte in canonical form."""
+"""Frozen suite output: the full-tier reports of all sixteen claims in
+cli.SUITE, byte for byte in canonical form."""
 
 import pytest
 
-from polyfam.cli import main
+from polyfam.cli import SUITE, main
 from polyfam.report import Report
 
 GOLDEN = {
@@ -61,7 +59,33 @@ GOLDEN = {
         '{"claimId":"weil-bound","counters":{"checked":1000},"fieldSpec":"7^2","parameters":{"maxDegree":5},"primaryCounter":"checked","seed":20297,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
         '{"claimId":"weil-bound","counters":{"checked":1000},"fieldSpec":"11^2","parameters":{"maxDegree":5},"primaryCounter":"checked","seed":20369,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
     ],
+    "pencil-size": [
+        '{"claimId":"pencil-size","counters":{"cases":3},"fieldSpec":"multiple","parameters":{},"primaryCounter":"cases","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
+    ],
+    "hm-size": [
+        '{"claimId":"hm-size","counters":{"cases":7},"fieldSpec":"multiple","parameters":{},"primaryCounter":"cases","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
+    ],
+    "hm-threshold": [
+        '{"claimId":"hm-threshold","counters":{"cases":42},"fieldSpec":"odd prime powers 11..169","parameters":{"note":"family size must stay at or below the k=2 stability threshold"},"primaryCounter":"cases","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
+    ],
+    "tangent-size": [
+        '{"claimId":"tangent-size","counters":{"cases":5},"fieldSpec":"multiple","parameters":{"altClosedFormTwice":{"11":111,"13":157,"5":21,"7":43,"9":73},"note":"construction count is q(q-1)/2 + 1; the alternate closed form (q^2-q+1)/2 is non-integral for odd q (its doubled numerator is reported per field under altClosedFormTwice, never as the target)","sizeConstructed":{"11":56,"13":79,"5":11,"7":22,"9":37}},"primaryCounter":"cases","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
+    ],
+    "rootable-count": [
+        '{"claimId":"rootable-count","counters":{"cases":8},"fieldSpec":"multiple","parameters":{},"primaryCounter":"cases","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
+    ],
+    "stability-probe": [
+        '{"claimId":"stability-probe","counters":{"distinctSizes":3,"maxSize":16,"overThreshold":3213,"trials":10000},"fieldSpec":"2^2","parameters":{"k":2,"sizeDistribution":{"10":5509,"16":3213,"8":1278},"trials":10000},"primaryCounter":"maxSize","seed":20248,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
+        '{"claimId":"stability-probe","counters":{"distinctSizes":8,"maxSize":25,"overThreshold":2084,"trials":10000},"fieldSpec":"5^1","parameters":{"k":2,"sizeDistribution":{"10":123,"11":2246,"12":822,"13":916,"15":3180,"25":2084,"7":97,"9":532},"trials":10000},"primaryCounter":"maxSize","seed":20248,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
+        '{"claimId":"stability-probe","counters":{"distinctSizes":15,"maxSize":49,"overThreshold":1069,"trials":10000},"fieldSpec":"7^1","parameters":{"k":2,"sizeDistribution":{"10":104,"11":417,"12":894,"13":774,"14":547,"15":1152,"16":520,"17":455,"18":562,"19":1204,"20":154,"22":147,"28":1988,"49":1069,"9":13},"trials":10000},"primaryCounter":"maxSize","seed":20248,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
+        '{"claimId":"stability-probe","counters":{"distinctSizes":18,"maxSize":64,"overThreshold":875,"trials":10000},"fieldSpec":"2^3","parameters":{"k":2,"sizeDistribution":{"10":36,"11":106,"12":245,"13":757,"14":971,"15":653,"16":542,"17":730,"18":633,"19":236,"20":424,"21":147,"22":969,"24":937,"32":122,"36":1616,"64":875,"9":1},"trials":10000},"primaryCounter":"maxSize","seed":20248,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
+        '{"claimId":"stability-probe","counters":{"distinctSizes":24,"maxSize":81,"overThreshold":682,"trials":10000},"fieldSpec":"3^2","parameters":{"k":2,"sizeDistribution":{"10":2,"11":24,"12":143,"13":490,"14":662,"15":741,"16":578,"17":462,"18":597,"19":634,"20":582,"21":436,"22":357,"23":157,"24":313,"25":91,"26":191,"27":291,"28":509,"29":551,"30":79,"37":117,"45":1311,"81":682},"trials":10000},"primaryCounter":"maxSize","seed":20248,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
+    ],
 }
+
+
+def test_every_claim_is_frozen():
+    assert sorted(GOLDEN) == sorted(name for name, _ in SUITE)
 
 
 @pytest.mark.parametrize("claim", sorted(GOLDEN))
