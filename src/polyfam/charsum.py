@@ -35,23 +35,6 @@ def poly_deg(f: DensePoly) -> int:
     return len(f) - 1
 
 
-def poly_add(ctx: FieldCtx, f: DensePoly, g: DensePoly) -> DensePoly:
-    if len(f) < len(g):
-        f, g = g, f
-    out = list(f)
-    for i, c in enumerate(g):
-        out[i] = ctx.add(out[i], c)
-    return poly_trim(out)
-
-
-def poly_neg(ctx: FieldCtx, f: DensePoly) -> DensePoly:
-    return tuple(ctx.neg(c) for c in f)
-
-
-def poly_sub(ctx: FieldCtx, f: DensePoly, g: DensePoly) -> DensePoly:
-    return poly_add(ctx, f, poly_neg(ctx, g))
-
-
 def poly_scale(ctx: FieldCtx, f: DensePoly, c: Fe) -> DensePoly:
     if c == 0:
         return ()

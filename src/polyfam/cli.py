@@ -17,7 +17,7 @@ import json
 import sys
 
 from . import __version__, charsum, directions, families, search
-from .gf import FieldError, factor_prime_power, make_field, parse_field_spec
+from .gf import FieldError, factor_prime_power, make_field, make_field_of_order, parse_field_spec
 from .polyfun import (
     PolyK,
     check_elements,
@@ -228,12 +228,13 @@ def _mcconnel_report(ctx, delta, node_budget: int = DEFAULT_NODE_BUDGET) -> Repo
 # families commands
 
 
-def _write_family(args, ctx, fam) -> int:
-    lines = families.family_to_lines(ctx, fam)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+def _write_lines(path, lines, summary: dict) -> int:
+    """Write the lines to `path` and print {"written": path, **summary},
+    or print the lines when no path is given."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
-        print(json.dumps({"written": args.out, "size": len(fam)}))
+        print(json.dumps({"written": path, **summary}))
     else:
         for ln in lines:
             print(ln)
@@ -252,7 +253,7 @@ def cmd_families_construct(args) -> int:
     else:
         A, B, C = _parse_elements(ctx, args.quad, "--quad", 3)
         fam = families.tangent_family(ctx, A, B, C)
-    return _write_family(args, ctx, fam)
+    return _write_lines(args.out, families.family_to_lines(ctx, fam), {"size": len(fam)})
 
 
 def cmd_families_verify(args) -> int:
@@ -329,15 +330,7 @@ def cmd_search_graph(args) -> int:
     ctx = parse_field_spec(args.field)
     pred = "min_shared" if args.predicate == "min" else "max_shared"
     g = search.build_graph(ctx, args.k, args.t, pred)
-    lines = search.graph_dump_lines(g)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-        print(json.dumps({"written": args.out, "vertices": g.n_vertices}))
-    else:
-        for ln in lines:
-            print(ln)
-    return 0
+    return _write_lines(args.out, search.graph_dump_lines(g), {"vertices": g.n_vertices})
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +358,7 @@ def run_pencil_size(tier: str, seed: int) -> list[Report]:
     watch = Stopwatch()
     cases = []
     for q, k in ((5, 2), (7, 2), (3, 3)):
-        ctx = make_field(*factor_prime_power(q))
+        ctx = make_field_of_order(q)
         fam = families.pencil(ctx, 0, 0, k)
         cases.append({"q": q, "k": k, "size": len(fam), "expected": q**k, "ok": len(fam) == q**k})
     return [_sizes_report("pencil-size", "multiple", cases, watch)]
@@ -375,7 +368,7 @@ def run_hm_size(tier: str, seed: int) -> list[Report]:
     watch = Stopwatch()
     cases = []
     for q in (3, 4, 5, 7, 8, 9, 11):
-        ctx = make_field(*factor_prime_power(q))
+        ctx = make_field_of_order(q)
         fam = families.hilton_milner(ctx, (0, 1), 0, 0)
         want = (q * q + q) // 2
         cases.append({"q": q, "size": len(fam), "expected": want, "ok": len(fam) == want})
@@ -386,7 +379,7 @@ def run_hm_properties(tier: str, seed: int) -> list[Report]:
     watch = Stopwatch()
     cases = []
     for q in (3, 4, 5, 7, 8, 9, 11):
-        ctx = make_field(*factor_prime_power(q))
+        ctx = make_field_of_order(q)
         fam = families.hilton_milner(ctx, (0, 1), 0, 0)
         ok_int, _ = families.is_t_intersecting(ctx, fam, 1)
         cp = families.common_point(ctx, fam)
@@ -433,7 +426,7 @@ def run_tangent_size(tier: str, seed: int) -> list[Report]:
     sizes = {}
     alt_twice = {}
     for q in (5, 7, 9, 11, 13):
-        ctx = make_field(*factor_prime_power(q))
+        ctx = make_field_of_order(q)
         fam = families.tangent_family(ctx, 1, 0, 0)
         want = q * (q - 1) // 2 + 1
         base = PolyK(2, (0, 0, 1))
@@ -462,7 +455,7 @@ def run_quad_sum(tier: str, seed: int) -> list[Report]:
     out = []
     for q in qs:
         watch = Stopwatch()
-        ctx = make_field(*factor_prime_power(q))
+        ctx = make_field_of_order(q)
         mismatches = []
         checked = 0
         for a in range(1, q):
@@ -495,7 +488,7 @@ def run_weil(tier: str, seed: int) -> list[Report]:
     out = []
     for q in qs:
         watch = Stopwatch()
-        ctx = make_field(*factor_prime_power(q))
+        ctx = make_field_of_order(q)
         rng = random.Random(seed + q)
         violations = []
         checked = 0
@@ -562,7 +555,7 @@ def run_ekr(tier: str, seed: int) -> list[Report]:
     out = []
     qs = (3, 4) if tier != "extended" else (2, 3, 4)
     for q in qs:
-        ctx = make_field(*factor_prime_power(q))
+        ctx = make_field_of_order(q)
         out.append(search.ekr_oracle(ctx, 2))
     return out
 
@@ -570,7 +563,7 @@ def run_ekr(tier: str, seed: int) -> list[Report]:
 def run_sam0(tier: str, seed: int) -> list[Report]:
     out = []
     for q in (2, 3, 4, 5):
-        ctx = make_field(*factor_prime_power(q))
+        ctx = make_field_of_order(q)
         for k, t in ((1, 1), (2, 1), (2, 2)):
             out.append(search.sam0_check(ctx, k, t))
     return out
@@ -580,7 +573,7 @@ def run_rootable(tier: str, seed: int) -> list[Report]:
     watch = Stopwatch()
     cases = []
     for q in (3, 4, 5, 7, 8, 9, 11, 13):
-        ctx = make_field(*factor_prime_power(q))
+        ctx = make_field_of_order(q)
         bad = 0
         for d in range(1, q):
             for w in range(1, q):
@@ -602,7 +595,7 @@ def run_probe(tier: str, seed: int) -> list[Report]:
         qs, trials = (4, 5, 7, 8, 9), 10000
     out = []
     for q in qs:
-        ctx = make_field(*factor_prime_power(q))
+        ctx = make_field_of_order(q)
         out.append(search.stability_probe(ctx, trials, seed))
     return out
 
@@ -656,30 +649,21 @@ SUITE = [
 ]
 
 
-def _run_suite_claim(name: str, tier: str, seed: int) -> list[dict]:
-    runner = dict(SUITE)[name]
-    return [r.to_dict() for r in runner(tier, seed)]
-
-
 def cmd_suite(args) -> int:
-    names = [n for n, _ in SUITE]
     if args.claim:
-        missing = [c for c in args.claim if c not in names]
+        missing = [c for c in args.claim if c not in dict(SUITE)]
         if missing:
             raise ValueError(f"unknown claim ids: {', '.join(missing)}")
-        names = [n for n in names if n in args.claim]
-    results: list[Report] = []
+    runners = [fn for n, fn in SUITE if not args.claim or n in args.claim]
     if args.workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            futs = {n: pool.submit(_run_suite_claim, n, args.tier, args.seed) for n in names}
-            for n in names:  # emit in registry order regardless of finish order
-                results.extend(Report.from_dict(d) for d in futs[n].result())
+            futs = [pool.submit(fn, args.tier, args.seed) for fn in runners]
+            batches = [f.result() for f in futs]  # registry order, whatever finishes first
     else:
-        for n in names:
-            results.extend(dict(SUITE)[n](args.tier, args.seed))
-    return _emit(results, args.format)
+        batches = [fn(args.tier, args.seed) for fn in runners]
+    return _emit([r for batch in batches for r in batch], args.format)
 
 
 # ---------------------------------------------------------------------------

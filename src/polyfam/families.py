@@ -37,9 +37,6 @@ class FamilyError(ValueError):
 class Family:
     k: int
     members: tuple[PolyK, ...]
-    # check results, keyed by (name, field, ...): the same members can
-    # be read over more than one field
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def from_polys(cls, k: int, polys) -> "Family":
@@ -85,9 +82,7 @@ def pencil(ctx: FieldCtx, alpha: Fe, beta: Fe, k: int) -> Family:
             upper[i] = 0
         else:
             break
-    fam = Family.from_polys(k, out)
-    fam._cache[("common_point", ctx)] = PointAG(alpha, beta)
-    return fam
+    return Family.from_polys(k, out)
 
 
 def hilton_milner(ctx: FieldCtx, point: PointAG, v: Fe, w: Fe) -> Family:
@@ -153,18 +148,10 @@ def is_t_intersecting(ctx: FieldCtx, fam: Family, t: int):
     witness is the lexicographically least failing pair, or None."""
     if t < 0:
         raise FamilyError("t must be nonnegative")
-    key = ("t_intersecting", ctx, t)
-    if key not in fam._cache:
-        if common_lanes(ctx.q, _graph_vectors(ctx, fam)).bit_count() >= t:
-            # t points on every graph are t points shared by every pair
-            fam._cache[key] = True, None
-        else:
-            fam._cache[key] = _first_pair_below(ctx, fam, t)
-    return fam._cache[key]
-
-
-def _first_pair_below(ctx: FieldCtx, fam: Family, t: int):
     vs = _graph_vectors(ctx, fam)
+    if common_lanes(ctx.q, vs).bit_count() >= t:
+        # t points on every graph are t points shared by every pair
+        return True, None
     for i, vi in enumerate(vs):
         for j, shared in enumerate(shared_points(ctx.q, vi, vs[i + 1 :]), i + 1):
             if shared < t:
@@ -174,11 +161,8 @@ def _first_pair_below(ctx: FieldCtx, fam: Family, t: int):
 
 def common_point(ctx: FieldCtx, fam: Family) -> PointAG | None:
     """The lex-least point on every member's graph, or None."""
-    key = ("common_point", ctx)
-    if key not in fam._cache:
-        points = all_common_points(ctx, fam)
-        fam._cache[key] = points[0] if points else None
-    return fam._cache[key]
+    points = all_common_points(ctx, fam)
+    return points[0] if points else None
 
 
 def all_common_points(ctx: FieldCtx, fam: Family) -> list[PointAG]:

@@ -166,7 +166,7 @@ def test_is_t_intersecting_witness():
     assert ok2 and w2 is None
 
 
-def test_family_checks_are_cached_per_field():
+def test_family_checks_are_per_field():
     # x^2 and the constant 2 meet over F_7 (2 = 3^2) but not over F_5
     fam = Family.from_polys(2, [poly(2, (0, 0, 1)), poly(2, (2, 0, 0))])
     f7, f5 = make_field(7, 1), make_field(5, 1)
