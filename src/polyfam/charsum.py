@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .gf import FieldCtx, Fe, FieldError
 from .polyfun import PolyK, graph_values
-from .report import DEFAULT_NODE_BUDGET, Report, Stopwatch
+from .report import DEFAULT_NODE_BUDGET, WITNESS_CAP, Report, Stopwatch
 
 DensePoly = tuple  # tuple[int, ...], trimmed
 
@@ -267,7 +267,7 @@ def square_coefficient_scan(ctx: FieldCtx, frob_k: int = 1) -> Report:
     (b, c) makes a square. With a = 0 the squares are the (q+1)/2
     constants c that are 0 or a square, and they never violate. Every one
     of the q^4 tuples is thereby decided, so `scanned` stays q^4.
-    Violations are listed in (a, d, b, c) order, at most 8."""
+    Violations are listed in (a, d, b, c) order, at most WITNESS_CAP."""
     watch = Stopwatch()
     if ctx.q % 2 == 0:
         raise FieldError("square scan needs odd q")
@@ -293,12 +293,11 @@ def square_coefficient_scan(ctx: FieldCtx, frob_k: int = 1) -> Report:
             fd = ctx.frobenius(d, frob_k)
             ok = ctx.mul(fd, a) == ctx.mul(b, fa)
             ok = ok and ctx.mul(ctx.mul(fd, d), a) == ctx.mul(c, ctx.mul(fa, a))
-            if not ok and len(violations) < 8:
+            if not ok and len(violations) < WITNESS_CAP:
                 violations.append({"a": a, "d": d, "b": b, "c": c})
     return Report(
         claim_id="square-coeff-relation",
         field_spec=ctx.report_spec_string(),
-        verdict="pass" if not violations else "fail",
         parameters={"frobPower": frob_k, "shapeDegree": pk + 1},
         witnesses=violations,
         counters={"scanned": q**4, "squares": squares, "violations": len(violations)},
@@ -369,7 +368,7 @@ def shortcut_scan(ctx: FieldCtx) -> Report:
             # a^s b = d^s a holds for exactly one b, as a^s != 0
             b_rel = ctx.div(mul(ctx.frobenius(d, half_n), a), fa)
             bad = ok & ~(((1 << q) - 1) << b_rel * q)
-            while bad and len(violations) < 8:
+            while bad and len(violations) < WITNESS_CAP:
                 low = bad & -bad
                 b, c = divmod(low.bit_length() - 1, q)
                 violations.append({"a": a, "d": d, "b": b, "c": c})
@@ -387,14 +386,12 @@ def shortcut_scan(ctx: FieldCtx) -> Report:
                         x = min(ctx.div(ctx.sub(y, t), r) for y in bad_y)
                         yield {"s": s0, "t": t, "r": r, "x": x}
 
-    control_bad = list(itertools.islice(control_failures(), 8))
-    witnesses = violations + control_bad
+    control_bad = list(itertools.islice(control_failures(), WITNESS_CAP))
     return Report(
         claim_id="square-value-shortcut",
         field_spec=ctx.report_spec_string(),
-        verdict="pass" if not witnesses else "fail",
         parameters={"minLargeCount": min_large},
-        witnesses=witnesses,
+        witnesses=violations + control_bad,
         counters={
             "scanned": (q - 1) * q**3,
             "largeValueSets": large,

@@ -28,7 +28,7 @@ from .polyfun import (
     parse_elements,
     parse_poly,
 )
-from .report import CSV_HEADER, DEFAULT_NODE_BUDGET, DEFAULT_SEED, Report, Stopwatch
+from .report import CSV_HEADER, DEFAULT_NODE_BUDGET, DEFAULT_SEED, WITNESS_CAP, Report, Stopwatch
 
 
 def _emit(reports, fmt: str) -> int:
@@ -194,31 +194,26 @@ def _mcconnel_report(ctx, delta, node_budget: int = DEFAULT_NODE_BUDGET) -> Repo
     watch = Stopwatch()
     params = {"delta": delta, "exponent": charsum.power_map_exponent(ctx, delta)}
     found = charsum.mcconnel_scan(ctx, delta, node_budget)
+    witnesses, counters = [], {}
     if found is None:
-        return Report(
-            claim_id="power-map-class",
-            field_spec=ctx.report_spec_string(),
-            verdict="budget-exceeded",
-            parameters={**params, "nodeBudget": node_budget},
-            wall_time_ms=watch.ms(),
-        )
-    predicted = charsum.power_map_prediction(ctx, delta)
-    match = found == predicted
-    witnesses = []
-    if not match:
-        witnesses.append(
-            {
-                "found": [list(v) for v in found],
-                "predicted": [list(v) for v in predicted],
-            }
-        )
+        params["nodeBudget"] = node_budget
+    else:
+        predicted = charsum.power_map_prediction(ctx, delta)
+        counters = {"found": len(found), "predicted": len(predicted)}
+        if found != predicted:
+            witnesses.append(
+                {
+                    "found": [list(v) for v in found],
+                    "predicted": [list(v) for v in predicted],
+                }
+            )
     return Report(
         claim_id="power-map-class",
         field_spec=ctx.report_spec_string(),
-        verdict="pass" if match else "fail",
+        verdict="budget-exceeded" if found is None else None,
         parameters=params,
         witnesses=witnesses,
-        counters={"found": len(found), "predicted": len(predicted)},
+        counters=counters,
         wall_time_ms=watch.ms(),
         primary_counter="found",
     )
@@ -338,16 +333,11 @@ def cmd_search_graph(args) -> int:
 
 
 def _sizes_report(claim_id, field_spec, cases, watch, note=None) -> Report:
-    witnesses = [c for c in cases if not c["ok"]]
-    params = {}
-    if note:
-        params["note"] = note
     return Report(
         claim_id=claim_id,
         field_spec=field_spec,
-        verdict="pass" if not witnesses else "fail",
-        parameters=params,
-        witnesses=witnesses,
+        parameters={"note": note} if note else {},
+        witnesses=[c for c in cases if not c["ok"]],
         counters={"cases": len(cases)},
         wall_time_ms=watch.ms(),
         primary_counter="cases",
@@ -464,13 +454,12 @@ def run_quad_sum(tier: str, seed: int) -> list[Report]:
                     checked += 1
                     exact = charsum.quad_sum_exact(ctx, a, b, c)
                     brute = charsum.char_sum(ctx, charsum.poly_trim((c, b, a)))
-                    if exact != brute and len(mismatches) < 8:
+                    if exact != brute and len(mismatches) < WITNESS_CAP:
                         mismatches.append({"a": a, "b": b, "c": c, "exact": exact, "brute": brute})
         out.append(
             Report(
                 claim_id="quad-sum-identity",
                 field_spec=ctx.report_spec_string(),
-                verdict="pass" if not mismatches else "fail",
                 witnesses=mismatches,
                 counters={"checked": checked},
                 wall_time_ms=watch.ms(),
@@ -499,7 +488,7 @@ def run_weil(tier: str, seed: int) -> list[Report]:
                 continue
             checked += 1
             res = charsum.weil_check(ctx, f)
-            if not res.within_bound and len(violations) < 8:
+            if not res.within_bound and len(violations) < WITNESS_CAP:
                 violations.append(
                     {"poly": list(f), "sum": res.sum_value, "distinctRoots": res.distinct_roots}
                 )
@@ -507,7 +496,6 @@ def run_weil(tier: str, seed: int) -> list[Report]:
             Report(
                 claim_id="weil-bound",
                 field_spec=ctx.report_spec_string(),
-                verdict="pass" if not violations else "fail",
                 parameters={"maxDegree": 5},
                 witnesses=violations,
                 counters={"checked": checked},
@@ -654,11 +642,15 @@ def cmd_suite(args) -> int:
         missing = [c for c in args.claim if c not in dict(SUITE)]
         if missing:
             raise ValueError(f"unknown claim ids: {', '.join(missing)}")
+    if args.workers < 1:
+        raise ValueError(f"--workers must be at least 1, got {args.workers}")
     runners = [fn for n, fn in SUITE if not args.claim or n in args.claim]
-    if args.workers > 1:
+    # the pool starts all its processes at once: no more than there are runners
+    workers = min(args.workers, len(runners))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futs = [pool.submit(fn, args.tier, args.seed) for fn in runners]
             batches = [f.result() for f in futs]  # registry order, whatever finishes first
     else:
@@ -785,7 +777,7 @@ def build_parser() -> argparse.ArgumentParser:
     se = ssub.add_parser("ekr", help="maximum clique equals the pencil size")
     se.add_argument("--field", required=True)
     se.add_argument("--k", type=int, default=2)
-    se.add_argument("--budget", type=int)
+    se.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET, help="search node budget")
     _add_format(se)
     se.set_defaults(func=cmd_search_ekr)
     sc = ssub.add_parser("clique", help="exact maximum clique of an intersection graph")
@@ -793,7 +785,7 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--k", type=int, default=2)
     sc.add_argument("--t", type=int, default=1)
     sc.add_argument("--predicate", choices=("min", "max"), default="min")
-    sc.add_argument("--budget", type=int)
+    sc.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET, help="search node budget")
     sc.set_defaults(func=cmd_search_clique)
     s0 = ssub.add_parser("sam0", help="clique bounds on both sides of t-intersection")
     s0.add_argument("--field", required=True)
@@ -819,7 +811,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tier", choices=("fast", "full", "extended"), default="fast")
     p.add_argument("--claim", action="append", help="run only this claim id (repeatable)")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="worker processes, at least 1")
     _add_format(p)
     p.set_defaults(func=cmd_suite)
 

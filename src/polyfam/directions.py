@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .gf import FieldCtx, Fe
-from .report import DEFAULT_NODE_BUDGET, Report, Stopwatch
+from .report import DEFAULT_NODE_BUDGET, WITNESS_CAP, Report, Stopwatch
 
 
 @dataclass(frozen=True)
@@ -109,8 +109,9 @@ def carlitz_scan(ctx: FieldCtx, node_budget: int = DEFAULT_NODE_BUDGET) -> Repor
     prefix can be a candidate, and affine functions (span dim at most 1)
     are never skipped, so the verdict and the affine count are exact.
     Visiting more than node_budget nodes stops the scan with verdict
-    budget-exceeded and partial counters. At q = 2 the claim does not
-    apply, so the verdict is inapplicable.
+    budget-exceeded and partial counters, unless a counterexample was
+    already found. At q = 2 the claim does not apply, so the verdict is
+    inapplicable.
     """
     watch = Stopwatch()
     q, n = ctx.q, ctx.n
@@ -152,7 +153,7 @@ def carlitz_scan(ctx: FieldCtx, node_budget: int = DEFAULT_NODE_BUDGET) -> Repor
                 candidates += 1
                 if is_affine(ctx, vals):
                     affine += 1
-                elif len(witnesses) < 8:
+                elif len(witnesses) < WITNESS_CAP:
                     witnesses.append({"values": list(vals)})
             else:
                 walk(m + 1, child)
@@ -163,22 +164,19 @@ def carlitz_scan(ctx: FieldCtx, node_budget: int = DEFAULT_NODE_BUDGET) -> Repor
     walk = None  # the closure names itself; free it now, not at a full GC
     counters = {"affine": affine, "candidates": candidates, "nodesVisited": nodes}
     if aborted:
-        verdict = "budget-exceeded"
+        params["nodeBudget"] = node_budget
     else:
         counters["scanned"] = q**q
         # over a prime field only constants have a proper span, since any
         # single nonzero direction already spans F_p
         expected_affine = q * q if n >= 2 else q
-        verdict = "pass" if not witnesses and affine == expected_affine else "fail"
-        if verdict == "fail" and not witnesses:
+        if affine != expected_affine and not witnesses:
             witnesses.append({"affineCount": affine, "expected": expected_affine})
-        if q == 2:
-            verdict = "inapplicable"
 
     return Report(
         claim_id="direction-span-affine",
         field_spec=ctx.report_spec_string(),
-        verdict=verdict,
+        verdict="budget-exceeded" if aborted else "inapplicable" if q == 2 else None,
         parameters=params,
         witnesses=witnesses,
         counters=counters,

@@ -333,7 +333,6 @@ def verify_file(path, t: int = 1) -> Report:
     return Report(
         claim_id="family-verify",
         field_spec=ctx.report_spec_string(),
-        verdict="pass" if ok else "fail",
         parameters=params,
         witnesses=witnesses,
         counters={"size": len(fam)},

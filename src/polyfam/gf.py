@@ -229,7 +229,8 @@ class FieldCtx:
             self._chunk = None if b == q else b
             self._add = [s for x in range(b) for s in self._digitwise(x, c)]
 
-        self._neg = self._digitwise(0, n, sign=-1)
+        # negation is the identity at p = 2
+        self._neg = list(range(q)) if p == 2 else self._digitwise(0, n, sign=-1)
         self.generator = self._find_generator()
         self.exp, self.log = exp, log = self._exp_log(c)
         qm = q - 1
@@ -273,13 +274,11 @@ class FieldCtx:
         self.trace_table = trace
 
         if p == 2:
-            # preimage table for z^2 + z = u, used to extract char-2 roots
-            add = self.add
-            as_root: list[int | None] = [None] * q
-            for z, zz in enumerate([0] + [exp[2 * e % qm] for e in log[1:]]):
-                u = add(zz, z)
-                if as_root[u] is None:
-                    as_root[u] = z
+            # preimage table for z^2 + z = u, used to extract char-2 roots:
+            # z and z ^ 1 share z^2 + z, and the even one is kept
+            as_root: list[int | None] = [0] + [None] * (q - 1)
+            for z, e in zip(range(2, q, 2), log[2::2]):
+                as_root[exp[2 * e % qm] ^ z] = z
             self._as_root = as_root
         else:
             self._as_root = None

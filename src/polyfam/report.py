@@ -16,15 +16,22 @@ VERDICTS = ("pass", "fail", "inapplicable", "budget-exceeded")
 
 DEFAULT_SEED = 20240 + 8
 
-# node budget of the exhaustive scans (direction span, power map)
+# node budget of every search: clique search, direction span, power map
 DEFAULT_NODE_BUDGET = 10**7
+
+# most witnesses a report lists
+WITNESS_CAP = 8
 
 
 @dataclass
 class Report:
+    """One claim run. A witness refutes the claim, so the report fails;
+    without one it passes, unless the run checked nothing (`inapplicable`)
+    or stopped at its budget (`budget-exceeded`)."""
+
     claim_id: str
     field_spec: str
-    verdict: str
+    verdict: str | None = None
     parameters: dict = field(default_factory=dict)
     witnesses: list = field(default_factory=list)
     counters: dict = field(default_factory=dict)
@@ -38,10 +45,14 @@ class Report:
             from . import __version__
 
             self.tool_version = __version__
-        if self.verdict not in VERDICTS:
+        if self.verdict not in (None, *VERDICTS):
             raise ValueError(f"unknown verdict {self.verdict!r}")
-        if self.verdict == "fail" and not self.witnesses:
-            raise ValueError("a failing report must carry a witness")
+        if self.witnesses and self.verdict != "pass":
+            self.verdict = "fail"
+        elif self.verdict is None:
+            self.verdict = "pass"
+        if (self.verdict == "fail") != bool(self.witnesses):
+            raise ValueError("a report fails exactly when it carries a witness")
 
     def to_dict(self) -> dict:
         return {

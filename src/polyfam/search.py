@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .families import Family, common_point, exceeds_threshold
 from .gf import FieldCtx
 from .polyfun import PolyK, common_lanes, graph_vector, intersection_count
-from .report import DEFAULT_SEED, Report, Stopwatch
+from .report import DEFAULT_NODE_BUDGET, DEFAULT_SEED, Report, Stopwatch
 
 VERTEX_CAP = 4096
 ENUMERATION_CAP = 64
@@ -104,14 +104,15 @@ class CliqueResult:
     proven: bool
 
 
-def max_clique(graph: IntersectionGraph, budget: int | None = None) -> CliqueResult:
+def max_clique(graph: IntersectionGraph, budget: int = DEFAULT_NODE_BUDGET) -> CliqueResult:
     """Exact maximum clique via branch and bound.
 
     Candidates are greedily coloured in ascending vertex order and
     expanded from the highest colour down, pruning branches whose colour
     bound cannot beat the incumbent. Fully deterministic: ties always
-    resolve toward the lowest vertex index. A node budget turns the
-    result into a best-effort lower bound with proven=False.
+    resolve toward the lowest vertex index. Expanding more than `budget`
+    nodes stops the search: the result is then a best-effort lower bound
+    with proven=False.
     """
     adj = graph.adj
     n = graph.n_vertices
@@ -139,7 +140,7 @@ def max_clique(graph: IntersectionGraph, budget: int | None = None) -> CliqueRes
     def expand(clique: list[int], cand: int):
         nonlocal best, nodes, aborted
         nodes += 1
-        if budget is not None and nodes > budget:
+        if nodes > budget:
             aborted = True
             return
         order, colours = colour(cand)
@@ -205,10 +206,11 @@ def family_from_vertices(q: int, k: int, vertices) -> Family:
 # claim-level searches
 
 
-def ekr_oracle(ctx: FieldCtx, k: int, budget: int | None = None) -> Report:
+def ekr_oracle(ctx: FieldCtx, k: int, budget: int = DEFAULT_NODE_BUDGET) -> Report:
     """Exact maximum-clique check on the 1-intersection graph: the
     maximum must be q^k, and on graphs small enough to enumerate, every
-    maximum clique must be a pencil (share a point)."""
+    maximum clique must be a pencil (share a point). An unproven maximum
+    is a lower bound: over q^k it still refutes the claim."""
     watch = Stopwatch()
     q = ctx.q
     g = build_graph(ctx, k, 1)
@@ -220,14 +222,12 @@ def ekr_oracle(ctx: FieldCtx, k: int, budget: int | None = None) -> Report:
         "nodesExplored": res.nodes_explored,
     }
     params: dict = {"k": k, "proven": res.proven}
-    witnesses: list = []
-    verdict = "pass"
     if not res.proven:
-        verdict = "budget-exceeded"
-    elif res.size != q**k:
-        verdict = "fail"
+        params["nodeBudget"] = budget
+    witnesses: list = []
+    if res.size > q**k or (res.proven and res.size < q**k):
         witnesses.append({"maxClique": res.size, "expected": q**k, "witness": list(res.witness)})
-    if verdict == "pass" and g.n_vertices <= ENUMERATION_CAP:
+    elif res.proven and g.n_vertices <= ENUMERATION_CAP:
         cliques = enumerate_maximum_cliques(g, res.size)
         counters["maximumCliques"] = len(cliques)
         points = []
@@ -235,7 +235,6 @@ def ekr_oracle(ctx: FieldCtx, k: int, budget: int | None = None) -> Report:
             fam = family_from_vertices(q, k, cl)
             cp = common_point(ctx, fam)
             if cp is None:
-                verdict = "fail"
                 witnesses.append({"clique": list(cl), "commonPoint": None})
             else:
                 points.append([cp.x, cp.y])
@@ -243,7 +242,7 @@ def ekr_oracle(ctx: FieldCtx, k: int, budget: int | None = None) -> Report:
     return Report(
         claim_id="ekr-bound",
         field_spec=ctx.report_spec_string(),
-        verdict=verdict,
+        verdict=None if res.proven else "budget-exceeded",
         parameters=params,
         witnesses=witnesses,
         counters=counters,
@@ -266,20 +265,24 @@ def rootable_count(ctx: FieldCtx, d: int, w: int) -> int:
     return count
 
 
-def sam0_check(ctx: FieldCtx, k: int, t: int) -> Report:
+def sam0_check(ctx: FieldCtx, k: int, t: int, budget: int = DEFAULT_NODE_BUDGET) -> Report:
     """Exact clique bounds on both sides of t-intersection: families with
     every pair sharing >= t points have at most q^(k+1-t) members, and
-    families with every pair sharing <= t-1 points have at most q^t."""
+    families with every pair sharing <= t-1 points have at most q^t.
+    Each side's search stops after `budget` nodes. An unproven maximum is
+    a lower bound, so it can break its bound but never prove it."""
     watch = Stopwatch()
     if not (1 <= t <= k):
         raise ValueError("need 1 <= t <= k")
     q = ctx.q
     g1 = build_graph(ctx, k, t, "min_shared")
-    r1 = max_clique(g1)
+    r1 = max_clique(g1, budget)
     bound1 = q ** (k + 1 - t)
     g2 = build_graph(ctx, k, t - 1, "max_shared")
-    r2 = max_clique(g2)
+    r2 = max_clique(g2, budget)
     bound2 = q**t
+    proven = r1.proven and r2.proven
+    params = {"k": k, "t": t} if proven else {"k": k, "t": t, "nodeBudget": budget}
     witnesses = []
     if r1.size > bound1:
         witnesses.append({"side": "min_shared", "max": r1.size, "bound": bound1, "witness": list(r1.witness)})
@@ -288,8 +291,8 @@ def sam0_check(ctx: FieldCtx, k: int, t: int) -> Report:
     return Report(
         claim_id="clique-bounds",
         field_spec=ctx.report_spec_string(),
-        verdict="pass" if not witnesses else "fail",
-        parameters={"k": k, "t": t},
+        verdict=None if proven else "budget-exceeded",
+        parameters=params,
         witnesses=witnesses,
         counters={
             "intersectingMax": r1.size,
@@ -366,14 +369,10 @@ def stability_probe(ctx: FieldCtx, trials: int, seed: int = DEFAULT_SEED) -> Rep
             over_threshold += 1
             if not common_lanes(q, [vectors[v] for v in clique]):
                 witnesses.append({"trial": i, "size": m, "clique": clique, "commonPoint": None})
-    if witnesses:
-        verdict = "fail"
-    else:
-        verdict = "pass" if trials else "inapplicable"
     return Report(
         claim_id="stability-probe",
         field_spec=ctx.report_spec_string(),
-        verdict=verdict,
+        verdict=None if trials else "inapplicable",
         parameters={
             "trials": trials,
             "k": 2,

@@ -1,11 +1,16 @@
 """CLI surface: exit codes, output formats, end-to-end file flows."""
 
+import concurrent.futures
 import gc
+import importlib
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
-from polyfam import charsum, directions
+from polyfam import charsum, cli, directions
 from polyfam.cli import _mcconnel_report, main, run_carlitz
 from polyfam.gf import make_field
 from polyfam.report import CSV_HEADER, DEFAULT_SEED, Report
@@ -202,6 +207,7 @@ def test_mcconnel_report_budget_exceeded():
     rep = _mcconnel_report(make_field(3, 2), 2, node_budget=5)
     assert rep.verdict == "budget-exceeded"
     assert rep.parameters["nodeBudget"] == 5
+    assert rep.counters == {} and rep.witnesses == []
 
 
 def test_exhausted_budget_prints_report_and_exits_1(capsys, monkeypatch):
@@ -318,9 +324,11 @@ def test_families_threshold_rejects_k_below_one(capsys):
 
 
 def test_search_clique_and_budget(capsys):
+    # no --budget: the default node budget, which this search fits in
     code, out, _ = run(capsys, "search", "clique", "--field", "3", "--k", "2")
     assert code == 0
     assert json.loads(out)["size"] == 9
+    assert json.loads(out)["proven"] is True
     code, out, _ = run(capsys, "search", "clique", "--field", "3", "--k", "2",
                        "--budget", "1")
     assert code == 1
@@ -401,6 +409,82 @@ def test_suite_workers_match_serial(capsys):
     assert runs[0] == runs[1]
     ids = [json.loads(line)["claimId"] for line in runs[0]]
     assert ids == ["pencil-size"] + ["quad-sum-identity"] * 3 + ["weil-bound"] * 2
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Puts an inline executor in place of ProcessPoolExecutor. It starts
+    no process and runs each call at submit; the fixture's value lists
+    the pool sizes asked for."""
+    sizes = []
+
+    class InlineExecutor:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = concurrent.futures.Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+    return sizes
+
+
+@pytest.mark.parametrize("workers,size", [("2", 2), ("64", 3)])
+def test_suite_pool_is_no_larger_than_the_runner_count(capsys, pool_sizes, workers, size):
+    claims = ("--claim", "pencil-size", "--claim", "hm-size", "--claim", "rootable-count")
+    code, out, _ = run(capsys, "suite", *claims, "--workers", workers)
+    assert code == 0
+    assert pool_sizes == [size]
+    ids = [json.loads(line)["claimId"] for line in out.splitlines()]
+    assert ids == ["pencil-size", "hm-size", "rootable-count"]
+
+
+def test_suite_one_runner_runs_serially(capsys, pool_sizes):
+    code, _, _ = run(capsys, "suite", "--claim", "pencil-size", "--workers", "2")
+    assert code == 0
+    assert pool_sizes == []
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_suite_rejects_fewer_than_one_worker(capsys, pool_sizes, workers):
+    code, out, err = run(capsys, "suite", "--claim", "pencil-size", "--workers", workers)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "--workers" in err
+    assert pool_sizes == []
+
+
+def load_perfbench(monkeypatch, name):
+    """A module of the benchmark harness, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    mod = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules; the harness's
+    # directory is only read
+    monkeypatch.setitem(sys.modules, spec.name, mod)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_benchmark_hooks_resolve(monkeypatch):
+    """The benchmark's span recorder wraps these names and the cli.SUITE
+    runners; a rename would silently drop them from its trace."""
+    for modname, fname, *_ in load_perfbench(monkeypatch, "spans").HOOKS:
+        mod = importlib.import_module(f"polyfam.{modname}")
+        assert callable(getattr(mod, fname, None)), f"polyfam.{modname}.{fname}"
+    assert isinstance(cli.SUITE, list)
+    assert all(len(entry) == 2 and callable(entry[1]) for entry in cli.SUITE)
+    ids = tuple(cid for cid, _ in cli.SUITE)
+    assert ids == load_perfbench(monkeypatch, "workloads").SUITE_CLAIMS
+
 
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as ei:

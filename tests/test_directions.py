@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from polyfam import directions
 from polyfam.gf import make_field, make_field_of_order
 from polyfam.directions import (
     additive_span,
@@ -165,8 +166,19 @@ def test_carlitz_scan_frozen_q9():
 def test_carlitz_scan_budget_exceeded():
     rep = carlitz_scan(make_field(3, 2), node_budget=1000)
     assert rep.verdict == "budget-exceeded"
+    assert rep.parameters["nodeBudget"] == 1000
     assert rep.counters["nodesVisited"] == 1001
     assert "scanned" not in rep.counters
     assert rep.counters["affine"] <= rep.counters["candidates"] < 81
     # a budget the scan fits in changes nothing
     assert carlitz_scan(make_field(3, 2), node_budget=7137).verdict == "pass"
+
+
+def test_carlitz_scan_counterexample_outlives_the_budget(monkeypatch):
+    # with every candidate taken as non-affine, the first leaf is a
+    # counterexample, and a scan stopped afterwards still fails
+    monkeypatch.setattr(directions, "is_affine", lambda ctx, values: False)
+    rep = carlitz_scan(make_field(3, 2), node_budget=1000)
+    assert rep.verdict == "fail"
+    assert rep.witnesses[0] == {"values": [0] * 9}
+    assert rep.parameters["nodeBudget"] == 1000

@@ -503,6 +503,23 @@ def test_char2_add_sub_neg_are_xor_and_identity(n):
             assert ctx.add(x, y) == ctx.sub(x, y) == want == x ^ y, (x, y)
 
 
+def test_char2_root_and_negation_tables_match_the_loop_build():
+    """At p = 2 the tables are filled from even z only and negation is
+    the identity. The loop that tried every z, added with the field's own
+    add and kept the first preimage, and digitwise negation give the same
+    tables."""
+    for n in range(1, 17):
+        ctx = build(2, n)
+        q, exp, log = ctx.q, ctx.exp, ctx.log
+        as_root = [None] * q
+        for z, zz in enumerate([0] + [exp[2 * e % (q - 1)] for e in log[1:]]):
+            u = ctx.add(zz, z)
+            if as_root[u] is None:
+                as_root[u] = z
+        assert ctx._as_root == as_root, n
+        assert ctx._neg == ctx._digitwise(0, n, sign=-1), n
+
+
 @pytest.mark.parametrize("pn", [(2, 12), (3, 10), (251, 2), (2, 16)], ids=field_id)
 def test_add_matches_the_digit_oracle(pn):
     p, n = pn

@@ -66,6 +66,23 @@ def test_fail_requires_witness():
     sample(verdict="fail", witnesses=[{"a": 0}])
 
 
+def test_verdict_follows_the_witnesses():
+    assert Report("quad-sum-identity", "5^1").verdict == "pass"
+    assert Report("quad-sum-identity", "5^1", witnesses=[{"a": 0}]).verdict == "fail"
+    # explicit outcomes that are not pass or fail are kept
+    for v in ("inapplicable", "budget-exceeded"):
+        assert sample(verdict=v, witnesses=[]).verdict == v
+    # a witness refutes the claim even when the run stopped early
+    assert sample(verdict="budget-exceeded", witnesses=[{"a": 0}]).verdict == "fail"
+    with pytest.raises(ValueError):
+        sample(verdict="pass", witnesses=[{"a": 0}])
+
+
+def test_from_dict_keeps_the_verdict():
+    for r in (sample(), sample(verdict="budget-exceeded"), sample(verdict=None, witnesses=[{"a": 0}])):
+        assert Report.from_json(r.to_json()).verdict == r.verdict
+
+
 def test_tool_version_autofilled():
     import polyfam
 

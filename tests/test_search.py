@@ -1,19 +1,24 @@
 """Intersection graphs, exact cliques, and the randomized probes."""
 
 import gc
+import inspect
 import itertools
 import math
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from polyfam import search
 from polyfam.charsum import mcconnel_scan
 from polyfam.directions import carlitz_scan
 from polyfam.gf import make_field, make_field_of_order
 from polyfam.polyfun import intersection_count
+from polyfam.report import DEFAULT_NODE_BUDGET
 from polyfam.search import (
+    CliqueResult,
     IntersectionGraph,
     _greedy_maximal_clique,
     _nth_set_bit,
@@ -274,6 +279,40 @@ def test_ekr_oracle_q2_q3():
 def test_ekr_oracle_budget_exceeded():
     rep = ekr_oracle(make_field(2, 2), 2, budget=1)
     assert rep.verdict == "budget-exceeded"
+    assert rep.parameters["nodeBudget"] == 1
+    assert rep.witnesses == []
+
+
+@pytest.mark.parametrize(
+    "fn", [max_clique, ekr_oracle, sam0_check, carlitz_scan, mcconnel_scan],
+    ids=lambda fn: fn.__name__,
+)
+def test_every_search_defaults_to_the_node_budget(fn):
+    params = inspect.signature(fn).parameters
+    budget = params.get("budget", params.get("node_budget"))
+    assert budget.default == DEFAULT_NODE_BUDGET
+
+
+def fake_unproven(size):
+    """max_clique for min_shared graphs reporting an unproven maximum of
+    `size`; max_shared graphs are searched for real."""
+    real = search.max_clique
+
+    def fake(g, budget=DEFAULT_NODE_BUDGET):
+        if g.predicate == "min_shared":
+            return CliqueResult(size, tuple(range(size)), budget + 1, False)
+        return real(g, budget)
+
+    return fake
+
+
+def test_ekr_oracle_unproven_maximum_over_the_bound_fails(monkeypatch):
+    monkeypatch.setattr(search, "max_clique", fake_unproven(10))
+    rep = ekr_oracle(make_field(3, 1), 2)
+    assert rep.verdict == "fail"
+    assert rep.witnesses[0]["maxClique"] == 10
+    monkeypatch.setattr(search, "max_clique", fake_unproven(9))
+    assert ekr_oracle(make_field(3, 1), 2).verdict == "budget-exceeded"
 
 
 def brute_rootable(ctx, d, w):
@@ -337,6 +376,28 @@ def test_sam0_check_matrix(q):
             assert rep.verdict == "pass", (q, k, t)
             assert rep.counters["intersectingMax"] <= q ** (k + 1 - t)
             assert rep.counters["scatteredMax"] <= q**t
+
+
+def test_sam0_check_budget_exceeded():
+    t0 = time.perf_counter()
+    rep = sam0_check(make_field(2, 4), 2, 1, budget=10**4)
+    assert time.perf_counter() - t0 < 20
+    assert rep.verdict == "budget-exceeded"
+    assert rep.parameters == {"k": 2, "t": 1, "nodeBudget": 10**4}
+    assert rep.witnesses == []
+    # an unproven maximum is a lower bound: under its bound it proves nothing
+    assert rep.counters["intersectingMax"] <= rep.counters["intersectingBound"]
+
+
+def test_sam0_check_unproven_side_over_its_bound_fails(monkeypatch):
+    # q = 3, k = 2, t = 1: the intersecting side's bound is 9
+    monkeypatch.setattr(search, "max_clique", fake_unproven(10))
+    rep = sam0_check(make_field(3, 1), 2, 1)
+    assert rep.verdict == "fail"
+    assert rep.parameters["nodeBudget"] == DEFAULT_NODE_BUDGET
+    assert [w["side"] for w in rep.witnesses] == ["min_shared"]
+    assert rep.witnesses[0]["max"] == 10
+    assert rep.witnesses[0]["bound"] == 9
 
 
 def test_sam0_check_validation():
