@@ -387,9 +387,6 @@ class FieldCtx:
         list steps."""
         return self._digitwise(c, self.n)
 
-    def neg(self, x: Fe) -> Fe:
-        return self._neg[x]
-
     def sub(self, x: Fe, y: Fe) -> Fe:
         return self.add(x, self._neg[y])
 
@@ -454,52 +451,60 @@ class FieldCtx:
 
     # -- quadratics ------------------------------------------------------
 
-    def quadratic_roots(self, a: Fe, b: Fe, c: Fe):
+    def quadratic_roots(self, a: Fe, b: Fe = 0, c: Fe = 0):
         """Root set of a + b x + c x^2 as a frozenset of element indices.
 
         Degenerate cases are handled explicitly; the all-zero polynomial
         returns the IDENTICALLY_ZERO sentinel rather than a root set.
+        Omitted coefficients are 0, so a linear or constant difference
+        passes its coefficients as they are. Products and quotients are
+        sums and differences of logs, read back through exp; zero factors
+        are split out first.
         """
+        exp, log, qm = self.exp, self.log, self.q - 1
         if c == 0:
             if b == 0:
                 return IDENTICALLY_ZERO if a == 0 else frozenset()
-            return frozenset({self.div(self._neg[a], b)})
+            if a == 0:
+                return frozenset({0})
+            return frozenset({exp[(log[self._neg[a]] - log[b]) % qm]})
         if self.p == 2:
             if b == 0:
-                # squaring is a bijection in characteristic 2
-                return frozenset({self.sqrt(self.div(a, c))})
-            u = self.div(self.mul(a, c), self.mul(b, b))
-            if self.trace_table[u] != 0:
+                # squaring is a bijection in characteristic 2: x^2 = a/c
+                if a == 0:
+                    return frozenset({0})
+                return frozenset({exp[(log[a] - log[c]) * (self.q // 2) % qm]})
+            if a == 0:
+                return frozenset({0, exp[(log[b] - log[c]) % qm]})
+            # x = (b/c) z turns the equation into z^2 + z = u = ac/b^2, whose
+            # roots are z and z ^ 1; u != 0 here, so neither is 0
+            z = self._as_root[exp[(log[a] + log[c] - 2 * log[b]) % qm]]
+            if z is None:
                 return frozenset()
-            z = self._as_root[u]
-            scale = self.div(b, c)
+            scale = log[b] - log[c]
             return frozenset(
-                {self.mul(scale, z), self.mul(scale, self.add(z, 1))}
+                {exp[(scale + log[z]) % qm], exp[(scale + log[z ^ 1]) % qm]}
             )
-        four = 4 % self.p
-        disc = self.sub(self.mul(b, b), self.mul(four, self.mul(a, c)))
-        ch = self.qchar_table[disc]
-        if ch == -1:
+        # odd p: (-b +- s) / 2c with s^2 = b^2 - 4ac
+        four_ac = exp[(log[4 % self.p] + log[a] + log[c]) % qm] if a else 0
+        disc = self.sub(exp[2 * log[b] % qm], four_ac) if b else self._neg[four_ac]
+        if disc == 0:
+            s = 0
+        elif log[disc] % 2:
             return frozenset()
-        s = self.sqrt(disc)
-        inv2c = self.inv(self.mul(2 % self.p, c))
+        else:
+            s = exp[log[disc] // 2]
         mb = self._neg[b]
+        over_2c = -log[2] - log[c]
         return frozenset(
-            {
-                self.mul(self.add(mb, s), inv2c),
-                self.mul(self.sub(mb, s), inv2c),
-            }
+            exp[(log[r] + over_2c) % qm] if r else 0
+            for r in (self.add(mb, s), self.sub(mb, s))
         )
 
     # -- misc ----------------------------------------------------------------
 
     def elements(self) -> range:
         return range(self.q)
-
-    def element_from_digits(self, vec) -> Fe:
-        if len(vec) != self.n or any(not (0 <= c < self.p) for c in vec):
-            raise FieldError("digit vector must have n entries in [0, p)")
-        return self._pack(vec)
 
     def digits_of(self, x: Fe) -> tuple[int, ...]:
         out = []

@@ -60,24 +60,18 @@ def difference(ctx: FieldCtx, f: PolyK, g: PolyK) -> PolyK:
     return PolyK(f.k, tuple(ctx.sub(a, b) for a, b in zip(f.coeffs, g.coeffs)))
 
 
-def graph_points(ctx: FieldCtx, f: PolyK) -> list[PointAG]:
-    return [PointAG(x, evaluate(ctx, f, x)) for x in ctx.elements()]
-
-
 def intersection_count(ctx: FieldCtx, f: PolyK, g: PolyK) -> int:
     """Number of x with f(x) = g(x). Equal polynomials give q.
 
     For k <= 2 the count comes from the closed-form root finder on the
-    coefficient differences; larger k falls back to exhaustive evaluation.
+    coefficient differences; larger k counts the zeros of the difference
+    over the whole field.
     """
     if f.k != g.k:
         raise ValueError("intersection count needs matching degree bounds")
     if f.k > 2:
-        h = difference(ctx, f, g)
-        return sum(1 for x in ctx.elements() if evaluate(ctx, h, x) == 0)
-    sub = ctx.sub
-    h = [sub(a, b) for a, b in zip(f.coeffs, g.coeffs)] + [0] * (2 - f.k)
-    roots = ctx.quadratic_roots(h[0], h[1], h[2])
+        return graph_values(ctx, difference(ctx, f, g)).count(0)
+    roots = ctx.quadratic_roots(*map(ctx.sub, f.coeffs, g.coeffs))
     if roots is IDENTICALLY_ZERO:
         return ctx.q
     return len(roots)
@@ -108,11 +102,21 @@ def graph_values(ctx: FieldCtx, f: PolyK) -> list[Fe]:
     """[f(x) for x in ctx.elements()], by Horner's rule on the whole list
     at once. f(0) is the constant term; for x = 1..q-1 each step multiplies
     entry x by x in the log domain and adds a coefficient through its
-    translation table."""
+    translation table. The first step multiplies the constant top
+    coefficient, so it reads exp rotated by the top's log."""
+    top = f.coeffs[-1]
+    if f.k == 0:
+        return [top] * ctx.q
     exp, log, qm = ctx.exp, ctx.log, ctx.q - 1
     log_x = log[1:]
-    acc = [f.coeffs[-1]] * qm
-    for c in reversed(f.coeffs[:-1]):
+    c = f.coeffs[-2]
+    if top:
+        t = log[top]
+        rotated = exp[t:] + exp[:t]
+        acc = list(map(ctx.translation(c).__getitem__, map(rotated.__getitem__, log_x)))
+    else:
+        acc = [c] * qm
+    for c in reversed(f.coeffs[:-2]):
         plus_c = ctx.translation(c)
         acc = [
             plus_c[exp[(log[a] + lx) % qm]] if a else c for a, lx in zip(acc, log_x)
@@ -168,7 +172,9 @@ def pair_intersects_fast(ctx: FieldCtx, f: PolyK, g: PolyK) -> bool:
 
     Odd q decides by the quadratic character of the discriminant of the
     difference; even q by the additive trace criterion. Degenerate
-    (linear or constant) differences are split out explicitly.
+    (linear or constant) differences are split out explicitly. It keeps
+    to mul/div method calls on purpose: it is the independent oracle that
+    intersection_count is checked against, so it shares no log-domain code.
     """
     if f.k != 2 or g.k != 2:
         raise ValueError("fast path is defined for k = 2 only")

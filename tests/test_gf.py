@@ -115,7 +115,7 @@ def test_field_axioms(q):
     for x in els:
         assert ctx.add(x, 0) == x
         assert ctx.mul(x, 1) == x
-        assert ctx.add(x, ctx.neg(x)) == 0
+        assert ctx.add(x, ctx.sub(0, x)) == 0
         if x:
             assert ctx.mul(x, ctx.inv(x)) == 1
     # commutativity and associativity on a full sweep for tiny q,
@@ -303,7 +303,7 @@ def test_translation_matches_add(p, n):
 def test_digit_roundtrip():
     ctx = make_field(3, 3)
     for x in range(27):
-        assert ctx.element_from_digits(ctx.digits_of(x)) == x
+        assert sum(d * 3**i for i, d in enumerate(ctx.digits_of(x))) == x
 
 
 def test_construction_rejections():
@@ -497,7 +497,7 @@ def test_tables_match_the_digit_constructor(pn):
 def test_char2_add_sub_neg_are_xor_and_identity(n):
     ctx = make_field(2, n)
     for x in ctx.elements():
-        assert ctx.neg(x) == x == digit_neg(2, n, x)
+        assert ctx.sub(0, x) == x == digit_neg(2, n, x)
         for y in ctx.elements():
             want = digit_add(2, n, x, y)
             assert ctx.add(x, y) == ctx.sub(x, y) == want == x ^ y, (x, y)

@@ -5,14 +5,13 @@ import random
 
 import pytest
 
-from polyfam.gf import make_field, make_field_of_order
+from polyfam.gf import IDENTICALLY_ZERO, FieldError, factor_prime_power, make_field, make_field_of_order
 from polyfam.polyfun import (
     PointAG,
     PolyK,
     evaluate,
     difference,
     format_poly,
-    graph_points,
     intersection_count,
     common_lanes,
     graph_values,
@@ -35,6 +34,10 @@ def brute_eval(ctx, coeffs, x):
     return acc
 
 
+def graph_points(ctx, f):
+    return [PointAG(x, evaluate(ctx, f, x)) for x in ctx.elements()]
+
+
 def brute_count(ctx, f, g):
     return sum(1 for x in range(ctx.q) if evaluate(ctx, f, x) == evaluate(ctx, g, x))
 
@@ -54,14 +57,6 @@ def test_poly_validation():
         poly(2, (0, 1))
     with pytest.raises(ValueError):
         poly(1, (0, 1, 1))
-
-
-def test_graph_points():
-    ctx = make_field(5, 1)
-    f = poly(2, (1, 0, 1))
-    pts = graph_points(ctx, f)
-    assert len(pts) == 5
-    assert pts[2] == PointAG(2, evaluate(ctx, f, 2))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
@@ -218,14 +213,24 @@ def test_graph_vector_lanes_hold_the_values(q):
     assert v >> (q * w) == 0
 
 
-@pytest.mark.parametrize("p,n,k", [(7, 1, 3), (2, 3, 2), (3, 2, 1), (17, 2, 2), (3, 6, 2)])
+@pytest.mark.parametrize(
+    "p,n,k",
+    [(7, 1, 3), (2, 3, 2), (3, 2, 1), (17, 2, 2), (3, 6, 2), (5, 1, 0), (2, 5, 3), (251, 2, 2)],
+)
 def test_graph_values_match_evaluate(p, n, k):
+    """Random f, plus the first Horner step's edge cases: a zero top
+    coefficient (no rotation), a monic f (rotation by log 1 = 0) and, at
+    k = 0, the constants 0 and 1. 3^6, 17^2 and 251^2 add past the flat
+    addition table, 2^3 and 2^5 by XOR."""
     ctx = make_field(p, n)
-    rng = random.Random(ctx.q + k)
-    for _ in range(4):
-        f = PolyK(k, tuple(rng.randrange(ctx.q) for _ in range(k + 1)))
-        assert graph_values(ctx, f) == [evaluate(ctx, f, x) for x in ctx.elements()]
-    assert graph_values(ctx, PolyK(0, (5 % ctx.q,))) == [5 % ctx.q] * ctx.q
+    q = ctx.q
+    rng = random.Random(q + k)
+    polys = [PolyK(k, tuple(rng.randrange(q) for _ in range(k + 1))) for _ in range(4)]
+    low = tuple(rng.randrange(q) for _ in range(k))
+    polys += [PolyK(k, low + (0,)), PolyK(k, low + (1,))]
+    for f in polys:
+        assert graph_values(ctx, f) == [evaluate(ctx, f, x) for x in ctx.elements()], f
+    assert graph_values(ctx, PolyK(0, (5 % q,))) == [5 % q] * q
 
 
 @pytest.mark.parametrize("p,n", [(2, 16), (3, 10), (251, 2)])
@@ -242,7 +247,7 @@ def test_graph_values_match_evaluate_in_large_fields(p, n):
             polys.append(PolyK(k, tuple(rng.randrange(q) for _ in range(k)) + (0,)))
         if k >= 2:
             # 7 + x (x - r): the partial value x - r vanishes at x = r
-            polys.append(PolyK(k, (7, ctx.neg(rng.randrange(1, q)), 1) + (0,) * (k - 2)))
+            polys.append(PolyK(k, (7, ctx.sub(0, rng.randrange(1, q)), 1) + (0,) * (k - 2)))
         for f in polys:
             values = graph_values(ctx, f)
             assert len(values) == q
@@ -278,6 +283,126 @@ def test_intersection_count_matches_brute_force_at_2_16(k):
     assert intersection_count(ctx, f, PolyK(k, f.coeffs)) == q
     with pytest.raises(ValueError):
         intersection_count(ctx, f, rand(k + 1))
+
+
+def _prime_powers(lo, hi):
+    out = []
+    for q in range(lo, hi + 1):
+        try:
+            factor_prime_power(q)
+        except FieldError:
+            continue
+        out.append(q)
+    return out
+
+
+def method_call_quadratic_roots(ctx, a, b, c):
+    """FieldCtx.quadratic_roots as it was before it read exp/log: every
+    product and quotient a mul, div or inv method call."""
+    if c == 0:
+        if b == 0:
+            return IDENTICALLY_ZERO if a == 0 else frozenset()
+        return frozenset({ctx.div(ctx.sub(0, a), b)})
+    if ctx.p == 2:
+        if b == 0:
+            return frozenset({ctx.sqrt(ctx.div(a, c))})
+        u = ctx.div(ctx.mul(a, c), ctx.mul(b, b))
+        if ctx.trace(u) != 0:
+            return frozenset()
+        z = ctx._as_root[u]
+        scale = ctx.div(b, c)
+        return frozenset({ctx.mul(scale, z), ctx.mul(scale, ctx.add(z, 1))})
+    disc = ctx.sub(ctx.mul(b, b), ctx.mul(4 % ctx.p, ctx.mul(a, c)))
+    if ctx.quadratic_character(disc) == -1:
+        return frozenset()
+    s = ctx.sqrt(disc)
+    inv2c = ctx.inv(ctx.mul(2 % ctx.p, c))
+    mb = ctx.sub(0, b)
+    return frozenset({ctx.mul(ctx.add(mb, s), inv2c), ctx.mul(ctx.sub(mb, s), inv2c)})
+
+
+def _check_roots_and_count(ctx, a, b, c, want, g):
+    """want is the root set of a + b x + c x^2 by pointwise evaluation;
+    g is added to both sides for the intersection_count check."""
+    got = ctx.quadratic_roots(a, b, c)
+    assert got == method_call_quadratic_roots(ctx, a, b, c), (ctx.q, a, b, c)
+    if a == b == c == 0:
+        assert got is IDENTICALLY_ZERO
+        want_count = ctx.q
+    else:
+        assert got == want, (ctx.q, a, b, c)
+        want_count = len(want)
+    f = PolyK(2, tuple(map(ctx.add, (a, b, c), g.coeffs)))
+    assert intersection_count(ctx, f, g) == want_count, (f, g)
+
+
+@pytest.mark.parametrize("q", _prime_powers(2, 64))
+def test_quadratic_roots_match_the_method_call_version_exhaustively(q):
+    """Every (a, b, c) at q <= 64: the log-domain roots equal the
+    method-call roots and the pointwise root set, and intersection_count
+    equals the pointwise count."""
+    ctx = make_field_of_order(q)
+    rng = random.Random(q)
+    squares = [ctx.mul(x, x) for x in range(q)]
+    for b in range(q):
+        for c in range(q):
+            # the x with b x + c x^2 = -a, for every a at once
+            zeros = {a: set() for a in range(q)}
+            for x, xx in enumerate(squares):
+                zeros[ctx.sub(0, ctx.add(ctx.mul(b, x), ctx.mul(c, xx)))].add(x)
+            g = PolyK(2, tuple(rng.randrange(q) for _ in range(3)))
+            for a in range(q):
+                _check_roots_and_count(ctx, a, b, c, frozenset(zeros[a]), g)
+
+
+def test_quadratic_roots_match_the_method_call_version_up_to_1024():
+    """Seeded random (a, b, c) at every prime power 64 < q <= 1024, each
+    coefficient 0 one time in four; every root must evaluate to 0, and
+    for a few triples per field the root set is the pointwise one."""
+    for q in _prime_powers(65, 1024):
+        ctx = make_field_of_order(q)
+        rng = random.Random(q)
+        squares = [ctx.mul(x, x) for x in range(q)]
+        for i in range(300):
+            a, b, c = (0 if rng.randrange(4) == 0 else rng.randrange(1, q) for _ in range(3))
+            got = ctx.quadratic_roots(a, b, c)
+            assert got == method_call_quadratic_roots(ctx, a, b, c), (q, a, b, c)
+            if got is not IDENTICALLY_ZERO:
+                for r in got:
+                    assert ctx.add(a, ctx.add(ctx.mul(b, r), ctx.mul(c, squares[r]))) == 0
+            if i < 10:
+                want = frozenset(
+                    x
+                    for x, xx in enumerate(squares)
+                    if ctx.add(a, ctx.add(ctx.mul(b, x), ctx.mul(c, xx))) == 0
+                )
+                g = PolyK(2, tuple(rng.randrange(q) for _ in range(3)))
+                _check_roots_and_count(ctx, a, b, c, want, g)
+
+
+@pytest.mark.parametrize("p,n,k", [(2, 4, 3), (3, 2, 4), (7, 1, 5), (3, 6, 3), (2, 10, 4)])
+def test_intersection_count_above_k2_matches_pointwise(p, n, k):
+    """k > 2 counts the zeros of the difference's value list; the oracle
+    evaluates both polynomials at every x. Differences with a zero top
+    coefficient and with k distinct roots are included."""
+    ctx = make_field(p, n)
+    q = ctx.q
+    rng = random.Random(q + k)
+    pairs = []
+    for _ in range(4):
+        pairs.append(tuple(PolyK(k, tuple(rng.randrange(q) for _ in range(k + 1))) for _ in "fg"))
+    f = pairs[0][0]
+    pairs.append((f, PolyK(k, f.coeffs[:-1] + (ctx.add(f.coeffs[-1], 1),))))
+    pairs.append((f, PolyK(k, (ctx.add(f.coeffs[0], 1),) + f.coeffs[1:])))
+    h = [1]
+    for r in rng.sample(range(q), k):  # h(x) (x - r), low degree first
+        h = [ctx.sub(b, ctx.mul(r, a)) for a, b in zip(h + [0], [0] + h)]
+    pairs.append((f, PolyK(k, tuple(map(ctx.add, f.coeffs, h)))))
+    pairs.append((f, f))
+    for f, g in pairs:
+        assert intersection_count(ctx, f, g) == brute_count(ctx, f, g), (f, g)
+    assert brute_count(ctx, *pairs[-2]) == k
+    assert intersection_count(ctx, f, f) == q
 
 
 @pytest.mark.parametrize("q", [2, 5, 127, 128, 289, 32768, 32769])
