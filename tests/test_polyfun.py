@@ -5,7 +5,13 @@ import random
 
 import pytest
 
-from polyfam.gf import IDENTICALLY_ZERO, FieldError, factor_prime_power, make_field, make_field_of_order
+from polyfam.gf import (
+    IDENTICALLY_ZERO,
+    FieldError,
+    factor_prime_power,
+    make_field,
+    make_field_of_order,
+)
 from polyfam.polyfun import (
     PointAG,
     PolyK,
