@@ -278,7 +278,7 @@ def test_intersection_count_matches_brute_force_at_2_16(k):
     for j in range(k + 1):
         h = [rng.randrange(1, q)]
         for r in rng.sample(range(q), j):  # h(x) (x - r), low degree first
-            h = [ctx.sub(a, ctx.mul(r, b)) for a, b in zip(h + [0], [0] + h)]
+            h = [ctx.sub(b, ctx.mul(r, a)) for a, b in zip(h + [0], [0] + h)]
         h += [0] * (k + 1 - len(h))
         g = PolyK(k, tuple(ctx.add(a, b) for a, b in zip(f.coeffs, h)))
         assert brute_count(ctx, f, g) == j

@@ -28,12 +28,20 @@ from polyfam.search import (
     family_from_vertices,
     graph_dump_lines,
     max_clique,
-    poly_to_vertex,
     rootable_count,
     sam0_check,
     stability_probe,
     vertex_to_poly,
 )
+
+
+def poly_to_vertex(q, f):
+    """Inverse oracle of vertex_to_poly: the base-q packing of f's
+    coefficients, low degree least significant."""
+    v = 0
+    for c in reversed(f.coeffs):
+        v = v * q + c
+    return v
 
 
 @pytest.mark.parametrize("q,k", [(2, 1), (3, 1), (2, 2), (3, 2), (4, 2)])
@@ -452,16 +460,39 @@ def test_stability_probe_zero_trials_inapplicable_negative_rejected():
         stability_probe(ctx, -5)
 
 
+def _bisect_nth_set_bit(mask, r):
+    """Reference select for _nth_set_bit's strip paths: bisection on the
+    popcount of mask's high bits, at every rank."""
+    above = mask.bit_count() - 1 - r
+    lo, hi = 0, mask.bit_length()
+    while hi - lo > 1:
+        mid = (lo + hi) >> 1
+        if (mask >> mid).bit_count() > above:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def test_nth_set_bit_matches_sorted_bits():
-    rng = random.Random(5)
+    rng, sparse = random.Random(5), random.Random(6)
+    T = search.STRIP_CUT
     for bits in (1, 7, 64, 300, 729):
-        for _ in range(40):
-            mask = rng.getrandbits(bits) | 1 << (bits - 1)
+        masks = [rng.getrandbits(bits) | 1 << (bits - 1) for _ in range(40)]
+        # popcounts up to 2T + 2 put every rank within T of an end, so only
+        # the strip paths run; 2T + 3 is the first whose middle rank bisects
+        for count in range(1, min(bits, 2 * T + 3) + 1):
+            masks += [sum(1 << i for i in sparse.sample(range(bits), count)) for _ in range(5)]
+        for mask in masks:
             ones = [i for i in range(bits) if mask >> i & 1]
             n = len(ones)
-            for r in {0, 1, 15, 16, 17, n // 2, n - 17, n - 16, n - 15, n - 1}:
+            ranks = {0, 1, 15, 16, 17, n // 2, n - 17, n - 16, n - 15, n - 1}
+            ranks |= {T - 1, T, T + 1, n - T, n - 1 - T, n - 2 - T}  # the cut, from both ends
+            if n <= 2 * T + 3:
+                ranks = range(n)
+            for r in ranks:
                 if 0 <= r < n:
-                    assert _nth_set_bit(mask, r) == ones[r]
+                    assert _nth_set_bit(mask, r) == ones[r] == _bisect_nth_set_bit(mask, r)
 
 
 def _shuffle_greedy(adj, start, order):
@@ -478,11 +509,11 @@ def _shuffle_greedy(adj, start, order):
 
 class _ScriptedRng:
     """Stands in for random.Random in _greedy_maximal_clique: one seed
-    vertex, then the given randrange answers (0 once they run out), with
-    every randrange bound recorded."""
+    vertex, then the given getrandbits answers (0 once they run out), with
+    the width of every getrandbits call recorded."""
 
     def __init__(self, start, answers):
-        self.start, self.answers, self.bounds = start, answers, []
+        self.start, self.answers, self.widths = start, answers, []
 
     def randint(self, a, b):
         return 1
@@ -490,28 +521,43 @@ class _ScriptedRng:
     def sample(self, population, k):
         return [self.start]
 
-    def randrange(self, n):
-        i = len(self.bounds)
-        self.bounds.append(n)
-        return self.answers[i] if i < len(self.answers) else 0
+    def getrandbits(self, k):
+        i = len(self.widths)
+        self.widths.append(k)
+        a = self.answers[i] if i < len(self.answers) else 0
+        assert 0 <= a < 1 << k
+        return a
 
 
 def _uniform_candidate_cliques(adj, nv, start):
     """Exact distribution of the cliques _greedy_maximal_clique draws from
-    one seed vertex, by branching over every randrange answer."""
+    one seed vertex, by branching over every accepted answer of each draw.
+    The bound n of a draw is the popcount of the common neighbourhood of
+    the clique so far, and each of its n answers has probability 1/n. On
+    the last branch of every draw the script answers n first: that value
+    must be rejected and redrawn at the same width."""
     dist: Counter = Counter()
 
-    def walk(answers, prob):
+    def walk(answers, widths, members, prob):
         rng = _ScriptedRng(start, answers)
         clique = _greedy_maximal_clique(adj, nv, rng)
-        if len(rng.bounds) == len(answers):
+        assert rng.widths[: len(widths)] == widths
+        assert clique[: len(members)] == members
+        cand = adj[start]
+        for v in members[1:]:
+            cand &= adj[v]
+        n = cand.bit_count()
+        if n == 0:
+            assert clique == members
             dist[frozenset(clique)] += prob
             return
-        n = rng.bounds[len(answers)]
+        ones = [i for i in range(nv) if cand >> i & 1]
+        k = n.bit_length()
         for a in range(n):
-            walk(answers + [a], prob / n)
+            script = [n, a] if a == n - 1 else [a]
+            walk(answers + script, widths + [k] * len(script), members + [ones[a]], prob / n)
 
-    walk([], Fraction(1))
+    walk([], [], [start], Fraction(1))
     return dist
 
 
@@ -553,3 +599,32 @@ def test_probe_cliques_are_maximal_cliques(q):
         for v in clique:
             common &= adj[v]
         assert common == 0, (i, clique)
+
+
+def _randrange_greedy_clique(adj, nv, rng):
+    """Reference for _greedy_maximal_clique's inline draw: rng.randrange
+    over the candidates, then plain bisection for the drawn rank."""
+    clique = []
+    cand = (1 << nv) - 1
+    for v in rng.sample(range(nv), rng.randint(1, 3)):
+        if cand >> v & 1:
+            clique.append(v)
+            cand &= adj[v]
+    while cand:
+        v = _bisect_nth_set_bit(cand, rng.randrange(cand.bit_count()))
+        clique.append(v)
+        cand &= adj[v]
+    return clique
+
+
+@pytest.mark.parametrize("seed", [20248, 1])
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
+def test_greedy_clique_matches_the_randrange_loop(q, seed):
+    # same seeding as stability_probe: the inline draw must leave every
+    # seeded trial's clique, and the stream after it, as randrange had them
+    g = build_graph(make_field_of_order(q), 2, 1)
+    adj, nv = g.adj, g.n_vertices
+    for i in range(2000):
+        rng, ref = random.Random(seed * 2654435761 + i), random.Random(seed * 2654435761 + i)
+        assert _greedy_maximal_clique(adj, nv, rng) == _randrange_greedy_clique(adj, nv, ref), i
+        assert rng.getstate() == ref.getstate(), i
