@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .gf import FieldCtx, Fe, FieldError
-from .polyfun import PolyK, graph_values
+from .polyfun import PolyK, values_by_log
 from .report import DEFAULT_NODE_BUDGET, WITNESS_CAP, Report, Stopwatch
 
 DensePoly = tuple  # tuple[int, ...], trimmed
@@ -155,10 +155,10 @@ def char_sum(ctx: FieldCtx, f: DensePoly, a: Fe = 1) -> int:
         raise FieldError("character sums need odd q")
     if not f:
         return 0
-    # chi(a y) = chi(a) chi(y)
+    # chi(a y) = chi(a) chi(y); x = 0 gives f's constant term
     qc = ctx.qchar_table
-    values = graph_values(ctx, PolyK(len(f) - 1, tuple(f)))
-    return qc[a] * sum(map(qc.__getitem__, values))
+    values = values_by_log(ctx, PolyK(len(f) - 1, tuple(f)))
+    return qc[a] * (qc[f[0]] + sum(map(qc.__getitem__, values)))
 
 
 def quad_sum_exact(ctx: FieldCtx, a: Fe, b: Fe, c: Fe) -> int:

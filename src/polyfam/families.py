@@ -304,11 +304,6 @@ def family_from_lines(lines) -> tuple[FieldCtx, Family, list[str]]:
     return ctx, Family.from_polys(k, polys), warnings
 
 
-def save_family(path, ctx: FieldCtx, fam: Family) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(family_to_lines(ctx, fam)) + "\n")
-
-
 def load_family(path) -> tuple[FieldCtx, Family, list[str]]:
     with open(path, "r", encoding="utf-8") as fh:
         return family_from_lines(fh.readlines())

@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+from array import array
 from dataclasses import dataclass
 
 Fe = int  # element index in [0, q)
@@ -21,6 +22,13 @@ Fe = int  # element index in [0, q)
 MAX_FIELD_ORDER = 1 << 16
 # the addition table covers chunks of digits with at most this many values
 _CHUNK_MAX = 256
+
+
+def digit_bits(p: int) -> int:
+    """Bits per base-p digit in the digit-lane form of an element: 1 at
+    p = 2, where digits add by XOR; otherwise enough that 2^(b-1) >= p, so
+    the sum of two digits, or a digit plus 2^(b-1) - p, stays in b bits."""
+    return 1 if p == 2 else (p - 1).bit_length() + 1
 
 
 class FieldError(ValueError):
@@ -202,6 +210,7 @@ class FieldCtx:
     reads it once per chunk. For p = 2 the digitwise sum mod 2 is the XOR
     of the indices, so add and sub are operator.xor and no table is built.
     The generator is the first element index of multiplicative order q-1.
+    The powers of g in digit-lane form (lane_exp) are built on first use.
     """
 
     def __init__(self, spec: FieldSpec):
@@ -363,6 +372,30 @@ class FieldCtx:
                 return c
         raise FieldError("no generator found")  # unreachable for true fields
 
+    @functools.cached_property
+    def lane_exp(self) -> array:
+        """[g^j for j below q-1] in digit-lane form: digit k of an element
+        moved to bit k*b, b = digit_bits(p), one 32-bit word per entry.
+        Built on first use, so a field that never evaluates a polynomial
+        over the whole field does not hold it."""
+        words = array("I")
+        assert words.itemsize == 4
+        if self.p == 2:
+            words.extend(self.exp)
+            return words
+        # lanes[e] is the lane form of e; as in _digitwise, the table for
+        # the low k+1 digits is p copies of the one for the low k digits
+        b = digit_bits(self.p)
+        lanes = array("I", [0])
+        for k in range(self.n):
+            wider = array("I")
+            for d in range(self.p):
+                s = d << (k * b)
+                wider.extend(t + s for t in lanes)
+            lanes = wider
+        words.extend(map(lanes.__getitem__, self.exp))
+        return words
+
     # -- arithmetic ----------------------------------------------------------
 
     def add(self, x: Fe, y: Fe) -> Fe:
@@ -381,11 +414,6 @@ class FieldCtx:
             s += table[u * b + v] * w
             w *= b
         return s
-
-    def translation(self, c: Fe) -> list[Fe]:
-        """[c + y for y in elements()], built digit by digit in O(q)
-        list steps."""
-        return self._digitwise(c, self.n)
 
     def sub(self, x: Fe, y: Fe) -> Fe:
         return self.add(x, self._neg[y])

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
+from array import array
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .gf import IDENTICALLY_ZERO, FieldCtx, Fe
+from .gf import IDENTICALLY_ZERO, FieldCtx, Fe, digit_bits
 
 
 class PointAG(NamedTuple):
@@ -70,7 +72,8 @@ def intersection_count(ctx: FieldCtx, f: PolyK, g: PolyK) -> int:
     if f.k != g.k:
         raise ValueError("intersection count needs matching degree bounds")
     if f.k > 2:
-        return graph_values(ctx, difference(ctx, f, g)).count(0)
+        h = difference(ctx, f, g)
+        return (h.coeffs[0] == 0) + values_by_log(ctx, h).count(0)
     roots = ctx.quadratic_roots(*map(ctx.sub, f.coeffs, g.coeffs))
     if roots is IDENTICALLY_ZERO:
         return ctx.q
@@ -98,30 +101,54 @@ def lane_masks(q: int) -> tuple[int, int]:
     return ones * ((1 << (w - 1)) - 1), ones << (w - 1)
 
 
+def values_by_log(ctx: FieldCtx, f: PolyK) -> array:
+    """[f(g^j) for j below q-1], g = ctx.generator, as an array('I'), by
+    big-int arithmetic on digit-lane words with no Python step per entry.
+
+    Each nonzero term c x^i is ctx.lane_exp rotated by log c, read at
+    stride i: entry j is c g^(i j). At p = 2 lane words add by XOR; at odd
+    p by adding digitwise and taking p off every digit that reached p,
+    which the top bit of digit + 2^(b-1) - p marks (b = digit_bits(p)).
+    The constant term is broadcast; at odd p the sum is decoded back to
+    element indices digit by digit."""
+    log, p, n, m = ctx.log, ctx.p, ctx.n, ctx.q - 1
+    lanes = ctx.lane_exp
+    order = sys.byteorder
+    ones = int.from_bytes(array("I", [1]) * m, order)
+    c0 = f.coeffs[0]
+    acc = lanes[log[c0]] * ones if c0 else 0
+    if p != 2:
+        b = digit_bits(p)
+        bias = ones * sum(((1 << (b - 1)) - p) << (k * b) for k in range(n))
+        top = ones * sum(1 << (k * b + b - 1) for k in range(n))
+    for i, c in enumerate(f.coeffs[1:], 1):
+        if not c:
+            continue
+        t = log[c]
+        r = lanes[t:] + lanes[:t]
+        if i > 1:
+            # the j with u m <= i j < (u+1) m read r from i j - u m on
+            gathered = array("I")
+            for u in range(i):
+                gathered += r[-(-u * m // i) * i - u * m :: i]
+            r = gathered
+        term = int.from_bytes(r, order)
+        if p == 2:
+            acc ^= term
+        else:
+            s = acc + term
+            acc = s - (((s + bias) & top) >> (b - 1)) * p
+    if p != 2:
+        low = ones * ((1 << b) - 1)
+        acc = sum(((acc >> (k * b)) & low) * p**k for k in range(n))
+    return array("I", acc.to_bytes(4 * m, order))
+
+
 def graph_values(ctx: FieldCtx, f: PolyK) -> list[Fe]:
-    """[f(x) for x in ctx.elements()], by Horner's rule on the whole list
-    at once. f(0) is the constant term; for x = 1..q-1 each step multiplies
-    entry x by x in the log domain and adds a coefficient through its
-    translation table. The first step multiplies the constant top
-    coefficient, so it reads exp rotated by the top's log."""
-    top = f.coeffs[-1]
-    if f.k == 0:
-        return [top] * ctx.q
-    exp, log, qm = ctx.exp, ctx.log, ctx.q - 1
-    log_x = log[1:]
-    c = f.coeffs[-2]
-    if top:
-        t = log[top]
-        rotated = exp[t:] + exp[:t]
-        acc = list(map(ctx.translation(c).__getitem__, map(rotated.__getitem__, log_x)))
-    else:
-        acc = [c] * qm
-    for c in reversed(f.coeffs[:-2]):
-        plus_c = ctx.translation(c)
-        acc = [
-            plus_c[exp[(log[a] + lx) % qm]] if a else c for a, lx in zip(acc, log_x)
-        ]
-    return [f.coeffs[0], *acc]
+    """[f(x) for x in ctx.elements()]: f(0) is the constant term, and f(x)
+    for x = g^j is entry j of values_by_log."""
+    vals = values_by_log(ctx, f)
+    return [f.coeffs[0], *map(vals.__getitem__, ctx.log[1:])]
 
 
 def graph_vector(ctx: FieldCtx, f: PolyK) -> int:

@@ -305,11 +305,12 @@ def sam0_check(ctx: FieldCtx, k: int, t: int, budget: int = DEFAULT_NODE_BUDGET)
 STRIP_CUT = 8
 
 
-def _nth_set_bit(mask: int, r: int) -> int:
-    """Index of the r-th set bit of mask (r = 0 is the lowest). Within
-    STRIP_CUT of either end, strip the set bits below it (or above it) one
-    at a time; otherwise bisect on the popcount of mask's high bits."""
-    above = mask.bit_count() - 1 - r  # set bits above the one sought
+def _nth_set_bit(mask: int, n: int, r: int) -> int:
+    """Index of the r-th of the n set bits of mask (r = 0 is the lowest).
+    Within STRIP_CUT of either end, strip the set bits below it (or above
+    it) one at a time; otherwise bisect on the popcount of mask's high
+    bits."""
+    above = n - 1 - r  # set bits above the one sought
     if r <= above:
         if r <= STRIP_CUT:
             for _ in range(r):
@@ -354,7 +355,7 @@ def _greedy_maximal_clique(adj: list[int], nv: int, rng: random.Random) -> list[
         r = getrandbits(k)
         while r >= n:
             r = getrandbits(k)
-        v = _nth_set_bit(cand, r)
+        v = _nth_set_bit(cand, n, r)
         clique.append(v)
         cand &= adj[v]
     return clique

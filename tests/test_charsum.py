@@ -181,8 +181,13 @@ def test_char_sum_matches_the_pointwise_sum_in_large_fields(p, n):
     ctx = make_field(p, n)
     rng = random.Random(ctx.q)
     nonsquare = ctx.exp[1]
-    for deg in (1, 2, 3, 5):
-        f = tuple(rng.randrange(ctx.q) for _ in range(deg)) + (rng.randrange(1, ctx.q),)
+    polys = [
+        tuple(rng.randrange(ctx.q) for _ in range(deg)) + (rng.randrange(1, ctx.q),)
+        for deg in (1, 2, 3, 5)
+    ]
+    # a zero constant term (chi(f(0)) = 0) and zero inner coefficients
+    polys += [(0, 0, 0, rng.randrange(1, ctx.q)), (nonsquare, 0, 1, 0, 0, 1)]
+    for f in polys:
         values = [horner(ctx, f, x) for x in ctx.elements()]
         for a in (1, nonsquare):
             want = sum(ctx.quadratic_character(ctx.mul(a, y)) for y in values)

@@ -20,7 +20,6 @@ from polyfam.families import (
     is_t_intersecting,
     load_family,
     pencil,
-    save_family,
     tangent_family,
     threshold_for,
     top_coeff_injective,
@@ -290,11 +289,16 @@ def test_stability_thresholds_frozen_parameters():
     assert (th2.M, th2.K, th2.c) == (8 * 256 + 16, -31, 1)
 
 
+def write_family(path, ctx, fam):
+    """The family file that `families construct --out` writes."""
+    path.write_text("\n".join(family_to_lines(ctx, fam)) + "\n", encoding="utf-8")
+
+
 def test_family_file_roundtrip(tmp_path):
     ctx = make_field(3, 2)
     fam = pencil(ctx, 4, 7, 2)
     path = tmp_path / "pencil.fam"
-    save_family(str(path), ctx, fam)
+    write_family(path, ctx, fam)
     ctx2, fam2, warnings = load_family(str(path))
     assert ctx2 is ctx
     assert fam2.members == fam.members
@@ -334,7 +338,7 @@ def test_family_from_lines_errors_carry_line_numbers():
 def test_verify_file_pass_and_fail(tmp_path):
     ctx = make_field(5, 1)
     good = tmp_path / "good.fam"
-    save_family(str(good), ctx, pencil(ctx, 0, 0, 2))
+    write_family(good, ctx, pencil(ctx, 0, 0, 2))
     rep = verify_file(str(good), 1)
     assert rep.verdict == "pass"
     assert rep.counters["size"] == 25
@@ -342,7 +346,7 @@ def test_verify_file_pass_and_fail(tmp_path):
     assert rep.parameters["familyType"] == "pencil-like"
 
     hmf = tmp_path / "hm.fam"
-    save_family(str(hmf), ctx, hilton_milner(ctx, (0, 1), 0, 0))
+    write_family(hmf, ctx, hilton_milner(ctx, (0, 1), 0, 0))
     rep2 = verify_file(str(hmf))
     assert rep2.verdict == "pass"
     assert rep2.parameters["familyType"] == "hm-type"

@@ -10,10 +10,12 @@ from polyfam.gf import (
     FieldCtx,
     FieldError,
     FieldSpec,
+    MAX_FIELD_ORDER,
     _prime_factors,
     _vec_mul_mod,
     _vec_pow_mod,
     default_modulus,
+    digit_bits,
     factor_prime_power,
     make_field,
     make_field_of_order,
@@ -293,11 +295,34 @@ def test_frobenius_is_automorphism(q):
             )
 
 
-@pytest.mark.parametrize("p,n", [(2, 1), (5, 1), (2, 4), (3, 2), (3, 3), (17, 2)])
-def test_translation_matches_add(p, n):
+def test_every_field_fits_digit_lanes_in_32_bits():
+    """Arithmetic only: n digits of digit_bits(p) bits fit one 32-bit lane
+    word for every p^n up to the table cap; 3^10 is the widest."""
+    cap = MAX_FIELD_ORDER
+    sieve = bytearray([1]) * (cap + 1)
+    widest = (0, None)
+    for p in range(2, cap + 1):
+        if not sieve[p]:
+            continue
+        sieve[p * p :: p] = bytes(len(range(p * p, cap + 1, p)))
+        n = 1
+        while p ** (n + 1) <= cap:
+            n += 1
+        widest = max(widest, (n * digit_bits(p), (p, n)))
+        assert 2 ** (digit_bits(p) - 1) >= p or p == 2, p
+    assert widest == (30, (3, 10))
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 16), (3, 1), (3, 10), (251, 2), (65521, 1)])
+def test_lane_exp_holds_the_digits_of_exp(p, n):
     ctx = make_field(p, n)
-    for c in ctx.elements():
-        assert ctx.translation(c) == [ctx.add(c, y) for y in ctx.elements()], c
+    b = digit_bits(p)
+    lanes = ctx.lane_exp
+    assert lanes.itemsize == 4 and len(lanes) == ctx.q - 1
+    for word, e in zip(lanes, ctx.exp):
+        assert tuple(word >> (k * b) & ((1 << b) - 1) for k in range(n)) == ctx.digits_of(e)
+        assert word >> (n * b) == 0
+    assert ctx.lane_exp is lanes
 
 
 def test_digit_roundtrip():

@@ -239,15 +239,16 @@ def test_graph_values_match_evaluate(p, n, k):
     assert graph_values(ctx, PolyK(0, (5 % q,))) == [5 % q] * q
 
 
-@pytest.mark.parametrize("p,n", [(2, 16), (3, 10), (251, 2)])
+@pytest.mark.parametrize("p,n", [(2, 16), (3, 10), (251, 2), (65521, 1)])
 def test_graph_values_match_evaluate_in_large_fields(p, n):
-    """The log-domain Horner step at sampled x, for k = 0..5. A zero top
-    coefficient and a root of the top part make some entries 0 mid-way."""
+    """The digit-lane kernel at sampled x, for k = 0..7, so that terms are
+    read at strides i with gcd(i, q - 1) > 1. 65521 has one 17-bit digit.
+    Zero coefficients skip a term; 7 + x (x - r) sums to 7 at x = r."""
     ctx = make_field(p, n)
     q = ctx.q
     rng = random.Random(q)
     xs = [0, 1, q - 1] + rng.sample(range(q), 200)
-    for k in range(6):
+    for k in range(8):
         polys = [PolyK(k, tuple(rng.randrange(q) for _ in range(k + 1)))]
         if k >= 1:
             polys.append(PolyK(k, tuple(rng.randrange(q) for _ in range(k)) + (0,)))

@@ -492,7 +492,7 @@ def test_nth_set_bit_matches_sorted_bits():
                 ranks = range(n)
             for r in ranks:
                 if 0 <= r < n:
-                    assert _nth_set_bit(mask, r) == ones[r] == _bisect_nth_set_bit(mask, r)
+                    assert _nth_set_bit(mask, n, r) == ones[r] == _bisect_nth_set_bit(mask, r)
 
 
 def _shuffle_greedy(adj, start, order):
