@@ -10,7 +10,10 @@ small graphs.
 
 from __future__ import annotations
 
+import marshal
+import os
 import random
+import sys
 from dataclasses import dataclass
 
 from .families import Family, common_point, exceeds_threshold
@@ -262,8 +265,9 @@ def sam0_check(ctx: FieldCtx, k: int, t: int, budget: int = DEFAULT_NODE_BUDGET)
     """Exact clique bounds on both sides of t-intersection: families with
     every pair sharing >= t points have at most q^(k+1-t) members, and
     families with every pair sharing <= t-1 points have at most q^t.
-    Each side's search stops after `budget` nodes. An unproven maximum is
-    a lower bound, so it can break its bound but never prove it."""
+    Each side's search stops after `budget` nodes, and the report names
+    the sides that did. An unproven maximum is a lower bound, so it can
+    break its bound but never prove it."""
     watch = Stopwatch()
     if not (1 <= t <= k):
         raise ValueError("need 1 <= t <= k")
@@ -274,8 +278,10 @@ def sam0_check(ctx: FieldCtx, k: int, t: int, budget: int = DEFAULT_NODE_BUDGET)
     g2 = build_graph(ctx, k, t - 1, "max_shared")
     r2 = max_clique(g2, budget)
     bound2 = q**t
-    proven = r1.proven and r2.proven
-    params = {"k": k, "t": t} if proven else {"k": k, "t": t, "nodeBudget": budget}
+    exhausted = [side for side, r in (("min_shared", r1), ("max_shared", r2)) if not r.proven]
+    params: dict = {"k": k, "t": t}
+    if exhausted:
+        params.update(nodeBudget=budget, exhaustedSides=exhausted)
     witnesses = []
     if r1.size > bound1:
         witnesses.append({"side": "min_shared", "max": r1.size, "bound": bound1, "witness": list(r1.witness)})
@@ -284,14 +290,16 @@ def sam0_check(ctx: FieldCtx, k: int, t: int, budget: int = DEFAULT_NODE_BUDGET)
     return Report(
         claim_id="clique-bounds",
         field_spec=ctx.report_spec_string(),
-        verdict=None if proven else "budget-exceeded",
+        verdict="budget-exceeded" if exhausted else None,
         parameters=params,
         witnesses=witnesses,
         counters={
             "intersectingMax": r1.size,
             "intersectingBound": bound1,
+            "intersectingNodes": r1.nodes_explored,
             "scatteredMax": r2.size,
             "scatteredBound": bound2,
+            "scatteredNodes": r2.nodes_explored,
         },
         wall_time_ms=watch.ms(),
         primary_counter="intersectingMax",
@@ -338,17 +346,42 @@ def _greedy_maximal_clique(adj: list[int], nv: int, rng: random.Random) -> list[
     order: candidate sets only shrink, so every current candidate lies in
     the unexamined part of the order, and the first of them there is
     uniform over the candidates."""
+    # Every draw is made inline the way CPython 3.10-3.13's Random makes
+    # it, so the seeded stream is unchanged: randrange(n), through
+    # _randbelow_with_getrandbits, takes k = n.bit_length() bits and
+    # redraws while r >= n (n = 1 still takes one bit).
+    getrandbits = rng.getrandbits
+    # the seeds are rng.sample(range(nv), rng.randint(1, 3)); randint(1, 3)
+    # is 1 + randrange(3)
+    count = getrandbits(2)
+    while count == 3:
+        count = getrandbits(2)
+    seeds: list[int] = []
+    if nv <= 21:
+        # sample's pool branch: draw a slot, refill it from the end
+        pool = list(range(nv))
+        for i in range(count + 1):
+            n = nv - i
+            k = n.bit_length()
+            j = getrandbits(k)
+            while j >= n:
+                j = getrandbits(k)
+            seeds.append(pool[j])
+            pool[j] = pool[n - 1]
+    else:
+        # sample's set branch: redraw a vertex already drawn
+        k = nv.bit_length()
+        for _ in range(count + 1):
+            v = getrandbits(k)
+            while v >= nv or v in seeds:
+                v = getrandbits(k)
+            seeds.append(v)
     clique: list[int] = []
     cand = (1 << nv) - 1
-    for v in rng.sample(range(nv), rng.randint(1, 3)):
+    for v in seeds:
         if cand >> v & 1:
             clique.append(v)
             cand &= adj[v]
-    # r is rng.randrange(n), drawn inline the way CPython 3.10-3.13's
-    # Random._randbelow_with_getrandbits draws it, so the seeded stream is
-    # unchanged: k = n.bit_length() bits, redrawn while r >= n (n = 1 still
-    # takes one bit)
-    getrandbits = rng.getrandbits
     while cand:
         n = cand.bit_count()
         k = n.bit_length()
@@ -361,25 +394,21 @@ def _greedy_maximal_clique(adj: list[int], nv: int, rng: random.Random) -> list[
     return clique
 
 
-def stability_probe(ctx: FieldCtx, trials: int, seed: int = DEFAULT_SEED) -> Report:
-    """Randomized maximal intersecting families at k = 2: seed 1-3
-    members, complete greedily with uniformly random candidates, then
-    check that no family beats q^2 and that every family over the size
-    threshold has a common point. Trials are independently seeded for
-    stable merging; zero trials check nothing and are inapplicable."""
-    if trials < 0:
-        raise ValueError(f"trials must be >= 0, got {trials}")
-    watch = Stopwatch()
+def _probe_trials(ctx: FieldCtx, adj: list[int], vectors: list, seed: int, start: int, stop: int):
+    """Trials start..stop-1 of stability_probe at k = 2, as (sizes,
+    overThreshold, witnesses). Trial i reseeds one generator with
+    seed * 2654435761 + i, so the trials of any split of a range merge to
+    the trials of the whole range."""
     q = ctx.q
-    g = build_graph(ctx, 2, 1)
-    adj, nv = g.adj, g.n_vertices
-    vectors = [graph_vector(ctx, vertex_to_poly(q, 2, v)) for v in range(nv)]
+    nv = len(adj)
     over = [exceeds_threshold(q, m, 2) for m in range(q * q + 1)]
+    rng = random.Random()
+    reseed = rng.seed
     sizes: dict[int, int] = {}
     witnesses = []
     over_threshold = 0
-    for i in range(trials):
-        rng = random.Random(seed * 2654435761 + i)
+    for i in range(start, stop):
+        reseed(seed * 2654435761 + i)
         clique = _greedy_maximal_clique(adj, nv, rng)
         m = len(clique)
         sizes[m] = sizes.get(m, 0) + 1
@@ -390,6 +419,104 @@ def stability_probe(ctx: FieldCtx, trials: int, seed: int = DEFAULT_SEED) -> Rep
             over_threshold += 1
             if not common_lanes(q, [vectors[v] for v in clique]):
                 witnesses.append({"trial": i, "size": m, "clique": clique, "commonPoint": None})
+    return sizes, over_threshold, witnesses
+
+
+# Fewest trials worth a process of their own: stability_probe splits its
+# trials only into parts at least this long. Timed on 2 cores at q = 4,
+# the cheapest trials the suite runs, in a process the size of a suite
+# run: 1,000 trials took 28 ms in one process and 20 ms in two, 500 took
+# 13.7 and 11.9 ms, and 250 took 7.2 and 7.9 ms. The fork itself costs
+# the parent about 1 ms.
+SPLIT_CUT = 500
+
+
+def _probe_parts(trials: int) -> int:
+    """How many processes stability_probe runs its trials in: one per
+    usable core, as long as every part keeps SPLIT_CUT trials. One where
+    forking is unavailable or unsafe: without os.fork, inside a
+    multiprocessing worker (suite --workers already spreads the claims),
+    or with other threads running."""
+    parts = trials // SPLIT_CUT
+    if parts < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    # read from sys.modules: importing multiprocessing costs the CLI ~35 ms
+    mp = sys.modules.get("multiprocessing")
+    if mp is not None and mp.parent_process() is not None:
+        return 1
+    threading = sys.modules.get("threading")
+    if threading is not None and threading.active_count() > 1:
+        return 1
+    return min(parts, len(os.sched_getaffinity(0)))
+
+
+def _split_trials(run, trials: int, parts: int) -> list:
+    """run(start, stop) over [0, trials) cut into `parts` contiguous
+    ranges, results in range order. This process runs the first range;
+    each other one runs in a forked child, which sends its result back
+    through a pipe as marshal bytes. Every child is reaped before this
+    returns or raises, and a child that fails makes it raise. One part
+    forks nothing."""
+    bounds = [trials * j // parts for j in range(parts + 1)]
+    pids: list[int] = []
+    readers = []
+    try:
+        for j in range(1, parts):
+            r, w = os.pipe()
+            readers.append(open(r, "rb"))
+            with open(w, "wb") as writer:
+                pid = os.fork()
+                if pid == 0:
+                    code = 1
+                    try:
+                        writer.write(marshal.dumps(run(bounds[j], bounds[j + 1])))
+                        writer.flush()
+                        code = 0
+                    except BaseException:
+                        import traceback
+
+                        traceback.print_exc()
+                    finally:
+                        # never return into the parent's stack or flush its buffers
+                        os._exit(code)
+                pids.append(pid)
+        results = [run(bounds[0], bounds[1])]
+        data = [reader.read() for reader in readers]
+    finally:
+        for reader in readers:
+            reader.close()
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    for j, code in enumerate(codes, 1):
+        if code:
+            raise RuntimeError(f"the process for trials {bounds[j]}..{bounds[j + 1] - 1} exited with {code}")
+    return results + [marshal.loads(d) for d in data]
+
+
+def stability_probe(ctx: FieldCtx, trials: int, seed: int = DEFAULT_SEED) -> Report:
+    """Randomized maximal intersecting families at k = 2: seed 1-3
+    members, complete greedily with uniformly random candidates, then
+    check that no family beats q^2 and that every family over the size
+    threshold has a common point. Trials are independently seeded, so
+    they run split across the usable cores (_probe_parts) and merge to
+    the same report; zero trials check nothing and are inapplicable."""
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
+    watch = Stopwatch()
+    q = ctx.q
+    adj = build_graph(ctx, 2, 1).adj
+    vectors = [graph_vector(ctx, vertex_to_poly(q, 2, v)) for v in range(len(adj))]
+
+    def run(start, stop):
+        return _probe_trials(ctx, adj, vectors, seed, start, stop)
+
+    sizes: dict[int, int] = {}
+    witnesses = []
+    over_threshold = 0
+    for part_sizes, part_over, part_witnesses in _split_trials(run, trials, _probe_parts(trials)):
+        for m, c in part_sizes.items():
+            sizes[m] = sizes.get(m, 0) + c
+        over_threshold += part_over
+        witnesses += part_witnesses
     return Report(
         claim_id="stability-probe",
         field_spec=ctx.report_spec_string(),

@@ -5,6 +5,8 @@ import gc
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -484,6 +486,27 @@ def test_benchmark_hooks_resolve(monkeypatch):
     assert all(len(entry) == 2 and callable(entry[1]) for entry in cli.SUITE)
     ids = tuple(cid for cid, _ in cli.SUITE)
     assert ids == load_perfbench(monkeypatch, "workloads").SUITE_CLAIMS
+
+
+def test_cli_and_a_split_probe_import_no_process_pool():
+    """multiprocessing and concurrent.futures cost a fresh CLI process
+    about 35 ms and 1.5 MB (suite-full setup_s and peak_rss_mb). Only
+    suite --workers imports them; the probe forks without them."""
+    code = (
+        "import sys\n"
+        "from polyfam import cli, search\n"
+        "pools = ('multiprocessing', 'concurrent.futures')\n"
+        "print([m for m in pools if m in sys.modules])\n"
+        "search.stability_probe(cli.make_field_of_order(4), 2 * search.SPLIT_CUT)\n"
+        "print([m for m in pools if m in sys.modules])\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    res = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == ["[]", "[]"]
 
 
 def test_version_flag(capsys):

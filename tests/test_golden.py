@@ -26,18 +26,18 @@ GOLDEN = {
         '{"claimId":"power-map-class","counters":{"found":2,"predicted":2},"fieldSpec":"3^2","parameters":{"delta":2,"exponent":4},"primaryCounter":"found","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
     ],
     "clique-bounds": [
-        '{"claimId":"clique-bounds","counters":{"intersectingBound":2,"intersectingMax":2,"scatteredBound":2,"scatteredMax":2},"fieldSpec":"2^1","parameters":{"k":1,"t":1},"primaryCounter":"intersectingMax","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
-        '{"claimId":"clique-bounds","counters":{"intersectingBound":4,"intersectingMax":4,"scatteredBound":2,"scatteredMax":2},"fieldSpec":"2^1","parameters":{"k":2,"t":1},"primaryCounter":"intersectingMax","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
-        '{"claimId":"clique-bounds","counters":{"intersectingBound":2,"intersectingMax":2,"scatteredBound":4,"scatteredMax":4},"fieldSpec":"2^1","parameters":{"k":2,"t":2},"primaryCounter":"intersectingMax","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
-        '{"claimId":"clique-bounds","counters":{"intersectingBound":3,"intersectingMax":3,"scatteredBound":3,"scatteredMax":3},"fieldSpec":"3^1","parameters":{"k":1,"t":1},"primaryCounter":"intersectingMax","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
-        '{"claimId":"clique-bounds","counters":{"intersectingBound":9,"intersectingMax":9,"scatteredBound":3,"scatteredMax":3},"fieldSpec":"3^1","parameters":{"k":2,"t":1},"primaryCounter":"intersectingMax","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
-        '{"claimId":"clique-bounds","counters":{"intersectingBound":3,"intersectingMax":3,"scatteredBound":9,"scatteredMax":9},"fieldSpec":"3^1","parameters":{"k":2,"t":2},"primaryCounter":"intersectingMax","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
-        '{"claimId":"clique-bounds","counters":{"intersectingBound":4,"intersectingMax":4,"scatteredBound":4,"scatteredMax":4},"fieldSpec":"2^2","parameters":{"k":1,"t":1},"primaryCounter":"intersectingMax","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
-        '{"claimId":"clique-bounds","counters":{"intersectingBound":16,"intersectingMax":16,"scatteredBound":4,"scatteredMax":4},"fieldSpec":"2^2","parameters":{"k":2,"t":1},"primaryCounter":"intersectingMax","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
-        '{"claimId":"clique-bounds","counters":{"intersectingBound":4,"intersectingMax":4,"scatteredBound":16,"scatteredMax":16},"fieldSpec":"2^2","parameters":{"k":2,"t":2},"primaryCounter":"intersectingMax","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
-        '{"claimId":"clique-bounds","counters":{"intersectingBound":5,"intersectingMax":5,"scatteredBound":5,"scatteredMax":5},"fieldSpec":"5^1","parameters":{"k":1,"t":1},"primaryCounter":"intersectingMax","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
-        '{"claimId":"clique-bounds","counters":{"intersectingBound":25,"intersectingMax":25,"scatteredBound":5,"scatteredMax":5},"fieldSpec":"5^1","parameters":{"k":2,"t":1},"primaryCounter":"intersectingMax","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
-        '{"claimId":"clique-bounds","counters":{"intersectingBound":5,"intersectingMax":5,"scatteredBound":25,"scatteredMax":25},"fieldSpec":"5^1","parameters":{"k":2,"t":2},"primaryCounter":"intersectingMax","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
+        '{"claimId":"clique-bounds","counters":{"intersectingBound":2,"intersectingMax":2,"intersectingNodes":2,"scatteredBound":2,"scatteredMax":2,"scatteredNodes":2},"fieldSpec":"2^1","parameters":{"k":1,"t":1},"primaryCounter":"intersectingMax","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
+        '{"claimId":"clique-bounds","counters":{"intersectingBound":4,"intersectingMax":4,"intersectingNodes":4,"scatteredBound":2,"scatteredMax":2,"scatteredNodes":2},"fieldSpec":"2^1","parameters":{"k":2,"t":1},"primaryCounter":"intersectingMax","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
+        '{"claimId":"clique-bounds","counters":{"intersectingBound":2,"intersectingMax":2,"intersectingNodes":2,"scatteredBound":4,"scatteredMax":4,"scatteredNodes":4},"fieldSpec":"2^1","parameters":{"k":2,"t":2},"primaryCounter":"intersectingMax","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
+        '{"claimId":"clique-bounds","counters":{"intersectingBound":3,"intersectingMax":3,"intersectingNodes":3,"scatteredBound":3,"scatteredMax":3,"scatteredNodes":3},"fieldSpec":"3^1","parameters":{"k":1,"t":1},"primaryCounter":"intersectingMax","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
+        '{"claimId":"clique-bounds","counters":{"intersectingBound":9,"intersectingMax":9,"intersectingNodes":9,"scatteredBound":3,"scatteredMax":3,"scatteredNodes":3},"fieldSpec":"3^1","parameters":{"k":2,"t":1},"primaryCounter":"intersectingMax","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
+        '{"claimId":"clique-bounds","counters":{"intersectingBound":3,"intersectingMax":3,"intersectingNodes":3,"scatteredBound":9,"scatteredMax":9,"scatteredNodes":11},"fieldSpec":"3^1","parameters":{"k":2,"t":2},"primaryCounter":"intersectingMax","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
+        '{"claimId":"clique-bounds","counters":{"intersectingBound":4,"intersectingMax":4,"intersectingNodes":4,"scatteredBound":4,"scatteredMax":4,"scatteredNodes":4},"fieldSpec":"2^2","parameters":{"k":1,"t":1},"primaryCounter":"intersectingMax","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
+        '{"claimId":"clique-bounds","counters":{"intersectingBound":16,"intersectingMax":16,"intersectingNodes":16,"scatteredBound":4,"scatteredMax":4,"scatteredNodes":9},"fieldSpec":"2^2","parameters":{"k":2,"t":1},"primaryCounter":"intersectingMax","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
+        '{"claimId":"clique-bounds","counters":{"intersectingBound":4,"intersectingMax":4,"intersectingNodes":4,"scatteredBound":16,"scatteredMax":16,"scatteredNodes":16},"fieldSpec":"2^2","parameters":{"k":2,"t":2},"primaryCounter":"intersectingMax","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
+        '{"claimId":"clique-bounds","counters":{"intersectingBound":5,"intersectingMax":5,"intersectingNodes":5,"scatteredBound":5,"scatteredMax":5,"scatteredNodes":5},"fieldSpec":"5^1","parameters":{"k":1,"t":1},"primaryCounter":"intersectingMax","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
+        '{"claimId":"clique-bounds","counters":{"intersectingBound":25,"intersectingMax":25,"intersectingNodes":25,"scatteredBound":5,"scatteredMax":5,"scatteredNodes":11},"fieldSpec":"5^1","parameters":{"k":2,"t":1},"primaryCounter":"intersectingMax","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
+        '{"claimId":"clique-bounds","counters":{"intersectingBound":5,"intersectingMax":5,"intersectingNodes":5,"scatteredBound":25,"scatteredMax":25,"scatteredNodes":54},"fieldSpec":"5^1","parameters":{"k":2,"t":2},"primaryCounter":"intersectingMax","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
     ],
     "quad-sum-identity": [
         '{"claimId":"quad-sum-identity","counters":{"checked":18},"fieldSpec":"3^1","parameters":{},"primaryCounter":"checked","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',

@@ -4,7 +4,10 @@ import gc
 import inspect
 import itertools
 import math
+import os
 import random
+import sys
+import threading
 import time
 from collections import Counter
 from fractions import Fraction
@@ -370,8 +373,10 @@ def test_sam0_check_frozen_q3():
     assert rep.counters == {
         "intersectingMax": 3,
         "intersectingBound": 3,
+        "intersectingNodes": 3,
         "scatteredMax": 9,
         "scatteredBound": 9,
+        "scatteredNodes": 11,
     }
 
 
@@ -391,7 +396,10 @@ def test_sam0_check_budget_exceeded():
     rep = sam0_check(make_field(2, 4), 2, 1, budget=10**4)
     assert time.perf_counter() - t0 < 20
     assert rep.verdict == "budget-exceeded"
-    assert rep.parameters == {"k": 2, "t": 1, "nodeBudget": 10**4}
+    # the intersecting side is proven at once, the scattered side is not
+    assert rep.parameters == {"k": 2, "t": 1, "nodeBudget": 10**4, "exhaustedSides": ["max_shared"]}
+    assert rep.counters["intersectingNodes"] == 256
+    assert rep.counters["scatteredNodes"] == 10**4 + 1  # the node over the budget stops it
     assert rep.witnesses == []
     # an unproven maximum is a lower bound: under its bound it proves nothing
     assert rep.counters["intersectingMax"] <= rep.counters["intersectingBound"]
@@ -403,6 +411,7 @@ def test_sam0_check_unproven_side_over_its_bound_fails(monkeypatch):
     rep = sam0_check(make_field(3, 1), 2, 1)
     assert rep.verdict == "fail"
     assert rep.parameters["nodeBudget"] == DEFAULT_NODE_BUDGET
+    assert rep.parameters["exhaustedSides"] == ["min_shared"]
     assert [w["side"] for w in rep.witnesses] == ["min_shared"]
     assert rep.witnesses[0]["max"] == 10
     assert rep.witnesses[0]["bound"] == 9
@@ -508,20 +517,21 @@ def _shuffle_greedy(adj, start, order):
 
 
 class _ScriptedRng:
-    """Stands in for random.Random in _greedy_maximal_clique: one seed
-    vertex, then the given getrandbits answers (0 once they run out), with
-    the width of every getrandbits call recorded."""
+    """Stands in for random.Random in _greedy_maximal_clique. Its first two
+    getrandbits calls draw one seed vertex, `start`: randint(1, 3) answers
+    1, then sample(range(nv), 1) answers start, each at the width that
+    draw takes. Then come the given answers (0 once they run out), with
+    the width of every such call recorded."""
 
-    def __init__(self, start, answers):
-        self.start, self.answers, self.widths = start, answers, []
-
-    def randint(self, a, b):
-        return 1
-
-    def sample(self, population, k):
-        return [self.start]
+    def __init__(self, start, answers, nv):
+        self.seed_draws = [(2, 0), (nv.bit_length(), start)]
+        self.answers, self.widths = answers, []
 
     def getrandbits(self, k):
+        if self.seed_draws:
+            width, a = self.seed_draws.pop(0)
+            assert k == width
+            return a
         i = len(self.widths)
         self.widths.append(k)
         a = self.answers[i] if i < len(self.answers) else 0
@@ -539,7 +549,7 @@ def _uniform_candidate_cliques(adj, nv, start):
     dist: Counter = Counter()
 
     def walk(answers, widths, members, prob):
-        rng = _ScriptedRng(start, answers)
+        rng = _ScriptedRng(start, answers, nv)
         clique = _greedy_maximal_clique(adj, nv, rng)
         assert rng.widths[: len(widths)] == widths
         assert clique[: len(members)] == members
@@ -618,13 +628,125 @@ def _randrange_greedy_clique(adj, nv, rng):
 
 
 @pytest.mark.parametrize("seed", [20248, 1])
-@pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_greedy_clique_matches_the_randrange_loop(q, seed):
-    # same seeding as stability_probe: the inline draw must leave every
-    # seeded trial's clique, and the stream after it, as randrange had them
+    # same seeding as stability_probe: the inline draws must leave every
+    # seeded trial's clique, and the stream after it, as randint, sample
+    # and randrange had them. nv = 8 at q = 2 takes sample's pool branch
+    # (nv <= 21), every larger q its set branch.
     g = build_graph(make_field_of_order(q), 2, 1)
     adj, nv = g.adj, g.n_vertices
     for i in range(2000):
         rng, ref = random.Random(seed * 2654435761 + i), random.Random(seed * 2654435761 + i)
         assert _greedy_maximal_clique(adj, nv, rng) == _randrange_greedy_clique(adj, nv, ref), i
         assert rng.getstate() == ref.getstate(), i
+
+
+def _merge_trials(parts):
+    sizes, over, witnesses = Counter(), 0, []
+    for part_sizes, part_over, part_witnesses in parts:
+        sizes.update(part_sizes)
+        over += part_over
+        witnesses += part_witnesses
+    return dict(sizes), over, witnesses
+
+
+# no clique size exceeds the stability threshold at q = 3
+@pytest.mark.parametrize("q,witnessed", [(3, False), (4, False), (4, True)])
+def test_probe_trials_merge_over_uneven_ranges(q, witnessed):
+    ctx = make_field_of_order(q)
+    adj = build_graph(ctx, 2, 1).adj
+    # witnessed: vertex v's graph vector is that of the constant v mod q, so
+    # an over-threshold clique has a common point only if all its members
+    # agree mod q, and nearly every one is a witness
+    vectors = [
+        search.graph_vector(ctx, vertex_to_poly(q, 2, v % q if witnessed else v))
+        for v in range(len(adj))
+    ]
+    T = 401
+    whole = search._probe_trials(ctx, adj, vectors, 7, 0, T)
+    cuts = [0, 1, 2, 57, 58, 300, T]
+    parts = [search._probe_trials(ctx, adj, vectors, 7, a, b) for a, b in zip(cuts, cuts[1:])]
+    assert _merge_trials(parts) == whole
+    assert sum(whole[0].values()) == T
+    assert bool(whole[2]) == witnessed
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("parts", [2, 3])
+@pytest.mark.parametrize("q", [3, 4])
+def test_forked_probe_split_matches_the_in_process_run(monkeypatch, q, parts):
+    ctx = make_field_of_order(q)
+    T = 1001  # divisible by neither part count
+    monkeypatch.setattr(search, "_probe_parts", lambda trials: 1)
+    whole = stability_probe(ctx, T, seed=20248)
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(search, "_probe_parts", lambda trials: parts)
+    split = stability_probe(ctx, T, seed=20248)
+    assert len(forks) == parts - 1
+    assert split.canonical_json() == whole.canonical_json()
+    _assert_no_children()
+
+
+def _fail_in(where):
+    def run(start, stop):
+        if (start == 0) == (where == "parent"):
+            raise ZeroDivisionError(f"trials {start}..{stop}")
+        return [start, stop]
+
+    return run
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_split_trials_merges_in_range_order_and_raises_for_any_failed_part():
+    assert search._split_trials(lambda a, b: [a, b], 10, 1) == [[0, 10]]
+    assert search._split_trials(lambda a, b: [a, b], 10, 3) == [[0, 3], [3, 6], [6, 10]]
+    _assert_no_children()
+    with pytest.raises(RuntimeError, match="trials 5..9 exited with 1"):
+        search._split_trials(_fail_in("child"), 10, 2)
+    _assert_no_children()
+    with pytest.raises(ZeroDivisionError):
+        search._split_trials(_fail_in("parent"), 10, 2)
+    _assert_no_children()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_probe_parts_splits_only_where_it_pays_and_is_safe(monkeypatch):
+    cut = search.SPLIT_CUT
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert search._probe_parts(2 * cut - 1) == 1
+    assert search._probe_parts(2 * cut) == 2
+    assert search._probe_parts(10 * cut) == 3
+    # a suite --workers pool worker: the pool already spreads the claims
+    worker = type(sys)("multiprocessing")
+    worker.parent_process = lambda: object()
+    monkeypatch.setitem(sys.modules, "multiprocessing", worker)
+    assert search._probe_parts(10 * cut) == 1
+    monkeypatch.delitem(sys.modules, "multiprocessing")
+    # forking copies no other thread, nor the locks they hold
+    done = threading.Event()
+    other = threading.Thread(target=done.wait)
+    other.start()
+    try:
+        assert search._probe_parts(10 * cut) == 1
+    finally:
+        done.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    assert search._probe_parts(10 * cut) == 3
+    monkeypatch.delattr(os, "fork")
+    assert search._probe_parts(10 * cut) == 1
