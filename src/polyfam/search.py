@@ -358,7 +358,8 @@ def _greedy_maximal_clique(adj: list[int], nv: int, rng: random.Random) -> list[
         count = getrandbits(2)
     seeds: list[int] = []
     if nv <= 21:
-        # sample's pool branch: draw a slot, refill it from the end
+        # sample's pool branch, which it takes for nv <= 21 when k <= 5:
+        # draw a slot, refill it from the end
         pool = list(range(nv))
         for i in range(count + 1):
             n = nv - i
