@@ -593,6 +593,7 @@ def run_extension(tier: str, seed: int) -> list[Report]:
 
     watch = Stopwatch()
     cases = []
+    checks = 0
     for q in (5, 7):
         ctx = make_field(q, 1)
         rng = random.Random(seed + q)
@@ -605,6 +606,7 @@ def run_extension(tier: str, seed: int) -> list[Report]:
                     2, [f for i, f in enumerate(pen.members) if i != drop]
                 )
                 res = families.extend_unique(ctx, rest)
+                checks += 1
                 # a pencil is fixed by its point
                 if not (res.unique and res.points == ((alpha, beta),)):
                     ok = False
@@ -613,6 +615,7 @@ def run_extension(tier: str, seed: int) -> list[Report]:
                 break
         cases.append({"q": q, "pencils": 20, "removalsEach": q * q, "ok": ok})
     rep = _sizes_report("pencil-extension", "multiple", cases, watch)
+    rep.counters["extensionChecks"] = checks
     rep.seed = seed
     return [rep]
 

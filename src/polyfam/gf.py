@@ -7,6 +7,15 @@ addition is XOR. Elements are plain ints in [0, q): the base-p packing of
 the coefficient vector of the residue class, low degree first. Index 0 is
 the zero element and indices 0..p-1 are the prime subfield in the obvious
 way. All operations are pure functions of (context, operands).
+
+The q-length tables are filled in whole-table passes, not one Python step
+per element. In a field of two chunks of digits (see FieldCtx), the powers
+of the generator g come in blocks of B, B the least power of two with
+B^2 >= q: each block is the one before it times g^B, one list
+comprehension over the block through the tables of multiplication by g^B.
+The norm and the Frobenius check of the trace are read in exp order, and
+the F_p-linear tables (trace, the char-2 root table) are expanded from
+their values on a basis.
 """
 
 from __future__ import annotations
@@ -211,6 +220,16 @@ class FieldCtx:
     of the indices, so add and sub are operator.xor and no table is built.
     The generator is the first element index of multiplicative order q-1.
     The powers of g in digit-lane form (lane_exp) are built on first use.
+
+    Multiplication by a fixed element is F_p-linear, so it is tabulated
+    per chunk of digits (the chunk maps). A field of two chunks (q > 256,
+    p <= 256, except the three-chunk 7^5 and p^3 for 17 <= p <= 37) walks
+    the first B powers of g one at a time through the chunk maps of g, B
+    the least power of two with B^2 >= q. Each later block of B powers is
+    the block before it times g^B: one comprehension per block over the
+    chunk maps of g^B, the XOR of the two chunk images at p = 2, one read
+    of the flat addition table per chunk of their sum at odd p. Every other
+    field walks all q - 1 powers. The log table is one inverse pass.
     """
 
     def __init__(self, spec: FieldSpec):
@@ -253,13 +272,8 @@ class FieldCtx:
             self.qchar_table = None
 
         if n % 2 == 0:
-            s = p ** (n // 2)
-            self.sqrt_q = s
-            norm = [0] + [exp[e * (s + 1) % qm] for e in log[1:]]
-            # the norm is fixed by x -> x^s, the Frobenius of the subfield
-            if any(exp[log[y] * s % qm] != y for y in norm[1:]):
-                raise FieldError("norm landed outside the subfield")
-            self.norm_table = norm
+            self.sqrt_q = p ** (n // 2)
+            self.norm_table = self._norm(exp, log)
         else:
             self.sqrt_q = None
             self.norm_table = None
@@ -278,16 +292,27 @@ class FieldCtx:
         trace = [0]
         for t in basis_traces:
             trace = [(u + j * t) % p for j in range(p) for u in trace]
-        if any(trace[exp[log[x] * p % qm]] != trace[x] for x in range(1, q)):
+        # x -> x^p takes g^i to g^(ip mod (q-1)): read the trace in exp
+        # order and at those powers
+        pth_logs = map(operator.mod, range(0, p * qm, p), itertools.repeat(qm))
+        read = trace.__getitem__
+        pth_powers = map(read, map(exp.__getitem__, pth_logs))
+        if any(map(operator.ne, pth_powers, map(read, exp))):
             raise FieldError("trace is not invariant under Frobenius")
         self.trace_table = trace
 
         if p == 2:
-            # preimage table for z^2 + z = u, used to extract char-2 roots:
-            # z and z ^ 1 share z^2 + z, and the even one is kept
-            as_root: list[int | None] = [0] + [None] * (q - 1)
-            for z, e in zip(range(2, q, 2), log[2::2]):
-                as_root[exp[2 * e % qm] ^ z] = z
+            # preimage table for z^2 + z = u, used to extract char-2 roots.
+            # z -> z^2 + z is F_2-linear with kernel {0, 1}, so it is one to
+            # one on the even z: take it on the basis a, .., a^(n-1) and
+            # expand bit by bit as the trace is, then invert
+            images = [0]
+            for w in self._pw[1:]:
+                image = exp[2 * log[w] % qm] ^ w
+                images += [u ^ image for u in images]
+            as_root: list[int | None] = [None] * q
+            for z, u in zip(range(0, q, 2), images):
+                as_root[u] = z
             self._as_root = as_root
         else:
             self._as_root = None
@@ -312,29 +337,55 @@ class FieldCtx:
             weight *= p
         return table
 
-    def _exp_log(self, c: int) -> tuple[list[Fe], list[int | None]]:
-        """Powers of the generator and their inverse, with its order checked.
-
-        Multiplication by g is F_p-linear, so it is tabulated per chunk of
-        digits: one table of p^c products per chunk, combined by add."""
-        q, p = self.q, self.p
-        g = self.generator
+    def _chunk_maps(self, hvec, c: int) -> list[list[Fe]]:
+        """Multiplication by h (digit vector hvec) is F_p-linear, so it is
+        tabulated per chunk of c digits: one table of p^c products per
+        chunk, and h x is the sum of the tables' entries at the chunks of x."""
+        p = self.p
         mod = list(self.spec.modulus)
-        gvec = self.digits_of(g)
         images = [
-            self._pack(_vec_mul_mod(gvec, self.digits_of(w), mod, p)) for w in self._pw
+            self._pack(_vec_mul_mod(hvec, self.digits_of(w), mod, p)) for w in self._pw
         ]
         add = self.add
-        b = p**c
         maps = []
         for j in range(0, self.n, c):
             table = [0]
-            for gw in images[j : j + c]:
+            for hw in images[j : j + c]:
                 multiples = [0]
                 for _ in range(p - 1):
-                    multiples.append(add(multiples[-1], gw))
+                    multiples.append(add(multiples[-1], hw))
                 table = [add(t, m) for m in multiples for t in table]
             maps.append(table)
+        return maps
+
+    def _norm(self, exp: list[Fe], log: list[int | None]) -> list[Fe]:
+        """The norm to F_s, s = sqrt(q), as a table over the elements.
+
+        N(g^i) = g^(i(s+1)) and q - 1 = (s-1)(s+1), so in exp order the
+        norm cycles through sub = [g^(j(s+1)) for j < s-1], the nonzero
+        elements of the subfield."""
+        s, qm = self.sqrt_q, self.q - 1
+        sub = exp[:: s + 1]
+        # the norm is fixed by x -> x^s, the Frobenius of the subfield
+        if any(exp[log[y] * s % qm] != y for y in sub):
+            raise FieldError("norm landed outside the subfield")
+        norm = [0] * self.q
+        for x, y in zip(exp, itertools.cycle(sub)):
+            norm[x] = y
+        return norm
+
+    def _exp_log(self, c: int) -> tuple[list[Fe], list[int | None]]:
+        """Powers of the generator and their inverse, with its order checked.
+
+        The powers are walked one at a time through the chunk maps of g.
+        A field of two chunks walks only the first B, B the least power of
+        two with B^2 >= q; each later block of B is the block before it
+        times g^B, in one comprehension through the chunk maps of g^B."""
+        q, p = self.q, self.p
+        gvec = self.digits_of(self.generator)
+        maps = self._chunk_maps(gvec, c)
+        add = self.add
+        b = p**c
 
         def times_g(x):
             y = 0
@@ -343,16 +394,49 @@ class FieldCtx:
                 y = add(y, m[v])
             return y
 
-        exp = [1] * (q - 1)
+        walk = q - 1
+        if len(maps) == 2:
+            walk = 1
+            while walk * walk < q:
+                walk *= 2
+        exp = [1]
         x = 1
-        for i in range(1, q - 1):
+        for _ in range(1, walk):
             x = times_g(x)
-            exp[i] = x
+            exp.append(x)
+        if walk < q - 1:
+            hvec = _vec_pow_mod(gvec, walk, list(self.spec.modulus), p)
+            lo, hi = self._chunk_maps(hvec, c)
+            block = exp
+            if p == 2:
+                # the product is the XOR of the two chunk images
+                low = b - 1
+                while len(exp) < q - 1:
+                    block = [lo[x & low] ^ hi[x >> c] for x in block]
+                    exp += block
+            else:
+                # the product's chunk i is one read of the flat addition
+                # table, at row (chunk i of lo[x % b]) and column (chunk i
+                # of hi[x // b])
+                table = self._add
+                rows0 = [y % b * b for y in lo]
+                rows1 = [y // b * b for y in lo]
+                cols0 = [y % b for y in hi]
+                cols1 = [y // b for y in hi]
+                while len(exp) < q - 1:
+                    block = [
+                        table[rows0[x % b] + cols0[x // b]]
+                        + table[rows1[x % b] + cols1[x // b]] * b
+                        for x in block
+                    ]
+                    exp += block
+            exp = exp[: q - 1]
         log: list[int | None] = [None] * q
         for i, x in enumerate(exp):
-            if log[x] is not None:
-                raise FieldError("generator order check failed: a power repeats")
             log[x] = i
+        # q - 1 distinct powers leave exactly one index without a log
+        if log.count(None) != 1:
+            raise FieldError("generator order check failed: a power repeats")
         if times_g(exp[-1]) != 1:
             raise FieldError("generator order check failed: g^(q-1) != 1")
         return exp, log
@@ -363,7 +447,9 @@ class FieldCtx:
             return 1
         rs = _prime_factors(q - 1)
         mod = list(self.spec.modulus)
-        for c in range(2, q):
+        # past degree 1 the prime subfield 0..p-1 holds no generator: the
+        # order of each of its elements divides p - 1
+        for c in range(2 if self.n == 1 else self.p, q):
             vec = self.digits_of(c)
             if all(
                 self._pack(_vec_pow_mod(vec, (q - 1) // r, mod, self.p)) != 1

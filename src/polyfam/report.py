@@ -68,27 +68,8 @@ class Report:
             "primaryCounter": self.primary_counter,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Report":
-        return cls(
-            claim_id=d["claimId"],
-            field_spec=d["fieldSpec"],
-            verdict=d["verdict"],
-            parameters=d.get("parameters", {}),
-            witnesses=d.get("witnesses", []),
-            counters=d.get("counters", {}),
-            wall_time_ms=d.get("wallTimeMs", 0),
-            seed=d.get("seed"),
-            tool_version=d.get("toolVersion", ""),
-            primary_counter=d.get("primaryCounter"),
-        )
-
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "Report":
-        return cls.from_dict(json.loads(text))
 
     def canonical_json(self) -> str:
         """Byte-stable form: identical inputs and seed give identical bytes.

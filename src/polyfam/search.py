@@ -137,7 +137,10 @@ def max_clique(graph: IntersectionGraph, budget: int = DEFAULT_NODE_BUDGET) -> C
         nonlocal best, nodes, aborted
         nodes += 1
         if nodes > budget:
+            # the path so far is a clique: keep it if it beats the best
             aborted = True
+            if len(clique) > len(best):
+                best = clique.copy()
             return
         order, colours = colour(cand)
         for i in range(len(order) - 1, -1, -1):

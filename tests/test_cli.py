@@ -15,7 +15,8 @@ import pytest
 from polyfam import charsum, cli, directions
 from polyfam.cli import _mcconnel_report, main, run_carlitz
 from polyfam.gf import make_field
-from polyfam.report import CSV_HEADER, DEFAULT_SEED, Report
+from polyfam.report import CSV_HEADER, DEFAULT_SEED
+from report_io import report_from_json
 
 
 def run(capsys, *argv):
@@ -407,7 +408,7 @@ def test_suite_workers_match_serial(capsys):
     for workers in ("1", "2"):
         code, out, _ = run(capsys, "suite", "--tier", "fast", *claims, "--workers", workers)
         assert code == 0
-        runs.append([Report.from_json(ln).canonical_json() for ln in out.splitlines()])
+        runs.append([report_from_json(ln).canonical_json() for ln in out.splitlines()])
     assert runs[0] == runs[1]
     ids = [json.loads(line)["claimId"] for line in runs[0]]
     assert ids == ["pencil-size"] + ["quad-sum-identity"] * 3 + ["weil-bound"] * 2

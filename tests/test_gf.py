@@ -556,6 +556,78 @@ def test_add_matches_the_digit_oracle(pn):
 
 
 # ---------------------------------------------------------------------------
+# the walk the block steps replaced, kept as the oracle for the fields the
+# benchmark builds: past ORACLE_FIELDS, too large for digit_field
+
+
+def walk_tables(ctx):
+    """exp, log and the tables read from them, one element at a time.
+
+    Each power of g is the one before it times g: one table of products
+    per chunk of digits, c digits a chunk with p^c <= 256, and the product
+    is the sum of the chunk images. log inverts the walk; qchar, norm and
+    the char-2 root table are read per element through log; the trace is
+    the sum of the Frobenius conjugates of each element."""
+    p, n, q = ctx.p, ctx.n, ctx.q
+    qm = q - 1
+    mod = list(ctx.spec.modulus)
+    pw = [p**i for i in range(n)]
+    c = 1
+    while c < n and p ** (c + 1) <= 256:
+        c += 1
+    b = p**c
+    gvec = ctx.digits_of(ctx.generator)
+
+    def times_g_of(x):
+        return sum(d * w for d, w in zip(_vec_mul_mod(gvec, ctx.digits_of(x), mod, p), pw))
+
+    maps = [[times_g_of(v * b**i) for v in range(b)] for i in range((n + c - 1) // c)]
+
+    def times_g(x):
+        y = 0
+        for m in maps:
+            x, v = divmod(x, b)
+            y = ctx.add(y, m[v])
+        return y
+
+    exp = [1]
+    for _ in range(qm - 1):
+        exp.append(times_g(exp[-1]))
+    assert times_g(exp[-1]) == 1
+    log = [None] * q
+    for i, x in enumerate(exp):
+        assert log[x] is None
+        log[x] = i
+
+    out = {"exp": exp, "log": log, "qchar_table": None, "norm_table": None, "_as_root": None}
+    if q % 2:
+        out["qchar_table"] = [0] + [1 - 2 * (e & 1) for e in log[1:]]
+    if n % 2 == 0:
+        s = p ** (n // 2)
+        out["norm_table"] = [0] + [exp[e * (s + 1) % qm] for e in log[1:]]
+    if p == 2:
+        as_root = [0] + [None] * qm
+        for z in range(2, q, 2):
+            as_root[exp[2 * log[z] % qm] ^ z] = z
+        out["_as_root"] = as_root
+    trace = [0]
+    for e in log[1:]:
+        t = 0
+        for j in range(n):
+            t = ctx.add(t, exp[e * p**j % qm])
+        trace.append(t)
+    out["trace_table"] = trace
+    return out
+
+
+@pytest.mark.parametrize("pn", [(2, 16), (3, 10), (251, 2)], ids=field_id)
+def test_big_field_tables_match_the_walk(pn):
+    ctx = make_field(*pn)
+    for name, table in walk_tables(ctx).items():
+        assert getattr(ctx, name) == table, name
+
+
+# ---------------------------------------------------------------------------
 # each construction check fires on a table built wrong
 
 

@@ -4,7 +4,7 @@ cli.SUITE, byte for byte in canonical form."""
 import pytest
 
 from polyfam.cli import SUITE, main
-from polyfam.report import Report
+from report_io import report_from_json
 
 GOLDEN = {
     "ekr-bound": [
@@ -15,7 +15,7 @@ GOLDEN = {
         '{"claimId":"hm-properties","counters":{"cases":7},"fieldSpec":"multiple","parameters":{},"primaryCounter":"cases","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
     ],
     "pencil-extension": [
-        '{"claimId":"pencil-extension","counters":{"cases":2},"fieldSpec":"multiple","parameters":{},"primaryCounter":"cases","seed":20248,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
+        '{"claimId":"pencil-extension","counters":{"cases":2,"extensionChecks":1480},"fieldSpec":"multiple","parameters":{},"primaryCounter":"cases","seed":20248,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
     ],
     "direction-span-affine": [
         '{"claimId":"direction-span-affine","counters":{"affine":16,"candidates":16,"nodesVisited":148,"scanned":256},"fieldSpec":"2^2","parameters":{"mode":"exhaustive","order":"odometer, low element index first"},"primaryCounter":"affine","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
@@ -93,5 +93,5 @@ def test_full_tier_canonical_json_is_frozen(capsys, claim):
     code = main(["suite", "--tier", "full", "--claim", claim])
     out, _ = capsys.readouterr()
     assert code == 0
-    got = [Report.from_json(line).canonical_json() for line in out.splitlines()]
+    got = [report_from_json(line).canonical_json() for line in out.splitlines()]
     assert got == GOLDEN[claim]

@@ -246,6 +246,27 @@ def test_max_clique_budget_abort():
     assert res.size <= full.size
 
 
+@pytest.mark.parametrize("budget", [1, 2, 5])
+def test_max_clique_keeps_its_path_when_the_budget_runs_out(budget):
+    # the first dive is longer than the budget, so no leaf is reached: the
+    # path it stopped on is the best clique found
+    g = random_graph(20, 0.7, 3)
+    res = max_clique(g, budget=budget)
+    assert not res.proven
+    assert res.size == len(res.witness) >= budget
+    for u, v in itertools.combinations(res.witness, 2):
+        assert g.adj[u] >> v & 1
+
+
+def test_sam0_check_reports_a_clique_when_the_budget_runs_out_early():
+    rep = sam0_check(make_field(2, 3), 2, 1, budget=50)
+    assert rep.verdict == "budget-exceeded"
+    assert rep.parameters["exhaustedSides"] == ["min_shared", "max_shared"]
+    assert rep.counters["intersectingMax"] >= 1
+    assert rep.counters["scatteredMax"] >= 1
+    assert rep.witnesses == []
+
+
 def brute_all_maximum_cliques(adj, nv, size):
     out = []
     for comb in itertools.combinations(range(nv), size):
