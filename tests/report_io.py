@@ -6,7 +6,8 @@ import json
 from polyfam.report import Report
 
 
-def report_from_dict(d: dict) -> Report:
+def report_from_json(text: str) -> Report:
+    d = json.loads(text)
     return Report(
         claim_id=d["claimId"],
         field_spec=d["fieldSpec"],
@@ -19,7 +20,3 @@ def report_from_dict(d: dict) -> Report:
         tool_version=d.get("toolVersion", ""),
         primary_counter=d.get("primaryCounter"),
     )
-
-
-def report_from_json(text: str) -> Report:
-    return report_from_dict(json.loads(text))
