@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import lshift
 
 from .gf import FieldCtx, Fe, FieldError
 from .polyfun import PolyK, values_by_log
@@ -326,8 +327,11 @@ def shortcut_scan(ctx: FieldCtx) -> Report:
     than q - s/2 + 1/2 points, assert a^s b = d^s a. Also runs the
     positive control: s0^2 (t + r x)^(s+1) takes only square values.
 
-    The main scan takes all q^2 pairs (b, c) of one (a, d) at once: bit
-    b*q + c of a mask stands for the l with those b and c."""
+    The main scan takes all q^3 triples (d, b, c) of one a at once: a
+    mask has one slot per d, q^2 bits rounded up to whole bytes, and bit
+    b*q + c of slot d stands for the l with those d, b and c. The masks
+    are joined from the bytes of per-slot masks, read through rows of
+    the addition and multiplication tables that are built once."""
     watch = Stopwatch()
     q = ctx.q
     if q % 2 == 0 or ctx.sqrt_q is None:
@@ -347,24 +351,46 @@ def shortcut_scan(ctx: FieldCtx) -> Report:
 
     add = ctx.add
     mul = ctx.mul
-    # nonsq[w * q + x]: the (b, c) with w + b x + c a nonsquare, read at
-    # w = a x^(s+1) + d x^s
-    nonsq_c = [sum(1 << c for c in xs if qc[add(w, c)] < 0) for w in xs]
-    nonsq = [
-        sum(nonsq_c[add(w, mul(b, x))] << b * q for b in xs) for w in xs for x in xs
+    add_rows = [[add(u, v) for v in xs] for u in xs]  # add_rows[u][v] = u + v
+    mul_rows = [[mul(u, v) for v in xs] for u in xs]  # mul_rows[u][v] = u v
+    times = list(zip(*mul_rows))  # times[v][u] = u v
+    nonsquare = [int(v < 0) for v in qc]
+    # nonsq_c[w]: the c with w + c a nonsquare, bit c
+    nonsq_c = [sum(map(lshift, map(nonsquare.__getitem__, row), xs)) for row in add_rows]
+    # nonsq_at[x][w]: the bytes of the slot of (b, c) with w + b x + c a
+    # nonsquare, read at w = a x^(s+1) + d x^s
+    slot = (q * q + 7) // 8
+    b_shifts = [b * q for b in xs]
+    nonsq_at = [
+        [
+            sum(map(lshift, map(nonsq_c.__getitem__, map(row.__getitem__, bx)), b_shifts)).to_bytes(slot, "little")
+            for row in add_rows
+        ]
+        for bx in times
     ]
+    d_xs = [times[v] for v in xp_s]  # d_xs[x][d] = d x^s
     all_bc = (1 << q * q) - 1
+    full = int.from_bytes(all_bc.to_bytes(slot, "little") * q, "little")  # every slot full
     large = 0
     violations = []
+    join = b"".join
+    from_bytes = int.from_bytes
     for a in range(1, q):
         fa = ctx.frobenius(a, half_n)
-        t1 = [mul(a, v) for v in xp_s1]
+        # the mask of x: slot d read at w = a x^(s+1) + d x^s
+        masks = (
+            from_bytes(join(map(at_x.__getitem__, map(add_rows[ax].__getitem__, dx))), "little")
+            for at_x, ax, dx in zip(nonsq_at, map(mul_rows[a].__getitem__, xp_s1), d_xs)
+        )
+        ok_all = _in_at_most(masks, allowed_nonsquare, full)
+        if not ok_all:
+            continue
+        large += ok_all.bit_count()
+        ok_bytes = ok_all.to_bytes(slot * q, "little")
         for d in range(q):
-            row = [add(t1[x], mul(d, xp_s[x])) * q + x for x in xs]
-            ok = _in_at_most(map(nonsq.__getitem__, row), allowed_nonsquare, all_bc)
+            ok = from_bytes(ok_bytes[d * slot : (d + 1) * slot], "little")
             if not ok:
                 continue
-            large += ok.bit_count()
             # a^s b = d^s a holds for exactly one b, as a^s != 0
             b_rel = ctx.div(mul(ctx.frobenius(d, half_n), a), fa)
             bad = ok & ~(((1 << q) - 1) << b_rel * q)

@@ -4,8 +4,9 @@ Vertices are all q^(k+1) polynomials of degree at most k, numbered by the
 base-q packing of their coefficient index vectors (low-degree coefficient
 is the least significant digit). Adjacency is kept as one bitmask int per
 vertex. The solver is a deterministic branch and bound with a greedy
-colouring bound; a second routine enumerates every maximum clique on
-small graphs.
+colouring bound; it can start from a known clique, as `ekr_oracle` does
+from a pencil once the adjacency confirms it. A second routine
+enumerates every maximum clique on small graphs.
 """
 
 from __future__ import annotations
@@ -92,6 +93,25 @@ def build_graph(
     return IntersectionGraph(q, k, t, predicate, nv, adj, nv * row0.bit_count() // 2)
 
 
+def missing_edge(graph: IntersectionGraph, vertices) -> tuple[int, int] | None:
+    """The first pair (u, v), u < v, of distinct vertices that is not an
+    edge of the graph, or None when the vertices form a clique. A vertex
+    listed twice is a pair of itself, which is never an edge."""
+    adj = graph.adj
+    vs = sorted(vertices)
+    members = 0
+    for v in vs:
+        members |= 1 << v
+    for i, v in enumerate(vs):
+        if i and vs[i - 1] == v:
+            return v, v
+        gap = members & ~adj[v] & ~(1 << v)
+        if gap:
+            u = (gap & -gap).bit_length() - 1
+            return min(u, v), max(u, v)
+    return None
+
+
 @dataclass(frozen=True)
 class CliqueResult:
     size: int
@@ -100,19 +120,29 @@ class CliqueResult:
     proven: bool
 
 
-def max_clique(graph: IntersectionGraph, budget: int = DEFAULT_NODE_BUDGET) -> CliqueResult:
+def max_clique(
+    graph: IntersectionGraph, budget: int = DEFAULT_NODE_BUDGET, start=()
+) -> CliqueResult:
     """Exact maximum clique via branch and bound.
 
     Candidates are greedily coloured in ascending vertex order and
     expanded from the highest colour down, pruning branches whose colour
     bound cannot beat the incumbent. Fully deterministic: ties always
-    resolve toward the lowest vertex index. Expanding more than `budget`
-    nodes stops the search: the result is then a best-effort lower bound
-    with proven=False.
+    resolve toward the lowest vertex index. `start`, a clique of the
+    graph (ValueError otherwise), is the incumbent before the root
+    expands, so a known construction prunes from the first node and the
+    result is the larger of `start` and what the search finds. Expanding
+    more than `budget` nodes stops the search: the result is then a
+    best-effort lower bound with proven=False.
     """
     adj = graph.adj
     n = graph.n_vertices
-    best: list[int] = []
+    best = sorted(start)
+    if best and not 0 <= best[0] <= best[-1] < n:
+        raise ValueError(f"start {best} has a vertex outside 0..{n - 1}")
+    gap = missing_edge(graph, best)
+    if gap is not None:
+        raise ValueError(f"start is not a clique: {gap[0]} and {gap[1]} are not adjacent")
     nodes = 0
     aborted = False
 
@@ -209,11 +239,24 @@ def ekr_oracle(ctx: FieldCtx, k: int, budget: int = DEFAULT_NODE_BUDGET) -> Repo
     """Exact maximum-clique check on the 1-intersection graph: the
     maximum must be q^k, and on graphs small enough to enumerate, every
     maximum clique must be a pencil (share a point). An unproven maximum
-    is a lower bound: over q^k it still refutes the claim."""
+    is a lower bound: over q^k it still refutes the claim.
+
+    The search starts from the pencil through (0, 0), the q^k vertices
+    with constant term 0, once the adjacency confirms it is a clique; the
+    greedy colouring of the root then bounds the rest by q^k, so the
+    maximum is proven in one node. A pencil that is not a clique is a
+    witness, and the search then runs without a start."""
     watch = Stopwatch()
     q = ctx.q
     g = build_graph(ctx, k, 1)
-    res = max_clique(g, budget)
+    witnesses: list = []
+    pencil = range(0, g.n_vertices, q)
+    gap = missing_edge(g, pencil)
+    if gap is None:
+        res = max_clique(g, budget, pencil)
+    else:
+        witnesses.append({"construction": "pencil through (0, 0)", "missingEdge": list(gap)})
+        res = max_clique(g, budget)
     counters = {
         "vertices": g.n_vertices,
         "edges": g.edge_count,
@@ -223,7 +266,6 @@ def ekr_oracle(ctx: FieldCtx, k: int, budget: int = DEFAULT_NODE_BUDGET) -> Repo
     params: dict = {"k": k, "proven": res.proven}
     if not res.proven:
         params["nodeBudget"] = budget
-    witnesses: list = []
     if res.size > q**k or (res.proven and res.size < q**k):
         witnesses.append({"maxClique": res.size, "expected": q**k, "witness": list(res.witness)})
     elif res.proven and g.n_vertices <= ENUMERATION_CAP:

@@ -8,7 +8,7 @@ import random
 import pytest
 
 from polyfam.gf import FieldError, make_field, make_field_of_order
-from polyfam.report import Report
+from polyfam.report import WITNESS_CAP, Report, Stopwatch
 from polyfam.charsum import (
     _in_at_most,
     char_sum,
@@ -530,6 +530,75 @@ def pointwise_shortcut_scan(ctx):
     return large, violations, control
 
 
+def per_pair_mask_shortcut_scan(ctx):
+    """The report by the mask kernel shortcut_scan used before it took
+    every d of one a in one mask: one mask per (a, d), its row indices
+    and the masks of each (w, x) built one ctx.add / ctx.mul call at a
+    time. The control is the same loop as in shortcut_scan."""
+    watch = Stopwatch()
+    q = ctx.q
+    s = ctx.sqrt_q
+    half_n = ctx.n // 2
+    qc = ctx.qchar_table
+    norm = ctx.norm_table
+    xs = list(range(q))
+    xp_s = [ctx.pow(x, s) for x in xs]
+    xp_s1 = [ctx.pow(x, s + 1) for x in xs]
+    min_large = (2 * q - s + 1) // 2 + 1
+    allowed_nonsquare = q - min_large
+    add = ctx.add
+    mul = ctx.mul
+    nonsq_c = [sum(1 << c for c in xs if qc[add(w, c)] < 0) for w in xs]
+    nonsq = [
+        sum(nonsq_c[add(w, mul(b, x))] << b * q for b in xs) for w in xs for x in xs
+    ]
+    all_bc = (1 << q * q) - 1
+    large = 0
+    violations = []
+    for a in range(1, q):
+        fa = ctx.frobenius(a, half_n)
+        t1 = [mul(a, v) for v in xp_s1]
+        for d in range(q):
+            row = [add(t1[x], mul(d, xp_s[x])) * q + x for x in xs]
+            ok = _in_at_most(map(nonsq.__getitem__, row), allowed_nonsquare, all_bc)
+            if not ok:
+                continue
+            large += ok.bit_count()
+            b_rel = ctx.div(mul(ctx.frobenius(d, half_n), a), fa)
+            bad = ok & ~(((1 << q) - 1) << b_rel * q)
+            while bad and len(violations) < WITNESS_CAP:
+                low = bad & -bad
+                b, c = divmod(low.bit_length() - 1, q)
+                violations.append({"a": a, "d": d, "b": b, "c": c})
+                bad ^= low
+
+    def control_failures():
+        for s0 in range(1, q):
+            s0sq = mul(s0, s0)
+            bad_y = [y for y in xs if qc[mul(s0sq, norm[y])] < 0]
+            if bad_y:
+                for t in xs:
+                    for r in range(1, q):
+                        x = min(ctx.div(ctx.sub(y, t), r) for y in bad_y)
+                        yield {"s": s0, "t": t, "r": r, "x": x}
+
+    control_bad = list(itertools.islice(control_failures(), WITNESS_CAP))
+    return Report(
+        claim_id="square-value-shortcut",
+        field_spec=ctx.report_spec_string(),
+        parameters={"minLargeCount": min_large},
+        witnesses=violations + control_bad,
+        counters={
+            "scanned": (q - 1) * q**3,
+            "largeValueSets": large,
+            "violations": len(violations),
+            "controlTriples": (q - 1) * q * (q - 1),
+        },
+        wall_time_ms=watch.ms(),
+        primary_counter="largeValueSets",
+    )
+
+
 def perturbed_field(p, n, seed, square_rate):
     """A copy of the field whose quadratic-character table calls a share
     of the nonsquares squares and one value of the norm a nonsquare, so
@@ -561,6 +630,17 @@ def test_shortcut_scan_matches_pointwise_loops(seed, square_rate):
         assert len(control) == 8  # every triple of a failing s0 fails
         assert len(violations) == (0 if seed == 1 else 8)
         assert shortcut_scan(make_field(5, 2)).verdict == "pass"
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1])
+def test_shortcut_scan_matches_the_per_pair_mask_kernel_q49(seed):
+    ctx = make_field(7, 2) if seed is None else perturbed_field(7, 2, seed, 0.5)
+    rep = shortcut_scan(ctx)
+    assert report_dict(rep) == report_dict(per_pair_mask_shortcut_scan(ctx))
+    if seed is not None:
+        assert rep.verdict == "fail"
+        assert rep.counters["largeValueSets"] > 8232
+        assert rep.counters["violations"] == (0 if seed == 0 else 8)
 
 
 def test_shortcut_control_witnesses_with_one_bad_norm():

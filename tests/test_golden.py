@@ -8,8 +8,8 @@ from report_io import report_from_json
 
 GOLDEN = {
     "ekr-bound": [
-        '{"claimId":"ekr-bound","counters":{"edges":243,"maxClique":9,"maximumCliques":9,"nodesExplored":9,"vertices":27},"fieldSpec":"3^1","parameters":{"k":2,"pencilPoints":[[0,0],[2,0],[1,0],[1,1],[0,1],[2,1],[2,2],[1,2],[0,2]],"proven":true},"primaryCounter":"maxClique","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
-        '{"claimId":"ekr-bound","counters":{"edges":1344,"maxClique":16,"maximumCliques":16,"nodesExplored":16,"vertices":64},"fieldSpec":"2^2","parameters":{"k":2,"pencilPoints":[[0,0],[1,0],[2,0],[3,0],[1,1],[0,1],[3,1],[2,1],[2,2],[3,2],[0,2],[1,2],[3,3],[2,3],[1,3],[0,3]],"proven":true},"primaryCounter":"maxClique","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
+        '{"claimId":"ekr-bound","counters":{"edges":243,"maxClique":9,"maximumCliques":9,"nodesExplored":1,"vertices":27},"fieldSpec":"3^1","parameters":{"k":2,"pencilPoints":[[0,0],[2,0],[1,0],[1,1],[0,1],[2,1],[2,2],[1,2],[0,2]],"proven":true},"primaryCounter":"maxClique","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
+        '{"claimId":"ekr-bound","counters":{"edges":1344,"maxClique":16,"maximumCliques":16,"nodesExplored":1,"vertices":64},"fieldSpec":"2^2","parameters":{"k":2,"pencilPoints":[[0,0],[1,0],[2,0],[3,0],[1,1],[0,1],[3,1],[2,1],[2,2],[3,2],[0,2],[1,2],[3,3],[2,3],[1,3],[0,3]],"proven":true},"primaryCounter":"maxClique","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
     ],
     "hm-properties": [
         '{"claimId":"hm-properties","counters":{"cases":7},"fieldSpec":"multiple","parameters":{},"primaryCounter":"cases","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',

@@ -228,6 +228,87 @@ def test_max_clique_matches_brute_force_random(seed):
         assert g.adj[u] >> v & 1
 
 
+def assert_clique(g, vertices):
+    for u, v in itertools.combinations(vertices, 2):
+        assert g.adj[u] >> v & 1, (u, v)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_max_clique_from_a_start_matches_brute_force_random(seed):
+    g = random_graph(13, 0.5, seed)
+    want, best = brute_max_clique(g.adj, g.n_vertices)
+    for start in (best, best[:-1], ()):
+        res = max_clique(g, start=start)
+        assert res.proven
+        assert res.size == want
+        assert_clique(g, res.witness)
+
+
+def pencil_start(q, k):
+    """The pencil through (0, 0): every vertex with constant term 0."""
+    return range(0, q ** (k + 1), q)
+
+
+def assert_same_search(g, start):
+    plain = max_clique(g)
+    res = max_clique(g, start=start)
+    assert (res.size, res.proven) == (plain.size, plain.proven)
+    assert len(res.witness) == res.size
+    assert_clique(g, res.witness)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+def test_max_clique_from_the_pencil_matches_the_plain_search(q):
+    g = build_graph(make_field_of_order(q), 2, 1)
+    assert_same_search(g, pencil_start(q, 2))
+    assert max_clique(g, start=pencil_start(q, 2)).nodes_explored == 1
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_max_clique_from_a_witness_prefix_matches_the_plain_search_on_sam0_graphs(q):
+    # the graphs of clique-bounds at the full tier, both sides
+    ctx = make_field_of_order(q)
+    for k, t in ((1, 1), (2, 1), (2, 2)):
+        for g in (build_graph(ctx, k, t, "min_shared"), build_graph(ctx, k, t - 1, "max_shared")):
+            witness = max_clique(g).witness
+            for n in (1, len(witness) // 2, len(witness)):
+                assert_same_search(g, witness[:n])
+
+
+def test_max_clique_rejects_a_start_that_is_not_a_clique():
+    g = random_graph(13, 0.5, 0)
+    u, v = next(
+        (u, v) for u, v in itertools.combinations(range(13), 2) if not g.adj[u] >> v & 1
+    )
+    with pytest.raises(ValueError, match="not a clique"):
+        max_clique(g, start=(u, v))
+    with pytest.raises(ValueError, match="not a clique"):
+        max_clique(g, start=(u, u))  # a vertex twice
+    with pytest.raises(ValueError, match="outside"):
+        max_clique(g, start=(13,))
+
+
+def test_max_clique_keeps_its_start_when_the_budget_is_zero():
+    g = random_graph(20, 0.7, 3)
+    _, best = brute_max_clique(g.adj, g.n_vertices)
+    for start in (best, best[:2], ()):
+        res = max_clique(g, budget=0, start=start)
+        assert not res.proven
+        assert res.size >= len(start)
+        assert_clique(g, res.witness)
+
+
+def test_missing_edge_names_the_first_pair_that_is_not_an_edge():
+    g = random_graph(13, 0.5, 0)
+    pairs = [
+        (u, v) for u, v in itertools.combinations(range(13), 2) if not g.adj[u] >> v & 1
+    ]
+    assert search.missing_edge(g, range(13)) == pairs[0]
+    assert search.missing_edge(g, reversed(pairs[-1])) == pairs[-1]
+    assert search.missing_edge(g, ()) is None
+    assert search.missing_edge(g, max_clique(g).witness) is None
+
+
 def test_max_clique_on_intersection_graphs():
     for q, k in ((2, 2), (3, 1)):
         ctx = make_field_of_order(q)
@@ -302,17 +383,43 @@ def test_ekr_oracle_q2_q3():
         "vertices": 27,
         "edges": 243,
         "maxClique": 9,
-        "nodesExplored": 9,
+        "nodesExplored": 1,
         "maximumCliques": 9,
     }
     assert len(rep3.parameters["pencilPoints"]) == 9
 
 
 def test_ekr_oracle_budget_exceeded():
-    rep = ekr_oracle(make_field(2, 2), 2, budget=1)
+    rep = ekr_oracle(make_field(2, 2), 2, budget=0)
     assert rep.verdict == "budget-exceeded"
-    assert rep.parameters["nodeBudget"] == 1
+    assert rep.parameters["nodeBudget"] == 0
     assert rep.witnesses == []
+    assert rep.counters["maxClique"] == 16  # the verified pencil
+
+
+def test_ekr_oracle_refutes_a_pencil_that_is_not_a_clique(monkeypatch):
+    """Negative control: with one edge inside the (0, 0) pencil dropped,
+    the pencil is a witness and the search runs without it."""
+    real = search.build_graph
+    u, v = 4, 8  # 1 x and 2 x (element numbers) at 2^2, both through (0, 0)
+
+    def dropped(ctx, k, t=1, predicate="min_shared"):
+        g = real(ctx, k, t, predicate)
+        g.adj[u] &= ~(1 << v)
+        g.adj[v] &= ~(1 << u)
+        return g
+
+    ctx = make_field(2, 2)
+    monkeypatch.setattr(search, "build_graph", dropped)
+    rep = ekr_oracle(ctx, 2)
+    assert rep.verdict == "fail"
+    assert rep.witnesses[0] == {"construction": "pencil through (0, 0)", "missingEdge": [u, v]}
+    assert rep.parameters["proven"]
+    assert rep.counters["nodesExplored"] > 1  # the plain search ran
+    monkeypatch.undo()
+    rep = ekr_oracle(ctx, 2)
+    assert rep.verdict == "pass"
+    assert rep.counters["nodesExplored"] == 1
 
 
 @pytest.mark.parametrize(
@@ -330,7 +437,7 @@ def fake_unproven(size):
     `size`; max_shared graphs are searched for real."""
     real = search.max_clique
 
-    def fake(g, budget=DEFAULT_NODE_BUDGET):
+    def fake(g, budget=DEFAULT_NODE_BUDGET, start=()):
         if g.predicate == "min_shared":
             return CliqueResult(size, tuple(range(size)), budget + 1, False)
         return real(g, budget)
