@@ -244,11 +244,6 @@ def test_max_clique_from_a_start_matches_brute_force_random(seed):
         assert_clique(g, res.witness)
 
 
-def pencil_start(q, k):
-    """The pencil through (0, 0): every vertex with constant term 0."""
-    return range(0, q ** (k + 1), q)
-
-
 def assert_same_search(g, start):
     plain = max_clique(g)
     res = max_clique(g, start=start)
@@ -260,8 +255,9 @@ def assert_same_search(g, start):
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
 def test_max_clique_from_the_pencil_matches_the_plain_search(q):
     g = build_graph(make_field_of_order(q), 2, 1)
-    assert_same_search(g, pencil_start(q, 2))
-    assert max_clique(g, start=pencil_start(q, 2)).nodes_explored == 1
+    pencil = range(0, q**3, q)  # through (0, 0): constant term 0
+    assert_same_search(g, pencil)
+    assert max_clique(g, start=pencil).nodes_explored == 1
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
