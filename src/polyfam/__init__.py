@@ -8,7 +8,6 @@ from .gf import (
     FieldCtx,
     FieldError,
     FieldSpec,
-    IDENTICALLY_ZERO,
     make_field,
     make_field_of_order,
     parse_field_spec,
@@ -19,7 +18,6 @@ __all__ = [
     "FieldCtx",
     "FieldError",
     "FieldSpec",
-    "IDENTICALLY_ZERO",
     "PointAG",
     "PolyK",
     "__version__",

@@ -484,10 +484,10 @@ def run_weil(tier: str, seed: int) -> list[Report]:
         while checked < count:
             deg = rng.randint(1, 5)
             f = tuple(rng.randrange(q) for _ in range(deg)) + (1,)
-            if charsum.perfect_square_test(ctx, f) is not None:
+            res = charsum.weil_check(ctx, f)
+            if res.is_square_shape:
                 continue
             checked += 1
-            res = charsum.weil_check(ctx, f)
             if not res.within_bound and len(violations) < WITNESS_CAP:
                 violations.append(
                     {"poly": list(f), "sum": res.sum_value, "distinctRoots": res.distinct_roots}

@@ -14,12 +14,12 @@ of the generator g come in blocks of B, B the least power of two with
 B^2 >= q: each block is the one before it times g^B, one list
 comprehension over the block through the tables of multiplication by g^B.
 The norm and the Frobenius check of the trace are read in exp order, and
-the F_p-linear tables (trace, the char-2 root table) are expanded from
-their values on a basis.
+the F_p-linear trace is expanded from its values on a basis.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import operator
@@ -42,16 +42,6 @@ def digit_bits(p: int) -> int:
 
 class FieldError(ValueError):
     """Invalid field spec, or an operation outside its domain."""
-
-
-class _IdenticallyZero:
-    def __repr__(self):
-        return "IDENTICALLY_ZERO"
-
-
-#: Sentinel returned by quadratic_roots when all three coefficients vanish,
-#: i.e. every x is a root. Distinct from any root set.
-IDENTICALLY_ZERO = _IdenticallyZero()
 
 
 def _is_prime(m: int) -> bool:
@@ -219,7 +209,8 @@ class FieldCtx:
     reads it once per chunk. For p = 2 the digitwise sum mod 2 is the XOR
     of the indices, so add and sub are operator.xor and no table is built.
     The generator is the first element index of multiplicative order q-1.
-    The powers of g in digit-lane form (lane_exp) are built on first use.
+    The powers of g in digit-lane form (lane_exp) and the root counts of
+    z^2 + z + u (_roots_by_log) are built on first use.
 
     Multiplication by a fixed element is F_p-linear, so it is tabulated
     per chunk of digits (the chunk maps). A field of two chunks (q > 256,
@@ -300,22 +291,6 @@ class FieldCtx:
         if any(map(operator.ne, pth_powers, map(read, exp))):
             raise FieldError("trace is not invariant under Frobenius")
         self.trace_table = trace
-
-        if p == 2:
-            # preimage table for z^2 + z = u, used to extract char-2 roots.
-            # z -> z^2 + z is F_2-linear with kernel {0, 1}, so it is one to
-            # one on the even z: take it on the basis a, .., a^(n-1) and
-            # expand bit by bit as the trace is, then invert
-            images = [0]
-            for w in self._pw[1:]:
-                image = exp[2 * log[w] % qm] ^ w
-                images += [u ^ image for u in images]
-            as_root: list[int | None] = [None] * q
-            for z, u in zip(range(0, q, 2), images):
-                as_root[u] = z
-            self._as_root = as_root
-        else:
-            self._as_root = None
 
     # -- construction helpers ------------------------------------------------
 
@@ -565,55 +540,52 @@ class FieldCtx:
 
     # -- quadratics ------------------------------------------------------
 
-    def quadratic_roots(self, a: Fe, b: Fe = 0, c: Fe = 0):
-        """Root set of a + b x + c x^2 as a frozenset of element indices.
+    @functools.cached_property
+    def _roots_by_log(self) -> bytes:
+        """Entry j: the number of z in F_q with z^2 + z + g^j = 0, that is,
+        how often z -> -(z^2 + z) = -z (z + 1) hits g^j. Built on first
+        use by counting that image over every z outside {0, -1}, in log
+        form: log(-1) + log z + log(z + 1). It reads neither trace_table
+        nor qchar_table, which the existence test pair_intersects_fast
+        decides by."""
+        q, p, log = self.q, self.p, self.log
+        qm = q - 1
+        # log(z + 1) at every z: z + 1 raises the low digit of z, which
+        # wraps from p - 1 to 0
+        log_next = log[1:] + [None]
+        log_next[p - 1 :: p] = log[::p]
+        # every z but 0 and -1 (index p - 1), where z (z + 1) = 0
+        log_z = log[1 : p - 1] + log[p:]
+        log_z1 = log_next[1 : p - 1] + log_next[p:]
+        image_logs = map(
+            operator.add, map(operator.add, log_z, log_z1), itertools.repeat(log[p - 1])
+        )
+        hits = collections.Counter(map(operator.mod, image_logs, itertools.repeat(qm)))
+        return bytes(map(hits.get, range(qm), itertools.repeat(0)))
 
-        Degenerate cases are handled explicitly; the all-zero polynomial
-        returns the IDENTICALLY_ZERO sentinel rather than a root set.
-        Omitted coefficients are 0, so a linear or constant difference
-        passes its coefficients as they are. Products and quotients are
-        sums and differences of logs, read back through exp; zero factors
-        are split out first.
-        """
-        exp, log, qm = self.exp, self.log, self.q - 1
+    def quadratic_root_count(self, a: Fe, b: Fe = 0, c: Fe = 0) -> int:
+        """Number of roots of a + b x + c x^2 in F_q; q for the zero
+        polynomial. Omitted coefficients are 0, so a linear or constant
+        difference passes its coefficients as they are.
+
+        With a, b, c != 0, x = (b/c) z turns the equation into
+        z^2 + z + u = 0, u = ac/b^2, in every characteristic, so the count
+        is one read of _roots_by_log at log u."""
         if c == 0:
             if b == 0:
-                return IDENTICALLY_ZERO if a == 0 else frozenset()
-            if a == 0:
-                return frozenset({0})
-            return frozenset({exp[(log[self._neg[a]] - log[b]) % qm]})
-        if self.p == 2:
-            if b == 0:
-                # squaring is a bijection in characteristic 2: x^2 = a/c
-                if a == 0:
-                    return frozenset({0})
-                return frozenset({exp[(log[a] - log[c]) * (self.q // 2) % qm]})
-            if a == 0:
-                return frozenset({0, exp[(log[b] - log[c]) % qm]})
-            # x = (b/c) z turns the equation into z^2 + z = u = ac/b^2, whose
-            # roots are z and z ^ 1; u != 0 here, so neither is 0
-            z = self._as_root[exp[(log[a] + log[c] - 2 * log[b]) % qm]]
-            if z is None:
-                return frozenset()
-            scale = log[b] - log[c]
-            return frozenset(
-                {exp[(scale + log[z]) % qm], exp[(scale + log[z ^ 1]) % qm]}
-            )
-        # odd p: (-b +- s) / 2c with s^2 = b^2 - 4ac
-        four_ac = exp[(log[4 % self.p] + log[a] + log[c]) % qm] if a else 0
-        disc = self.sub(exp[2 * log[b] % qm], four_ac) if b else self._neg[four_ac]
-        if disc == 0:
-            s = 0
-        elif log[disc] % 2:
-            return frozenset()
-        else:
-            s = exp[log[disc] // 2]
-        mb = self._neg[b]
-        over_2c = -log[2] - log[c]
-        return frozenset(
-            exp[(log[r] + over_2c) % qm] if r else 0
-            for r in (self.add(mb, s), self.sub(mb, s))
-        )
+                return self.q if a == 0 else 0
+            return 1
+        if a == 0:
+            # x (b + c x): 0 and -b/c, one root when b = 0
+            return 2 if b else 1
+        log = self.log
+        if b == 0:
+            # x^2 = -a/c: squaring is one to one at p = 2; at odd p two
+            # roots when -a/c is a square, i.e. has an even log
+            if self.p == 2:
+                return 1
+            return 0 if (log[self._neg[a]] - log[c]) & 1 else 2
+        return self._roots_by_log[(log[a] + log[c] - 2 * log[b]) % (self.q - 1)]
 
     # -- misc ----------------------------------------------------------------
 

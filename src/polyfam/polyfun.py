@@ -17,7 +17,7 @@ from array import array
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .gf import IDENTICALLY_ZERO, FieldCtx, Fe, digit_bits
+from .gf import FieldCtx, Fe, digit_bits
 
 
 class PointAG(NamedTuple):
@@ -65,19 +65,16 @@ def difference(ctx: FieldCtx, f: PolyK, g: PolyK) -> PolyK:
 def intersection_count(ctx: FieldCtx, f: PolyK, g: PolyK) -> int:
     """Number of x with f(x) = g(x). Equal polynomials give q.
 
-    For k <= 2 the count comes from the closed-form root finder on the
-    coefficient differences; larger k counts the zeros of the difference
-    over the whole field.
+    For k <= 2 the count is the root count of the coefficient differences,
+    read from the field's table; larger k counts the zeros of the
+    difference over the whole field.
     """
     if f.k != g.k:
         raise ValueError("intersection count needs matching degree bounds")
     if f.k > 2:
         h = difference(ctx, f, g)
         return (h.coeffs[0] == 0) + values_by_log(ctx, h).count(0)
-    roots = ctx.quadratic_roots(*map(ctx.sub, f.coeffs, g.coeffs))
-    if roots is IDENTICALLY_ZERO:
-        return ctx.q
-    return len(roots)
+    return ctx.quadratic_root_count(*map(ctx.sub, f.coeffs, g.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +199,10 @@ def pair_intersects_fast(ctx: FieldCtx, f: PolyK, g: PolyK) -> bool:
     (linear or constant) differences are split out explicitly. It keeps
     to mul/div method calls on purpose: it is the independent oracle that
     intersection_count is checked against, so it shares no log-domain code.
+    Past exp/log, which both read, they read different tables: this test
+    reads trace_table and qchar_table, the root count its own census of
+    z -> -(z^2 + z), taken from exp/log alone. A fault in either table
+    shows as a disagreement.
     """
     if f.k != 2 or g.k != 2:
         raise ValueError("fast path is defined for k = 2 only")

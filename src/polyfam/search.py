@@ -245,8 +245,21 @@ def ekr_oracle(ctx: FieldCtx, k: int, budget: int = DEFAULT_NODE_BUDGET) -> Repo
     with constant term 0, once the adjacency confirms it is a clique; the
     greedy colouring of the root then bounds the rest by q^k, so the
     maximum is proven in one node. A pencil that is not a clique is a
-    witness, and the search then runs without a start."""
+    witness, and the search then runs without a start.
+
+    The equality case needs k >= 2: at k = 1, lines of distinct slopes
+    meet pairwise with no common point, so a smaller k is inapplicable
+    and nothing is searched."""
     watch = Stopwatch()
+    if k < 2:
+        return Report(
+            claim_id="ekr-bound",
+            field_spec=ctx.report_spec_string(),
+            verdict="inapplicable",
+            parameters={"k": k, "hypothesis": "k >= 2"},
+            wall_time_ms=watch.ms(),
+            primary_counter="maxClique",
+        )
     q = ctx.q
     g = build_graph(ctx, k, 1)
     witnesses: list = []
@@ -300,8 +313,7 @@ def rootable_count(ctx: FieldCtx, d: int, w: int) -> int:
         raise ValueError("d and w must be nonzero")
     count = 0
     for v in range(ctx.q):
-        roots = ctx.quadratic_roots(w, v, d)
-        if roots:
+        if ctx.quadratic_root_count(w, v, d) > 0:
             count += 1
     return count
 

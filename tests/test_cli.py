@@ -338,6 +338,15 @@ def test_search_clique_and_budget(capsys):
     assert json.loads(out)["proven"] is False
 
 
+def test_search_ekr_k1_is_inapplicable(capsys):
+    code, out, _ = run(capsys, "search", "ekr", "--field", "3^1", "--k", "1")
+    assert code == 0
+    d = json.loads(out)
+    assert d["verdict"] == "inapplicable"
+    assert d["parameters"] == {"k": 1, "hypothesis": "k >= 2"}
+    assert d["witnesses"] == []
+
+
 def test_search_probe(capsys):
     code, out, _ = run(capsys, "search", "probe", "--field", "5", "--trials", "100",
                        "--seed", "3")

@@ -6,7 +6,6 @@ import random
 import pytest
 
 from polyfam.gf import (
-    IDENTICALLY_ZERO,
     FieldCtx,
     FieldError,
     FieldSpec,
@@ -258,26 +257,49 @@ def brute_quadratic_roots(ctx, a, b, c):
     )
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def root_census(ctx, b, c):
+    """For every a at once, the number of x with a + b x + c x^2 = 0: how
+    often -(b x + c x^2) hits a, x over the whole field."""
+    counts = [0] * ctx.q
+    for x in range(ctx.q):
+        counts[ctx.sub(0, ctx.add(ctx.mul(b, x), ctx.mul(c, ctx.mul(x, x))))] += 1
+    return counts
+
+
+@pytest.mark.parametrize("q", [q for q in range(2, 33) if len(_prime_factors(q)) == 1])
 def test_quadratic_roots_exhaustive(q):
+    """Every (a, b, c) at q <= 32: the root count is the brute-force
+    census, and q for the zero polynomial."""
     ctx = make_field_of_order(q)
-    for a in range(q):
-        for b in range(q):
-            for c in range(q):
-                got = ctx.quadratic_roots(a, b, c)
-                if a == b == c == 0:
-                    assert got is IDENTICALLY_ZERO
-                    continue
-                assert got == brute_quadratic_roots(ctx, a, b, c), (q, a, b, c)
+    for b in range(q):
+        for c in range(q):
+            census = root_census(ctx, b, c)
+            for a in range(q):
+                assert ctx.quadratic_root_count(a, b, c) == census[a], (q, a, b, c)
+    assert ctx.quadratic_root_count(0) == q
 
 
 def test_quadratic_roots_frozen():
     c4 = make_field(2, 2)
-    assert c4.quadratic_roots(1, 1, 1) == frozenset({2, 3})
+    assert brute_quadratic_roots(c4, 1, 1, 1) == frozenset({2, 3})
+    assert c4.quadratic_root_count(1, 1, 1) == 2
     c2 = make_field(2, 1)
-    assert c2.quadratic_roots(1, 1, 1) == frozenset()
+    assert brute_quadratic_roots(c2, 1, 1, 1) == frozenset()
+    assert c2.quadratic_root_count(1, 1, 1) == 0
     c5 = make_field(5, 1)
-    assert c5.quadratic_roots(1, 0, 1) == frozenset({2, 3})
+    assert brute_quadratic_roots(c5, 1, 0, 1) == frozenset({2, 3})
+    assert c5.quadratic_root_count(1, 0, 1) == 2
+
+
+def test_root_count_table_is_built_on_first_use():
+    """A cold build leaves the census out, so the set-up never pays for
+    it; the first count builds it, and later counts read it."""
+    ctx = build(2, 16)
+    assert "_roots_by_log" not in vars(ctx)
+    assert ctx.quadratic_root_count(1, 1, 1) == 2 - 2 * ctx.trace(1)
+    table = vars(ctx)["_roots_by_log"]
+    assert isinstance(table, bytes) and len(table) == ctx.q - 1
+    assert ctx._roots_by_log is table
 
 
 @pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27])
@@ -389,16 +411,13 @@ def test_make_field_caches():
 
 
 def test_even_char_artin_schreier_table():
-    # quadratic_roots in characteristic two hits the preimage table; the
-    # solvable cases are exactly trace zero
-    for q in (4, 8, 16):
+    # in characteristic two x^2 + x + u has two roots when Tr(u) = 0 and
+    # none otherwise: the census agrees with the trace it never reads
+    for q in (4, 8, 16, 1024):
         ctx = make_field_of_order(q)
         for u in range(q):
-            roots = ctx.quadratic_roots(u, 1, 1)  # x^2 + x + u
-            if ctx.trace(u) == 0:
-                assert len(roots) == 2
-            else:
-                assert roots == frozenset()
+            want = 2 if ctx.trace(u) == 0 else 0
+            assert ctx.quadratic_root_count(u, 1, 1) == want, (q, u)
 
 
 # ---------------------------------------------------------------------------
@@ -468,16 +487,15 @@ def digit_field(p, n):
         trace.append(t)
     out.update(generator=g, exp=exp, log=log, trace_table=trace)
 
-    out["qchar_table"] = out["_as_root"] = None
+    out["qchar_table"] = None
     if q % 2:
         out["qchar_table"] = [0] + [1 if log[x] % 2 == 0 else -1 for x in range(1, q)]
-    else:
-        as_root = [None] * q
-        for z in range(q):
-            u = digit_add(p, n, mul(z, z), z)
-            if as_root[u] is None:
-                as_root[u] = z
-        out["_as_root"] = as_root
+    roots = [0] * (q - 1)
+    for z in range(q):
+        u = digit_neg(p, n, digit_add(p, n, mul(z, z), z))
+        if u:
+            roots[log[u]] += 1
+    out["_roots_by_log"] = bytes(roots)
 
     out["sqrt_q"] = out["norm_table"] = None
     if n % 2 == 0:
@@ -529,19 +547,19 @@ def test_char2_add_sub_neg_are_xor_and_identity(n):
 
 
 def test_char2_root_and_negation_tables_match_the_loop_build():
-    """At p = 2 the tables are filled from even z only and negation is
-    the identity. The loop that tried every z, added with the field's own
-    add and kept the first preimage, and digitwise negation give the same
-    tables."""
+    """At p = 2 the root counts are read in log form from z and z + 1
+    and negation is the identity. The loop that tried every z, added
+    with the field's own add and counted each z^2 + z, and digitwise
+    negation give the same tables."""
     for n in range(1, 17):
         ctx = build(2, n)
         q, exp, log = ctx.q, ctx.exp, ctx.log
-        as_root = [None] * q
+        roots = [0] * (q - 1)
         for z, zz in enumerate([0] + [exp[2 * e % (q - 1)] for e in log[1:]]):
             u = ctx.add(zz, z)
-            if as_root[u] is None:
-                as_root[u] = z
-        assert ctx._as_root == as_root, n
+            if u:
+                roots[log[u]] += 1
+        assert ctx._roots_by_log == bytes(roots), n
         assert ctx._neg == ctx._digitwise(0, n, sign=-1), n
 
 
@@ -565,9 +583,10 @@ def walk_tables(ctx):
 
     Each power of g is the one before it times g: one table of products
     per chunk of digits, c digits a chunk with p^c <= 256, and the product
-    is the sum of the chunk images. log inverts the walk; qchar, norm and
-    the char-2 root table are read per element through log; the trace is
-    the sum of the Frobenius conjugates of each element."""
+    is the sum of the chunk images. log inverts the walk; qchar and norm
+    are read per element through log; the root counts tally -(z^2 + z)
+    per element, added with the field's own add; the trace is the sum of
+    the Frobenius conjugates of each element."""
     p, n, q = ctx.p, ctx.n, ctx.q
     qm = q - 1
     mod = list(ctx.spec.modulus)
@@ -599,17 +618,18 @@ def walk_tables(ctx):
         assert log[x] is None
         log[x] = i
 
-    out = {"exp": exp, "log": log, "qchar_table": None, "norm_table": None, "_as_root": None}
+    out = {"exp": exp, "log": log, "qchar_table": None, "norm_table": None}
     if q % 2:
         out["qchar_table"] = [0] + [1 - 2 * (e & 1) for e in log[1:]]
     if n % 2 == 0:
         s = p ** (n // 2)
         out["norm_table"] = [0] + [exp[e * (s + 1) % qm] for e in log[1:]]
-    if p == 2:
-        as_root = [0] + [None] * qm
-        for z in range(2, q, 2):
-            as_root[exp[2 * log[z] % qm] ^ z] = z
-        out["_as_root"] = as_root
+    roots = [0] * qm
+    for z in range(1, q):
+        u = ctx._neg[ctx.add(exp[2 * log[z] % qm], z)]
+        if u:
+            roots[log[u]] += 1
+    out["_roots_by_log"] = bytes(roots)
     trace = [0]
     for e in log[1:]:
         t = 0

@@ -1,12 +1,12 @@
 """Bounded-degree polynomials and graph intersection, brute force checked."""
 
+import functools
 import itertools
 import random
 
 import pytest
 
 from polyfam.gf import (
-    IDENTICALLY_ZERO,
     FieldError,
     factor_prime_power,
     make_field,
@@ -303,20 +303,28 @@ def _prime_powers(lo, hi):
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def as_root(ctx):
+    """{z^2 + z: z} over F_q in characteristic two: the preimage table
+    that root extraction needs and the count does not, built by trying
+    every z."""
+    return {ctx.add(ctx.mul(z, z), z): z for z in range(ctx.q)}
+
+
 def method_call_quadratic_roots(ctx, a, b, c):
-    """FieldCtx.quadratic_roots as it was before it read exp/log: every
-    product and quotient a mul, div or inv method call."""
+    """The root set of a + b x + c x^2, every product and quotient a mul,
+    div or inv method call; the zero polynomial has every x as a root."""
     if c == 0:
         if b == 0:
-            return IDENTICALLY_ZERO if a == 0 else frozenset()
+            return frozenset(range(ctx.q)) if a == 0 else frozenset()
         return frozenset({ctx.div(ctx.sub(0, a), b)})
     if ctx.p == 2:
         if b == 0:
             return frozenset({ctx.sqrt(ctx.div(a, c))})
         u = ctx.div(ctx.mul(a, c), ctx.mul(b, b))
-        if ctx.trace(u) != 0:
+        z = as_root(ctx).get(u)
+        if z is None:
             return frozenset()
-        z = ctx._as_root[u]
         scale = ctx.div(b, c)
         return frozenset({ctx.mul(scale, z), ctx.mul(scale, ctx.add(z, 1))})
     disc = ctx.sub(ctx.mul(b, b), ctx.mul(4 % ctx.p, ctx.mul(a, c)))
@@ -331,23 +339,17 @@ def method_call_quadratic_roots(ctx, a, b, c):
 def _check_roots_and_count(ctx, a, b, c, want, g):
     """want is the root set of a + b x + c x^2 by pointwise evaluation;
     g is added to both sides for the intersection_count check."""
-    got = ctx.quadratic_roots(a, b, c)
-    assert got == method_call_quadratic_roots(ctx, a, b, c), (ctx.q, a, b, c)
-    if a == b == c == 0:
-        assert got is IDENTICALLY_ZERO
-        want_count = ctx.q
-    else:
-        assert got == want, (ctx.q, a, b, c)
-        want_count = len(want)
+    assert method_call_quadratic_roots(ctx, a, b, c) == want, (ctx.q, a, b, c)
+    assert ctx.quadratic_root_count(a, b, c) == len(want), (ctx.q, a, b, c)
     f = PolyK(2, tuple(map(ctx.add, (a, b, c), g.coeffs)))
-    assert intersection_count(ctx, f, g) == want_count, (f, g)
+    assert intersection_count(ctx, f, g) == len(want), (f, g)
 
 
 @pytest.mark.parametrize("q", _prime_powers(2, 64))
 def test_quadratic_roots_match_the_method_call_version_exhaustively(q):
-    """Every (a, b, c) at q <= 64: the log-domain roots equal the
-    method-call roots and the pointwise root set, and intersection_count
-    equals the pointwise count."""
+    """Every (a, b, c) at q <= 64: the method-call roots are the
+    pointwise root set, and the root count and intersection_count are its
+    size."""
     ctx = make_field_of_order(q)
     rng = random.Random(q)
     squares = [ctx.mul(x, x) for x in range(q)]
@@ -364,19 +366,19 @@ def test_quadratic_roots_match_the_method_call_version_exhaustively(q):
 
 def test_quadratic_roots_match_the_method_call_version_up_to_1024():
     """Seeded random (a, b, c) at every prime power 64 < q <= 1024, each
-    coefficient 0 one time in four; every root must evaluate to 0, and
-    for a few triples per field the root set is the pointwise one."""
+    coefficient 0 one time in four: the root count is the number of
+    method-call roots, every one of which must evaluate to 0, and for a
+    few triples per field the root set is the pointwise one."""
     for q in _prime_powers(65, 1024):
         ctx = make_field_of_order(q)
         rng = random.Random(q)
         squares = [ctx.mul(x, x) for x in range(q)]
         for i in range(300):
             a, b, c = (0 if rng.randrange(4) == 0 else rng.randrange(1, q) for _ in range(3))
-            got = ctx.quadratic_roots(a, b, c)
-            assert got == method_call_quadratic_roots(ctx, a, b, c), (q, a, b, c)
-            if got is not IDENTICALLY_ZERO:
-                for r in got:
-                    assert ctx.add(a, ctx.add(ctx.mul(b, r), ctx.mul(c, squares[r]))) == 0
+            roots = method_call_quadratic_roots(ctx, a, b, c)
+            assert ctx.quadratic_root_count(a, b, c) == len(roots), (q, a, b, c)
+            for r in roots:
+                assert ctx.add(a, ctx.add(ctx.mul(b, r), ctx.mul(c, squares[r]))) == 0
             if i < 10:
                 want = frozenset(
                     x
@@ -385,6 +387,34 @@ def test_quadratic_roots_match_the_method_call_version_up_to_1024():
                 )
                 g = PolyK(2, tuple(rng.randrange(q) for _ in range(3)))
                 _check_roots_and_count(ctx, a, b, c, want, g)
+
+
+@pytest.mark.parametrize("p,n", [(3, 10), (251, 2)])
+def test_root_count_matches_graph_values_at_large_odd_q(p, n):
+    """Seeded quadratics at 3^10 and 251^2 in each branch of the count:
+    b = 0, a zero discriminant (a = b^2 / 4c, one root), and the generic
+    read of the table; the oracle counts the zeros of graph_values."""
+    ctx = make_field(p, n)
+    q = ctx.q
+    rng = random.Random(20248 + q)
+
+    def nonzero():
+        return rng.randrange(1, q)
+
+    cases = []
+    for _ in range(4):
+        cases.append((nonzero(), 0, nonzero()))
+        b, c = nonzero(), nonzero()
+        cases.append((ctx.div(ctx.mul(b, b), ctx.mul(4 % p, c)), b, c))
+        cases.append((nonzero(), nonzero(), nonzero()))
+    seen = set()
+    for a, b, c in cases:
+        want = graph_values(ctx, PolyK(2, (a, b, c))).count(0)
+        assert ctx.quadratic_root_count(a, b, c) == want, (a, b, c)
+        seen.add(want)
+        if b and ctx.sub(ctx.mul(b, b), ctx.mul(4 % p, ctx.mul(a, c))) == 0:
+            assert want == 1
+    assert seen == {0, 1, 2}
 
 
 @pytest.mark.parametrize("p,n,k", [(2, 4, 3), (3, 2, 4), (7, 1, 5), (3, 6, 3), (2, 10, 4)])

@@ -17,6 +17,7 @@ import pytest
 from polyfam import search
 from polyfam.charsum import mcconnel_scan
 from polyfam.directions import carlitz_scan
+from polyfam.families import common_point
 from polyfam.gf import make_field, make_field_of_order
 from polyfam.polyfun import intersection_count
 from polyfam.report import DEFAULT_NODE_BUDGET
@@ -383,6 +384,23 @@ def test_ekr_oracle_q2_q3():
         "maximumCliques": 9,
     }
     assert len(rep3.parameters["pencilPoints"]) == 9
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_ekr_oracle_k1_is_inapplicable(q):
+    """At k = 1 the maximum is still q, but the equality case fails:
+    lines of distinct slopes meet pairwise with no common point. The
+    oracle names its hypothesis k >= 2 and searches nothing, where it
+    used to fail with those cliques as witnesses."""
+    ctx = make_field(q, 1)
+    g = build_graph(ctx, 1, 1)
+    cliques = enumerate_maximum_cliques(g, max_clique(g, DEFAULT_NODE_BUDGET).size)
+    assert len(cliques[0]) == q
+    assert any(common_point(ctx, family_from_vertices(q, 1, cl)) is None for cl in cliques)
+    rep = ekr_oracle(ctx, 1)
+    assert rep.verdict == "inapplicable"
+    assert rep.parameters == {"k": 1, "hypothesis": "k >= 2"}
+    assert rep.witnesses == [] and rep.counters == {}
 
 
 def test_ekr_oracle_budget_exceeded():
