@@ -645,20 +645,11 @@ def cmd_suite(args) -> int:
         missing = [c for c in args.claim if c not in dict(SUITE)]
         if missing:
             raise ValueError(f"unknown claim ids: {', '.join(missing)}")
-    if args.workers < 1:
-        raise ValueError(f"--workers must be at least 1, got {args.workers}")
-    runners = [fn for n, fn in SUITE if not args.claim or n in args.claim]
-    # the pool starts all its processes at once: no more than there are runners
-    workers = min(args.workers, len(runners))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futs = [pool.submit(fn, args.tier, args.seed) for fn in runners]
-            batches = [f.result() for f in futs]  # registry order, whatever finishes first
-    else:
-        batches = [fn(args.tier, args.seed) for fn in runners]
-    return _emit([r for batch in batches for r in batch], args.format)
+    reports = [
+        r for n, fn in SUITE if not args.claim or n in args.claim
+        for r in fn(args.tier, args.seed)
+    ]
+    return _emit(reports, args.format)
 
 
 # ---------------------------------------------------------------------------
@@ -814,7 +805,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tier", choices=("fast", "full", "extended"), default="fast")
     p.add_argument("--claim", action="append", help="run only this claim id (repeatable)")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--workers", type=int, default=1, help="worker processes, at least 1")
     _add_format(p)
     p.set_defaults(func=cmd_suite)
 

@@ -103,15 +103,20 @@ def is_affine(ctx: FieldCtx, values) -> bool:
 def carlitz_scan(ctx: FieldCtx, node_budget: int = DEFAULT_NODE_BUDGET) -> Report:
     """Check that a proper direction span forces affinity.
 
-    The scan covers all q^q value tables in odometer order (sigma at
-    element 0 varies slowest). Subtrees whose assigned prefix already has
-    directions spanning all of F_q are skipped: no completion of such a
-    prefix can be a candidate, and affine functions (span dim at most 1)
-    are never skipped, so the verdict and the affine count are exact.
-    Visiting more than node_budget nodes stops the scan with verdict
-    budget-exceeded and partial counters, unless a counterexample was
-    already found. At q = 2 the claim does not apply, so the verdict is
-    inapplicable.
+    The scan covers all q^q value tables. sigma and sigma + c have the
+    same directions and are affine together, so it walks only the tables
+    with sigma(0) = 0, in odometer order, and weights each candidate by
+    its q translates: `affine` and `candidates` count all q^q tables, the
+    partial counts of a stopped scan too, and the unreduced walk visits
+    exactly q * nodesVisited nodes. Witnesses have sigma(0) = 0; every
+    counterexample has a translate there. Subtrees whose assigned prefix
+    already has directions spanning all of F_q are skipped: no completion
+    of such a prefix can be a candidate, and affine functions (span dim
+    at most 1) are never skipped, so the verdict and the affine count are
+    exact. Visiting more than node_budget nodes stops the scan with
+    verdict budget-exceeded and partial counters, unless a counterexample
+    was already found. At q = 2 the claim does not apply, so the verdict
+    is inapplicable.
     """
     watch = Stopwatch()
     q, n = ctx.q, ctx.n
@@ -132,7 +137,7 @@ def carlitz_scan(ctx: FieldCtx, node_budget: int = DEFAULT_NODE_BUDGET) -> Repor
 
     def walk(m: int, span: _FpSpan):
         nonlocal affine, candidates, nodes, aborted
-        for v in range(q):
+        for v in range(q) if m else (0,):  # sigma(0) = 0
             nodes += 1
             if nodes > node_budget:
                 aborted = True
@@ -150,9 +155,9 @@ def carlitz_scan(ctx: FieldCtx, node_budget: int = DEFAULT_NODE_BUDGET) -> Repor
                 continue
             if m + 1 == q:
                 # leaf with a proper direction span: must be affine
-                candidates += 1
+                candidates += q  # with its q translates
                 if is_affine(ctx, vals):
-                    affine += 1
+                    affine += q
                 elif len(witnesses) < WITNESS_CAP:
                     witnesses.append({"values": list(vals)})
             else:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .gf import FieldCtx, Fe, parse_field_spec
 from .polyfun import (
@@ -175,17 +175,11 @@ def all_common_points(ctx: FieldCtx, fam: Family) -> list[PointAG]:
 
 @dataclass(frozen=True)
 class ExtensionResult:
-    """The common points of a family; the pencil through each of them
-    (q^k members) is listed only when `pencils` is read."""
+    """The common points of a family: the pencil through each of them
+    contains it."""
 
     unique: bool
     points: tuple[PointAG, ...]
-    ctx: FieldCtx = field(repr=False)
-    k: int
-
-    @functools.cached_property
-    def pencils(self) -> tuple[Family, ...]:
-        return tuple(pencil(self.ctx, alpha, beta, self.k) for alpha, beta in self.points)
 
 
 def extend_unique(ctx: FieldCtx, fam: Family) -> ExtensionResult:
@@ -195,14 +189,16 @@ def extend_unique(ctx: FieldCtx, fam: Family) -> ExtensionResult:
     the pencil down uniquely (two distinct common points can only support
     q^(k-1) polynomials); smaller families get every candidate with
     unique=False."""
-    ok, witness = is_t_intersecting(ctx, fam, 1)
-    if not ok:
-        raise FamilyError(f"family is not intersecting: {witness}")
     points = all_common_points(ctx, fam)
     if not points:
+        # a common point makes the family intersecting; without one, say
+        # which pair fails if any does
+        ok, witness = is_t_intersecting(ctx, fam, 1)
+        if not ok:
+            raise FamilyError(f"family is not intersecting: {witness}")
         raise FamilyError("no common point; the family extends to no pencil")
     unique = len(fam) > ctx.q ** (fam.k - 1) and len(points) == 1
-    return ExtensionResult(unique, tuple(points), ctx, fam.k)
+    return ExtensionResult(unique, tuple(points))
 
 
 def top_coeff_injective(ctx: FieldCtx, fam: Family, t: int) -> bool:

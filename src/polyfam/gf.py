@@ -57,6 +57,16 @@ def _is_prime(m: int) -> bool:
     return True
 
 
+def _check_order(p: int, n: int) -> None:
+    """FieldError unless p is prime, n >= 1 and p^n is within the table cap."""
+    if not _is_prime(p):
+        raise FieldError(f"p must be prime, got {p}")
+    if n < 1:
+        raise FieldError(f"n must be positive, got {n}")
+    if p**n > MAX_FIELD_ORDER:
+        raise FieldError(f"field order {p}^{n} exceeds the table cap {MAX_FIELD_ORDER}")
+
+
 def _prime_factors(m: int) -> list[int]:
     out = []
     f = 2
@@ -177,14 +187,7 @@ class FieldSpec:
     modulus: tuple[int, ...]
 
     def __post_init__(self):
-        if not _is_prime(self.p):
-            raise FieldError(f"p must be prime, got {self.p}")
-        if self.n < 1:
-            raise FieldError(f"n must be positive, got {self.n}")
-        if self.p**self.n > MAX_FIELD_ORDER:
-            raise FieldError(
-                f"field order {self.p}^{self.n} exceeds the table cap {MAX_FIELD_ORDER}"
-            )
+        _check_order(self.p, self.n)
         m = self.modulus
         if len(m) != self.n + 1 or m[-1] != 1:
             raise FieldError("modulus must be monic of degree n, low degree first")
@@ -589,9 +592,6 @@ class FieldCtx:
 
     # -- misc ----------------------------------------------------------------
 
-    def elements(self) -> range:
-        return range(self.q)
-
     def digits_of(self, x: Fe) -> tuple[int, ...]:
         out = []
         for _ in range(self.n):
@@ -626,14 +626,7 @@ def make_field(p: int, n: int, modulus=None) -> FieldCtx:
     modulus is a low-degree-first monic coefficient sequence of length
     n+1; omit it to get the lexicographically smallest irreducible.
     """
-    if not _is_prime(p):
-        raise FieldError(f"p must be prime, got {p}")
-    if n < 1:
-        raise FieldError(f"n must be positive, got {n}")
-    if p**n > MAX_FIELD_ORDER:
-        raise FieldError(
-            f"field order {p}^{n} exceeds the table cap {MAX_FIELD_ORDER}"
-        )
+    _check_order(p, n)
     if modulus is None:
         modulus = default_modulus(p, n)
     return _build(p, n, tuple(modulus))

@@ -11,7 +11,6 @@ compare all q points of two graphs in a few big-int operations.
 from __future__ import annotations
 
 import functools
-import math
 import sys
 from array import array
 from dataclasses import dataclass
@@ -42,10 +41,6 @@ class PolyK:
             raise ValueError(
                 f"need {self.k + 1} coefficients for k={self.k}, got {len(self.coeffs)}"
             )
-
-
-def poly(k: int, coeffs) -> PolyK:
-    return PolyK(k, tuple(coeffs))
 
 
 def evaluate(ctx: FieldCtx, f: PolyK, x: Fe) -> Fe:
@@ -142,7 +137,7 @@ def values_by_log(ctx: FieldCtx, f: PolyK) -> array:
 
 
 def graph_values(ctx: FieldCtx, f: PolyK) -> list[Fe]:
-    """[f(x) for x in ctx.elements()]: f(0) is the constant term, and f(x)
+    """[f(x) for x in range(ctx.q)]: f(0) is the constant term, and f(x)
     for x = g^j is entry j of values_by_log."""
     vals = values_by_log(ctx, f)
     return [f.coeffs[0], *map(vals.__getitem__, ctx.log[1:])]
@@ -221,22 +216,6 @@ def pair_intersects_fast(ctx: FieldCtx, f: PolyK, g: PolyK) -> bool:
     four = 4 % ctx.p
     disc = ctx.sub(ctx.mul(b, b), ctx.mul(four, ctx.mul(a, c)))
     return ctx.quadratic_character(disc) >= 0
-
-
-def shift_argument(ctx: FieldCtx, f: PolyK, alpha: Fe) -> PolyK:
-    """The polynomial x -> f(x + alpha), same degree bound."""
-    out = [0] * (f.k + 1)
-    for i, c in enumerate(f.coeffs):
-        if c == 0:
-            continue
-        # expand c*(x+alpha)^i by the binomial theorem; binomials live in F_p
-        term = 1
-        for j in range(i, -1, -1):
-            binom = math.comb(i, j) % ctx.p
-            if binom and term:
-                out[j] = ctx.add(out[j], ctx.mul(c, ctx.mul(binom, term)))
-            term = ctx.mul(term, alpha)
-    return PolyK(f.k, tuple(out))
 
 
 def format_poly(f: PolyK) -> str:

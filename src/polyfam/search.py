@@ -36,9 +36,6 @@ class IntersectionGraph:
     adj: list[int]
     edge_count: int
 
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
 
 def vertex_to_poly(q: int, k: int, v: int) -> PolyK:
     coeffs = []
@@ -492,16 +489,12 @@ SPLIT_CUT = 500
 def _probe_parts(trials: int) -> int:
     """How many processes stability_probe runs its trials in: one per
     usable core, as long as every part keeps SPLIT_CUT trials. One where
-    forking is unavailable or unsafe: without os.fork, inside a
-    multiprocessing worker (suite --workers already spreads the claims),
-    or with other threads running."""
+    forking is unavailable or unsafe: without os.fork, or with other
+    threads running."""
     parts = trials // SPLIT_CUT
     if parts < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
-    # read from sys.modules: importing multiprocessing costs the CLI ~35 ms
-    mp = sys.modules.get("multiprocessing")
-    if mp is not None and mp.parent_process() is not None:
-        return 1
+    # read from sys.modules: without threading, no other thread was started
     threading = sys.modules.get("threading")
     if threading is not None and threading.active_count() > 1:
         return 1

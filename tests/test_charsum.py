@@ -188,7 +188,7 @@ def test_char_sum_matches_the_pointwise_sum_in_large_fields(p, n):
     # a zero constant term (chi(f(0)) = 0) and zero inner coefficients
     polys += [(0, 0, 0, rng.randrange(1, ctx.q)), (nonsquare, 0, 1, 0, 0, 1)]
     for f in polys:
-        values = [horner(ctx, f, x) for x in ctx.elements()]
+        values = [horner(ctx, f, x) for x in range(ctx.q)]
         for a in (1, nonsquare):
             want = sum(ctx.quadratic_character(ctx.mul(a, y)) for y in values)
             assert char_sum(ctx, f, a) == want, (f, a)

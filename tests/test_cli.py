@@ -1,6 +1,5 @@
 """CLI surface: exit codes, output formats, end-to-end file flows."""
 
-import concurrent.futures
 import gc
 import importlib
 import importlib.util
@@ -16,7 +15,6 @@ from polyfam import charsum, cli, directions
 from polyfam.cli import _mcconnel_report, main, run_carlitz
 from polyfam.gf import make_field
 from polyfam.report import CSV_HEADER, DEFAULT_SEED
-from report_io import report_from_json
 
 
 def run(capsys, *argv):
@@ -411,66 +409,13 @@ def test_suite_emits_registry_order(capsys):
     assert ids == ["ekr-bound", "ekr-bound", "hm-size"]
 
 
-def test_suite_workers_match_serial(capsys):
-    claims = ("--claim", "quad-sum-identity", "--claim", "pencil-size", "--claim", "weil-bound")
-    runs = []
-    for workers in ("1", "2"):
-        code, out, _ = run(capsys, "suite", "--tier", "fast", *claims, "--workers", workers)
-        assert code == 0
-        runs.append([report_from_json(ln).canonical_json() for ln in out.splitlines()])
-    assert runs[0] == runs[1]
-    ids = [json.loads(line)["claimId"] for line in runs[0]]
-    assert ids == ["pencil-size"] + ["quad-sum-identity"] * 3 + ["weil-bound"] * 2
-
-@pytest.fixture
-def pool_sizes(monkeypatch):
-    """Puts an inline executor in place of ProcessPoolExecutor. It starts
-    no process and runs each call at submit; the fixture's value lists
-    the pool sizes asked for."""
-    sizes = []
-
-    class InlineExecutor:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            fut = concurrent.futures.Future()
-            fut.set_result(fn(*args))
-            return fut
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
-    return sizes
-
-
-@pytest.mark.parametrize("workers,size", [("2", 2), ("64", 3)])
-def test_suite_pool_is_no_larger_than_the_runner_count(capsys, pool_sizes, workers, size):
-    claims = ("--claim", "pencil-size", "--claim", "hm-size", "--claim", "rootable-count")
-    code, out, _ = run(capsys, "suite", *claims, "--workers", workers)
-    assert code == 0
-    assert pool_sizes == [size]
-    ids = [json.loads(line)["claimId"] for line in out.splitlines()]
-    assert ids == ["pencil-size", "hm-size", "rootable-count"]
-
-
-def test_suite_one_runner_runs_serially(capsys, pool_sizes):
-    code, _, _ = run(capsys, "suite", "--claim", "pencil-size", "--workers", "2")
-    assert code == 0
-    assert pool_sizes == []
-
-
-@pytest.mark.parametrize("workers", ["0", "-1"])
-def test_suite_rejects_fewer_than_one_worker(capsys, pool_sizes, workers):
-    code, out, err = run(capsys, "suite", "--claim", "pencil-size", "--workers", workers)
-    assert code == 2
+def test_suite_has_no_workers_option(capsys):
+    with pytest.raises(SystemExit) as ei:
+        main(["suite", "--claim", "pencil-size", "--workers", "2"])
+    assert ei.value.code == 2
+    out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("error: ") and "--workers" in err
-    assert pool_sizes == []
+    assert "--workers" in err
 
 
 def load_perfbench(monkeypatch, name):
@@ -500,8 +445,8 @@ def test_benchmark_hooks_resolve(monkeypatch):
 
 def test_cli_and_a_split_probe_import_no_process_pool():
     """multiprocessing and concurrent.futures cost a fresh CLI process
-    about 35 ms and 1.5 MB (suite-full setup_s and peak_rss_mb). Only
-    suite --workers imports them; the probe forks without them."""
+    about 35 ms and 1.5 MB (suite-full setup_s and peak_rss_mb). Nothing
+    imports them; the probe forks with os.fork alone."""
     code = (
         "import sys\n"
         "from polyfam import cli, search\n"

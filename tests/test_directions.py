@@ -111,6 +111,45 @@ def naive_scan(ctx):
     return affine, candidates, bad
 
 
+def unreduced_walk(ctx):
+    """carlitz_scan's odometer walk over all q^q tables, sigma(0) free:
+    the oracle for its sigma(0) = 0 reduction. Returns affine,
+    candidates and nodes visited."""
+    q, n = ctx.q, ctx.n
+    affine = candidates = nodes = 0
+    vals = [0] * q
+
+    def walk(m, span):
+        nonlocal affine, candidates, nodes
+        for v in range(q):
+            nodes += 1
+            vals[m] = v
+            child = span.clone()
+            for j in range(m):
+                child.add(ctx.div(ctx.sub(v, vals[j]), ctx.sub(m, j)))
+            if child.dim == n:
+                continue
+            if m + 1 < q:
+                walk(m + 1, child)
+            else:
+                candidates += 1
+                affine += is_affine(ctx, vals)
+
+    walk(0, directions._FpSpan(ctx))
+    return affine, candidates, nodes
+
+
+@pytest.mark.parametrize("p,n", [(2, 2), (3, 1), (5, 1), (2, 3), (3, 2)])
+def test_carlitz_scan_matches_the_unreduced_walk(p, n):
+    ctx = make_field(p, n)
+    affine, candidates, nodes = unreduced_walk(ctx)
+    rep = carlitz_scan(ctx)
+    assert rep.counters["affine"] == affine
+    assert rep.counters["candidates"] == candidates
+    # every node of the reduced walk stands for its q translates
+    assert nodes == ctx.q * rep.counters["nodesVisited"]
+
+
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_carlitz_scan_matches_naive(q):
     ctx = make_field_of_order(q)
@@ -133,7 +172,7 @@ def test_carlitz_scan_frozen_q4():
         "scanned": 256,
         "affine": 16,
         "candidates": 16,
-        "nodesVisited": 148,
+        "nodesVisited": 37,
     }
 
 
@@ -159,26 +198,28 @@ def test_carlitz_scan_frozen_q9():
         "scanned": 9**9,
         "affine": 81,
         "candidates": 81,
-        "nodesVisited": 7137,
+        "nodesVisited": 793,
     }
 
 
 def test_carlitz_scan_budget_exceeded():
-    rep = carlitz_scan(make_field(3, 2), node_budget=1000)
+    rep = carlitz_scan(make_field(3, 2), node_budget=500)
     assert rep.verdict == "budget-exceeded"
-    assert rep.parameters["nodeBudget"] == 1000
-    assert rep.counters["nodesVisited"] == 1001
+    assert rep.parameters["nodeBudget"] == 500
+    assert rep.counters["nodesVisited"] == 501
     assert "scanned" not in rep.counters
     assert rep.counters["affine"] <= rep.counters["candidates"] < 81
+    # partial counts are weighted by the q translates too
+    assert rep.counters["candidates"] % 9 == 0
     # a budget the scan fits in changes nothing
-    assert carlitz_scan(make_field(3, 2), node_budget=7137).verdict == "pass"
+    assert carlitz_scan(make_field(3, 2), node_budget=793).verdict == "pass"
 
 
 def test_carlitz_scan_counterexample_outlives_the_budget(monkeypatch):
     # with every candidate taken as non-affine, the first leaf is a
     # counterexample, and a scan stopped afterwards still fails
     monkeypatch.setattr(directions, "is_affine", lambda ctx, values: False)
-    rep = carlitz_scan(make_field(3, 2), node_budget=1000)
+    rep = carlitz_scan(make_field(3, 2), node_budget=500)
     assert rep.verdict == "fail"
     assert rep.witnesses[0] == {"values": [0] * 9}
-    assert rep.parameters["nodeBudget"] == 1000
+    assert rep.parameters["nodeBudget"] == 500

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from polyfam.gf import make_field, make_field_of_order
-from polyfam.polyfun import PointAG, PolyK, evaluate, intersection_count, poly
+from polyfam.polyfun import PointAG, PolyK, evaluate, intersection_count
 from polyfam.families import (
     Family,
     FamilyError,
@@ -40,7 +40,7 @@ def pairwise_t_intersecting(ctx, fam, t):
 def evaluated_common_points(ctx, fam):
     """Reference: evaluate every member at every x."""
     out = []
-    for alpha in ctx.elements():
+    for alpha in range(ctx.q):
         beta = evaluate(ctx, fam.members[0], alpha)
         if all(evaluate(ctx, g, alpha) == beta for g in fam.members[1:]):
             out.append(PointAG(alpha, beta))
@@ -89,7 +89,7 @@ def test_hilton_milner_census(q):
     assert brute_intersecting(ctx, fam, 1)
     assert common_point(ctx, fam) is None
     # the line itself leads the family
-    assert poly(2, (0, 0, 0)) in fam
+    assert PolyK(2, (0, 0, 0)) in fam
     # every member passes through the distinguished off-line point
     for f in fam.members:
         if f.coeffs == (0, 0, 0):
@@ -100,7 +100,7 @@ def test_hilton_milner_census(q):
 def test_hilton_milner_members_meet_the_line():
     ctx = make_field(5, 1)
     fam = hilton_milner(ctx, (0, 1), 0, 0)
-    line = poly(2, (0, 0, 0))
+    line = PolyK(2, (0, 0, 0))
     for f in fam.members:
         assert intersection_count(ctx, f, line) >= 1
 
@@ -127,7 +127,7 @@ def test_tangent_family_census(q):
     ctx = make_field_of_order(q)
     fam = tangent_family(ctx, 1, 0, 0)
     assert len(fam) == TANGENT_SIZES[q] == q * (q - 1) // 2 + 1
-    base = poly(2, (0, 0, 1))
+    base = PolyK(2, (0, 0, 1))
     assert base in fam
     for g in fam.members:
         if g == base:
@@ -144,18 +144,18 @@ def test_tangent_family_validation():
 
 
 def test_family_from_polys_dedups_and_sorts():
-    fam = Family.from_polys(2, [poly(2, (1, 0, 0)), poly(2, (0, 1, 0)), poly(2, (1, 0, 0))])
+    fam = Family.from_polys(2, [PolyK(2, (1, 0, 0)), PolyK(2, (0, 1, 0)), PolyK(2, (1, 0, 0))])
     assert len(fam) == 2
     assert [f.coeffs for f in fam.members] == [(0, 1, 0), (1, 0, 0)]
     with pytest.raises(FamilyError):
         Family.from_polys(2, [])
     with pytest.raises(FamilyError):
-        Family.from_polys(2, [poly(1, (0, 1))])
+        Family.from_polys(2, [PolyK(1, (0, 1))])
 
 
 def test_is_t_intersecting_witness():
     ctx = make_field(5, 1)
-    fam = Family.from_polys(2, [poly(2, (0, 0, 1)), poly(2, (1, 0, 1))])
+    fam = Family.from_polys(2, [PolyK(2, (0, 0, 1)), PolyK(2, (1, 0, 1))])
     ok, witness = is_t_intersecting(ctx, fam, 1)
     assert not ok
     f, g = witness
@@ -167,7 +167,7 @@ def test_is_t_intersecting_witness():
 
 def test_family_checks_are_per_field():
     # x^2 and the constant 2 meet over F_7 (2 = 3^2) but not over F_5
-    fam = Family.from_polys(2, [poly(2, (0, 0, 1)), poly(2, (2, 0, 0))])
+    fam = Family.from_polys(2, [PolyK(2, (0, 0, 1)), PolyK(2, (2, 0, 0))])
     f7, f5 = make_field(7, 1), make_field(5, 1)
     assert is_t_intersecting(f7, fam, 1)[0]
     assert not is_t_intersecting(f5, fam, 1)[0]
@@ -187,7 +187,7 @@ def test_extend_unique_drop_one():
         res = extend_unique(ctx, rest)
         assert res.unique
         assert res.points == (PointAG(2, 3),)
-        assert res.pencils[0].members == pen.members
+        assert pencil(ctx, *res.points[0], 2).members == pen.members
 
 
 def test_common_points_answer_the_pair_check(monkeypatch):
@@ -202,7 +202,7 @@ def test_common_points_answer_the_pair_check(monkeypatch):
     monkeypatch.setattr("polyfam.families.shared_points", no_pair_scan)
     ctx = make_field(7, 1)
     # x + c (x - 1)(x - 2): every member passes through (1, 1) and (2, 2)
-    two = Family.from_polys(2, [poly(2, (2 * c % 7, (1 - 3 * c) % 7, c)) for c in range(7)])
+    two = Family.from_polys(2, [PolyK(2, (2 * c % 7, (1 - 3 * c) % 7, c)) for c in range(7)])
     assert all_common_points(ctx, two) == [PointAG(1, 1), PointAG(2, 2)]
     for t in (0, 1, 2):
         assert is_t_intersecting(ctx, two, t) == (True, None)
@@ -218,7 +218,7 @@ def test_common_points_answer_the_pair_check(monkeypatch):
 
 def test_extend_unique_small_family_is_ambiguous():
     ctx = make_field(5, 1)
-    fam = Family.from_polys(2, [poly(2, (0, 0, 1))])
+    fam = Family.from_polys(2, [PolyK(2, (0, 0, 1))])
     res = extend_unique(ctx, fam)
     assert not res.unique
     assert len(res.points) == 5  # one pencil per graph point
@@ -226,7 +226,7 @@ def test_extend_unique_small_family_is_ambiguous():
 
 def test_extend_unique_needs_intersecting_with_common_point():
     ctx = make_field(5, 1)
-    bad = Family.from_polys(2, [poly(2, (0, 0, 1)), poly(2, (1, 0, 1))])
+    bad = Family.from_polys(2, [PolyK(2, (0, 0, 1)), PolyK(2, (1, 0, 1))])
     with pytest.raises(FamilyError):
         extend_unique(ctx, bad)
     hm = hilton_milner(ctx, (0, 1), 0, 0)
@@ -239,7 +239,7 @@ def test_top_coeff_injective():
     pen = pencil(ctx, 0, 0, 2)
     assert top_coeff_injective(ctx, pen, 1)
     with pytest.raises(FamilyError):
-        bad = Family.from_polys(2, [poly(2, (0, 0, 1)), poly(2, (1, 0, 1))])
+        bad = Family.from_polys(2, [PolyK(2, (0, 0, 1)), PolyK(2, (1, 0, 1))])
         top_coeff_injective(ctx, bad, 1)
 
 

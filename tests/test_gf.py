@@ -111,7 +111,7 @@ def test_default_modulus_matches_the_full_search(p, n):
 @pytest.mark.parametrize("q", SMALL_Q)
 def test_field_axioms(q):
     ctx = make_field_of_order(q)
-    els = list(ctx.elements())
+    els = list(range(ctx.q))
     assert els == list(range(q))
     for x in els:
         assert ctx.add(x, 0) == x
@@ -532,16 +532,16 @@ def test_tables_match_the_digit_constructor(pn):
         assert getattr(ctx, name) == table, name
     # the sums themselves, whether a table or XOR gives them
     if ctx.q <= 256:
-        pairs = [(x, y) for x in ctx.elements() for y in ctx.elements()]
+        pairs = [(x, y) for x in range(ctx.q) for y in range(ctx.q)]
         assert [ctx.add(x, y) for x, y in pairs] == [digit_add(p, n, x, y) for x, y in pairs]
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_char2_add_sub_neg_are_xor_and_identity(n):
     ctx = make_field(2, n)
-    for x in ctx.elements():
+    for x in range(ctx.q):
         assert ctx.sub(0, x) == x == digit_neg(2, n, x)
-        for y in ctx.elements():
+        for y in range(ctx.q):
             want = digit_add(2, n, x, y)
             assert ctx.add(x, y) == ctx.sub(x, y) == want == x ^ y, (x, y)
 

@@ -18,8 +18,8 @@ GOLDEN = {
         '{"claimId":"pencil-extension","counters":{"cases":2,"extensionChecks":1480},"fieldSpec":"multiple","parameters":{},"primaryCounter":"cases","seed":20248,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
     ],
     "direction-span-affine": [
-        '{"claimId":"direction-span-affine","counters":{"affine":16,"candidates":16,"nodesVisited":148,"scanned":256},"fieldSpec":"2^2","parameters":{"mode":"exhaustive","order":"odometer, low element index first"},"primaryCounter":"affine","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
-        '{"claimId":"direction-span-affine","counters":{"affine":64,"candidates":64,"nodesVisited":6728,"scanned":16777216},"fieldSpec":"2^3","parameters":{"mode":"exhaustive","order":"odometer, low element index first"},"primaryCounter":"affine","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
+        '{"claimId":"direction-span-affine","counters":{"affine":16,"candidates":16,"nodesVisited":37,"scanned":256},"fieldSpec":"2^2","parameters":{"mode":"exhaustive","order":"odometer, low element index first"},"primaryCounter":"affine","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
+        '{"claimId":"direction-span-affine","counters":{"affine":64,"candidates":64,"nodesVisited":841,"scanned":16777216},"fieldSpec":"2^3","parameters":{"mode":"exhaustive","order":"odometer, low element index first"},"primaryCounter":"affine","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
     ],
     "power-map-class": [
         '{"claimId":"power-map-class","counters":{"found":1,"predicted":1},"fieldSpec":"5^1","parameters":{"delta":2,"exponent":2},"primaryCounter":"found","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',

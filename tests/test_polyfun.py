@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import math
 import random
 
 import pytest
@@ -27,9 +28,7 @@ from polyfam.polyfun import (
     lane_width,
     pair_intersects_fast,
     parse_poly,
-    poly,
     shared_points,
-    shift_argument,
 )
 
 
@@ -41,7 +40,23 @@ def brute_eval(ctx, coeffs, x):
 
 
 def graph_points(ctx, f):
-    return [PointAG(x, evaluate(ctx, f, x)) for x in ctx.elements()]
+    return [PointAG(x, evaluate(ctx, f, x)) for x in range(ctx.q)]
+
+
+def shift_argument(ctx, f, alpha):
+    """The polynomial x -> f(x + alpha), same degree bound."""
+    out = [0] * (f.k + 1)
+    for i, c in enumerate(f.coeffs):
+        if c == 0:
+            continue
+        # expand c*(x+alpha)^i by the binomial theorem; binomials live in F_p
+        term = 1
+        for j in range(i, -1, -1):
+            binom = math.comb(i, j) % ctx.p
+            if binom and term:
+                out[j] = ctx.add(out[j], ctx.mul(c, ctx.mul(binom, term)))
+            term = ctx.mul(term, alpha)
+    return PolyK(f.k, tuple(out))
 
 
 def brute_count(ctx, f, g):
@@ -52,23 +67,23 @@ def brute_count(ctx, f, g):
 def test_evaluate_matches_power_sum(q):
     ctx = make_field_of_order(q)
     for coeffs in itertools.product(range(q), repeat=3):
-        f = poly(2, coeffs)
+        f = PolyK(2, coeffs)
         for x in range(q):
             assert evaluate(ctx, f, x) == brute_eval(ctx, coeffs, x)
 
 
 def test_poly_validation():
-    poly(2, (0, 1, 1))
+    PolyK(2, (0, 1, 1))
     with pytest.raises(ValueError):
-        poly(2, (0, 1))
+        PolyK(2, (0, 1))
     with pytest.raises(ValueError):
-        poly(1, (0, 1, 1))
+        PolyK(1, (0, 1, 1))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_intersection_count_exhaustive_quadratic(q):
     ctx = make_field_of_order(q)
-    polys = [poly(2, c) for c in itertools.product(range(q), repeat=3)]
+    polys = [PolyK(2, c) for c in itertools.product(range(q), repeat=3)]
     # full pairwise sweep is q^6 pairs at q=3; slice the list above that
     if q > 3:
         polys = polys[:: max(1, len(polys) // 40)]
@@ -79,7 +94,7 @@ def test_intersection_count_exhaustive_quadratic(q):
 
 def test_intersection_count_identical_is_q():
     ctx = make_field(7, 1)
-    f = poly(2, (3, 1, 4))
+    f = PolyK(2, (3, 1, 4))
     assert intersection_count(ctx, f, f) == 7
 
 
@@ -87,21 +102,21 @@ def test_intersection_count_cubic():
     ctx = make_field(3, 1)
     for fc in itertools.product(range(3), repeat=4):
         for gc in itertools.product(range(3), repeat=4):
-            f, g = poly(3, fc), poly(3, gc)
+            f, g = PolyK(3, fc), PolyK(3, gc)
             assert intersection_count(ctx, f, g) == brute_count(ctx, f, g)
 
 
 def test_frozen_intersection_counts():
     c5 = make_field(5, 1)
-    assert intersection_count(c5, poly(2, (0, 0, 1)), poly(2, (0, 1, 0))) == 2
-    assert intersection_count(c5, poly(2, (1, 0, 1)), poly(2, (0, 0, 1))) == 0
-    assert intersection_count(c5, poly(2, (0, 3, 1)), poly(2, (4, 1, 2))) == 0
+    assert intersection_count(c5, PolyK(2, (0, 0, 1)), PolyK(2, (0, 1, 0))) == 2
+    assert intersection_count(c5, PolyK(2, (1, 0, 1)), PolyK(2, (0, 0, 1))) == 0
+    assert intersection_count(c5, PolyK(2, (0, 3, 1)), PolyK(2, (4, 1, 2))) == 0
 
 
 @pytest.mark.parametrize("q", [3, 4, 5, 8, 9])
 def test_pair_intersects_fast_agrees(q):
     ctx = make_field_of_order(q)
-    polys = [poly(2, c) for c in itertools.product(range(q), repeat=3)]
+    polys = [PolyK(2, c) for c in itertools.product(range(q), repeat=3)]
     step = max(1, len(polys) // 60)
     sample = polys[::step]
     for f in sample:
@@ -114,27 +129,27 @@ def test_pair_intersects_fast_agrees(q):
 
 def test_pair_intersects_fast_requires_distinct_quadratics():
     ctx = make_field(5, 1)
-    f = poly(2, (0, 0, 1))
+    f = PolyK(2, (0, 0, 1))
     with pytest.raises(ValueError):
         pair_intersects_fast(ctx, f, f)
     with pytest.raises(ValueError):
-        pair_intersects_fast(ctx, poly(1, (0, 1)), poly(1, (1, 1)))
+        pair_intersects_fast(ctx, PolyK(1, (0, 1)), PolyK(1, (1, 1)))
 
 
 def test_difference():
     ctx = make_field(5, 1)
-    f, g = poly(2, (1, 2, 3)), poly(2, (4, 4, 3))
+    f, g = PolyK(2, (1, 2, 3)), PolyK(2, (4, 4, 3))
     d = difference(ctx, f, g)
     assert d.coeffs == (ctx.sub(1, 4), ctx.sub(2, 4), 0)
     with pytest.raises(ValueError):
-        difference(ctx, f, poly(1, (0, 1)))
+        difference(ctx, f, PolyK(1, (0, 1)))
 
 
 @pytest.mark.parametrize("q", [3, 5, 8, 9])
 def test_shift_argument(q):
     ctx = make_field_of_order(q)
     for coeffs in itertools.product(range(q), repeat=3):
-        f = poly(2, coeffs)
+        f = PolyK(2, coeffs)
         for s in range(q):
             shifted = shift_argument(ctx, f, s)
             for x in range(q):
@@ -143,7 +158,7 @@ def test_shift_argument(q):
 
 def test_shift_argument_cubic():
     ctx = make_field(3, 1)
-    f = poly(3, (1, 0, 2, 1))
+    f = PolyK(3, (1, 0, 2, 1))
     sh = shift_argument(ctx, f, 2)
     for x in range(3):
         assert evaluate(ctx, sh, x) == evaluate(ctx, f, ctx.add(x, 2))
@@ -151,7 +166,7 @@ def test_shift_argument_cubic():
 
 def test_format_parse_roundtrip():
     ctx = make_field(7, 1)
-    f = poly(2, (4, 0, 6))
+    f = PolyK(2, (4, 0, 6))
     assert format_poly(f) == "4,0,6"
     assert parse_poly(ctx, format_poly(f)) == f
     with pytest.raises(ValueError):
@@ -161,8 +176,8 @@ def test_format_parse_roundtrip():
 
 
 def test_polyk_is_hashable_and_ordered_by_coeffs():
-    a = poly(2, (0, 1, 2))
-    b = poly(2, (0, 1, 2))
+    a = PolyK(2, (0, 1, 2))
+    b = PolyK(2, (0, 1, 2))
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
 
@@ -235,7 +250,7 @@ def test_graph_values_match_evaluate(p, n, k):
     low = tuple(rng.randrange(q) for _ in range(k))
     polys += [PolyK(k, low + (0,)), PolyK(k, low + (1,))]
     for f in polys:
-        assert graph_values(ctx, f) == [evaluate(ctx, f, x) for x in ctx.elements()], f
+        assert graph_values(ctx, f) == [evaluate(ctx, f, x) for x in range(ctx.q)], f
     assert graph_values(ctx, PolyK(0, (5 % q,))) == [5 % q] * q
 
 
@@ -455,7 +470,7 @@ def test_lane_masks_mark_every_lane(q):
 
 def test_common_lanes_and_points():
     ctx = make_field(7, 1)
-    polys = [poly(2, (3, 0, 0)), poly(2, (3, 1, 0)), poly(2, (3, 0, 1))]
+    polys = [PolyK(2, (3, 0, 0)), PolyK(2, (3, 1, 0)), PolyK(2, (3, 0, 1))]
     vs = [graph_vector(ctx, f) for f in polys]
     # all three take the value 3 at x = 0 and nowhere else in common
     assert lane_points(7, vs[0], common_lanes(7, vs)) == [PointAG(0, 3)]
