@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from operator import lshift
 
-from .gf import FieldCtx, Fe, FieldError
+from .gf import MAX_FIELD_ORDER, FieldCtx, Fe, FieldError
 from .polyfun import PolyK, values_by_log
 from .report import DEFAULT_NODE_BUDGET, WITNESS_CAP, Report, Stopwatch
 
@@ -274,6 +274,9 @@ def square_coefficient_scan(ctx: FieldCtx, frob_k: int = 1) -> Report:
         raise FieldError("square scan needs odd q")
     if frob_k < 1:
         raise ValueError("frob_k must be at least 1")
+    # p >= 3, so p^frob_k is past the cap once 2^frob_k is: no huge power
+    if frob_k >= MAX_FIELD_ORDER.bit_length() or ctx.p**frob_k > MAX_FIELD_ORDER:
+        raise ValueError(f"p^frob_k = {ctx.p}^{frob_k} exceeds the cap {MAX_FIELD_ORDER}")
     q = ctx.q
     pk = ctx.p**frob_k
     zeros = (0,) * ((pk - 1) // 2)  # positions m..2m-2 of the shape
@@ -452,36 +455,32 @@ def mcconnel_scan(
     e = power_map_exponent(ctx, delta)
     pw = [ctx.pow(x, e) for x in range(q)]
     sub = ctx.sub
-    vals = [0] * q
-    vals[1] = 1
     found = []
     nodes = 0
-    aborted = False
-
-    def walk(pos: int):
-        nonlocal nodes, aborted
+    # positions 2.. one at a time, in a loop rather than a recursion q
+    # deep: vals[pos] + 1 is the next value to try at pos
+    vals = [0, 1] + [-1] * (q - 2)
+    pos = 2
+    while pos >= 2:
         if pos == q:
             found.append(tuple(vals))
-            return
-        for z in range(q):
-            nodes += 1
-            if nodes > node_budget:
-                aborted = True
-                return
-            ok = True
-            for y in range(pos):
-                if pw[sub(z, vals[y])] != pw[sub(pos, y)]:
-                    ok = False
-                    break
-            if ok:
-                vals[pos] = z
-                walk(pos + 1)
-                if aborted:
-                    return
-
-    walk(2)
-    walk = None  # the closure names itself; free it now, not at a full GC
-    return None if aborted else sorted(found)
+            pos -= 1
+            continue
+        z = vals[pos] + 1
+        if z == q:
+            vals[pos] = -1
+            pos -= 1
+            continue
+        vals[pos] = z
+        nodes += 1
+        if nodes > node_budget:
+            return None
+        for y in range(pos):
+            if pw[sub(z, vals[y])] != pw[sub(pos, y)]:
+                break
+        else:
+            pos += 1
+    return sorted(found)
 
 
 def power_map_prediction(ctx: FieldCtx, delta: int) -> list:

@@ -133,40 +133,41 @@ def carlitz_scan(ctx: FieldCtx, node_budget: int = DEFAULT_NODE_BUDGET) -> Repor
     nodes = 0
     aborted = False
     witnesses: list = []
-    vals = [0] * q
-
-    def walk(m: int, span: _FpSpan):
-        nonlocal affine, candidates, nodes, aborted
-        for v in range(q) if m else (0,):  # sigma(0) = 0
-            nodes += 1
-            if nodes > node_budget:
-                aborted = True
-                return
-            vals[m] = v
-            child = span.clone()
-            full = False
-            row = inv_diff[m]
-            for j in range(m):
-                child.add(ctx.mul(ctx.sub(v, vals[j]), row[j]))
-                if child.dim == n:
-                    full = True
-                    break
-            if full:
-                continue
-            if m + 1 == q:
-                # leaf with a proper direction span: must be affine
-                candidates += q  # with its q translates
-                if is_affine(ctx, vals):
-                    affine += q
-                elif len(witnesses) < WITNESS_CAP:
-                    witnesses.append({"values": list(vals)})
-            else:
-                walk(m + 1, child)
-                if aborted:
-                    return
-
-    walk(0, _FpSpan(ctx))
-    walk = None  # the closure names itself; free it now, not at a full GC
+    # the walk, one position m at a time, in a loop rather than a
+    # recursion q deep: spans[m] holds the directions of vals[:m], and
+    # vals[m] + 1 is the next value to try at m once its subtree is done
+    vals = [-1] * q
+    spans = [_FpSpan(ctx)] + [None] * (q - 1)
+    m = 0
+    while m >= 0:
+        v = vals[m] + 1
+        if v == (q if m else 1):  # sigma(0) = 0
+            vals[m] = -1
+            m -= 1
+            continue
+        nodes += 1
+        if nodes > node_budget:
+            aborted = True
+            break
+        vals[m] = v
+        child = spans[m].clone()
+        row = inv_diff[m]
+        for j in range(m):
+            child.add(ctx.mul(ctx.sub(v, vals[j]), row[j]))
+            if child.dim == n:
+                break
+        if child.dim == n:
+            continue
+        if m + 1 == q:
+            # leaf with a proper direction span: must be affine
+            candidates += q  # with its q translates
+            if is_affine(ctx, vals):
+                affine += q
+            elif len(witnesses) < WITNESS_CAP:
+                witnesses.append({"values": list(vals)})
+        else:
+            m += 1
+            spans[m] = child
     counters = {"affine": affine, "candidates": candidates, "nodesVisited": nodes}
     if aborted:
         params["nodeBudget"] = node_budget

@@ -251,8 +251,8 @@ class FieldCtx:
             self._chunk = None if b == q else b
             self._add = [s for x in range(b) for s in self._digitwise(x, c)]
 
-        # negation is the identity at p = 2
-        self._neg = list(range(q)) if p == 2 else self._digitwise(0, n, sign=-1)
+        if p > 2:  # at p = 2 negation is the identity and nothing reads _neg
+            self._neg = self._digitwise(0, n, sign=-1)
         self.generator = self._find_generator()
         self.exp, self.log = exp, log = self._exp_log(c)
         qm = q - 1

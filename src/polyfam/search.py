@@ -17,9 +17,9 @@ import random
 import sys
 from dataclasses import dataclass
 
-from .families import Family, common_point, exceeds_threshold
+from .families import Family, common_point, exceeds_threshold, pencil
 from .gf import FieldCtx
-from .polyfun import PolyK, common_lanes, graph_vector, intersection_count
+from .polyfun import PolyK, intersection_count
 from .report import DEFAULT_NODE_BUDGET, DEFAULT_SEED, Report, Stopwatch
 
 VERTEX_CAP = 4096
@@ -393,50 +393,21 @@ def _nth_set_bit(mask: int, n: int, r: int) -> int:
     return lo
 
 
-def _greedy_maximal_clique(adj: list[int], nv: int, rng: random.Random) -> list[int]:
-    """Seed 1-3 random vertices, then add a uniformly random current
-    candidate until none is left. This draws the same cliques, with the
-    same probabilities, as taking the vertices in a uniformly shuffled
-    order: candidate sets only shrink, so every current candidate lies in
-    the unexamined part of the order, and the first of them there is
-    uniform over the candidates."""
+def _greedy_maximal_clique(adj: list[int], rng: random.Random) -> list[int]:
+    """Start from vertex 0, the zero polynomial, then add a uniformly
+    random current candidate until none is left. This draws the same
+    cliques, with the same probabilities, as taking the other vertices in
+    a uniformly shuffled order: candidate sets only shrink, so every
+    current candidate lies in the unexamined part of the order, and the
+    first of them there is uniform over the candidates. Any other start
+    draws the translates of these cliques: the graph is a Cayley graph."""
     # Every draw is made inline the way CPython 3.10-3.13's Random makes
-    # it, so the seeded stream is unchanged: randrange(n), through
-    # _randbelow_with_getrandbits, takes k = n.bit_length() bits and
-    # redraws while r >= n (n = 1 still takes one bit).
+    # it: randrange(n), through _randbelow_with_getrandbits, takes
+    # k = n.bit_length() bits and redraws while r >= n (n = 1 still takes
+    # one bit).
     getrandbits = rng.getrandbits
-    # the seeds are rng.sample(range(nv), rng.randint(1, 3)); randint(1, 3)
-    # is 1 + randrange(3)
-    count = getrandbits(2)
-    while count == 3:
-        count = getrandbits(2)
-    seeds: list[int] = []
-    if nv <= 21:
-        # sample's pool branch, which it takes for nv <= 21 when k <= 5:
-        # draw a slot, refill it from the end
-        pool = list(range(nv))
-        for i in range(count + 1):
-            n = nv - i
-            k = n.bit_length()
-            j = getrandbits(k)
-            while j >= n:
-                j = getrandbits(k)
-            seeds.append(pool[j])
-            pool[j] = pool[n - 1]
-    else:
-        # sample's set branch: redraw a vertex already drawn
-        k = nv.bit_length()
-        for _ in range(count + 1):
-            v = getrandbits(k)
-            while v >= nv or v in seeds:
-                v = getrandbits(k)
-            seeds.append(v)
-    clique: list[int] = []
-    cand = (1 << nv) - 1
-    for v in seeds:
-        if cand >> v & 1:
-            clique.append(v)
-            cand &= adj[v]
+    clique = [0]
+    cand = adj[0]
     while cand:
         n = cand.bit_count()
         k = n.bit_length()
@@ -449,13 +420,33 @@ def _greedy_maximal_clique(adj: list[int], nv: int, rng: random.Random) -> list[
     return clique
 
 
-def _probe_trials(ctx: FieldCtx, adj: list[int], vectors: list, seed: int, start: int, stop: int):
-    """Trials start..stop-1 of stability_probe at k = 2, as (sizes,
-    overThreshold, witnesses). Trial i reseeds one generator with
-    seed * 2654435761 + i, so the trials of any split of a range merge to
-    the trials of the whole range."""
+def _through_masks(ctx: FieldCtx) -> list[int]:
+    """Entry x: the vertex mask, at k = 2, of the pencil through (x, 0).
+    Every probe clique holds vertex 0, whose graph is y = 0, so any point
+    its members share is some (x, 0), and the clique has a common point
+    exactly when its mask lies inside one of these q masks."""
     q = ctx.q
-    nv = len(adj)
+    through = [0] * q
+    for x in range(q):
+        for f in pencil(ctx, x, 0, 2).members:
+            c0, c1, c2 = f.coeffs
+            through[x] |= 1 << (c0 + q * (c1 + q * c2))
+    return through
+
+
+def _in_a_pencil(clique: list[int], through: list[int]) -> bool:
+    """Whether every vertex of clique lies in one of the masks."""
+    mask = sum(1 << v for v in clique)
+    return any(mask & t == mask for t in through)
+
+
+def _probe_trials(ctx: FieldCtx, adj: list[int], through: list[int], seed: int, start: int, stop: int):
+    """Trials start..stop-1 of stability_probe at k = 2, as (sizes,
+    overThreshold, witnesses). An over-threshold clique is a witness
+    unless it lies inside one of the `through` masks. Trial i reseeds one
+    generator with seed * 2654435761 + i, so the trials of any split of a
+    range merge to the trials of the whole range."""
+    q = ctx.q
     over = [exceeds_threshold(q, m, 2) for m in range(q * q + 1)]
     rng = random.Random()
     reseed = rng.seed
@@ -464,7 +455,7 @@ def _probe_trials(ctx: FieldCtx, adj: list[int], vectors: list, seed: int, start
     over_threshold = 0
     for i in range(start, stop):
         reseed(seed * 2654435761 + i)
-        clique = _greedy_maximal_clique(adj, nv, rng)
+        clique = _greedy_maximal_clique(adj, rng)
         m = len(clique)
         sizes[m] = sizes.get(m, 0) + 1
         if m > q * q:
@@ -472,7 +463,7 @@ def _probe_trials(ctx: FieldCtx, adj: list[int], vectors: list, seed: int, start
             continue
         if over[m]:
             over_threshold += 1
-            if not common_lanes(q, [vectors[v] for v in clique]):
+            if not _in_a_pencil(clique, through):
                 witnesses.append({"trial": i, "size": m, "clique": clique, "commonPoint": None})
     return sizes, over_threshold, witnesses
 
@@ -544,21 +535,21 @@ def _split_trials(run, trials: int, parts: int) -> list:
 
 
 def stability_probe(ctx: FieldCtx, trials: int, seed: int = DEFAULT_SEED) -> Report:
-    """Randomized maximal intersecting families at k = 2: seed 1-3
-    members, complete greedily with uniformly random candidates, then
-    check that no family beats q^2 and that every family over the size
-    threshold has a common point. Trials are independently seeded, so
-    they run split across the usable cores (_probe_parts) and merge to
-    the same report; zero trials check nothing and are inapplicable."""
+    """Randomized maximal intersecting families at k = 2: start from the
+    zero polynomial, complete greedily with uniformly random candidates,
+    then check that no family beats q^2 and that every family over the
+    size threshold has a common point (_through_masks). Trials are
+    independently seeded, so they run split across the usable cores
+    (_probe_parts) and merge to the same report; zero trials check
+    nothing and are inapplicable."""
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
     watch = Stopwatch()
-    q = ctx.q
     adj = build_graph(ctx, 2, 1).adj
-    vectors = [graph_vector(ctx, vertex_to_poly(q, 2, v)) for v in range(len(adj))]
+    through = _through_masks(ctx)
 
     def run(start, stop):
-        return _probe_trials(ctx, adj, vectors, seed, start, stop)
+        return _probe_trials(ctx, adj, through, seed, start, stop)
 
     sizes: dict[int, int] = {}
     witnesses = []

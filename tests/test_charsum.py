@@ -4,6 +4,7 @@ import copy
 import functools
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -464,6 +465,17 @@ def test_square_coefficient_scan_validation():
         square_coefficient_scan(make_field(3, 2), 0)
 
 
+def test_square_coefficient_scan_rejects_a_shape_past_the_cap():
+    # p^frob_k past MAX_FIELD_ORDER = 2^16: 3^11 = 177,147 and 257^2 = 66,049
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        square_coefficient_scan(make_field(3, 2), 11)
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        square_coefficient_scan(make_field(257, 1), 2)
+    # decided without the power itself: 3^(10^18) would never be computed
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        square_coefficient_scan(make_field(3, 1), 10**18)
+
+
 def test_shortcut_scan_q25():
     rep = shortcut_scan(make_field(5, 2))
     assert rep.verdict == "pass"
@@ -738,6 +750,15 @@ def test_mcconnel_scan_validation_and_budget():
     with pytest.raises(ValueError):
         mcconnel_scan(ctx, 1)
     assert mcconnel_scan(make_field(3, 2), 2, node_budget=5) is None
+
+
+def test_mcconnel_scan_walks_past_the_recursion_limit():
+    """At 2^10 the scan's descents run toward q = 1024 positions deep: a
+    walk that recursed once per position raised RecursionError within
+    this budget instead of returning None."""
+    ctx = make_field(2, 10)
+    assert ctx.q > sys.getrecursionlimit()
+    assert mcconnel_scan(ctx, 3, node_budget=10**6) is None
 
 
 def test_power_map_prediction_q9_delta4():

@@ -225,6 +225,14 @@ def test_exhausted_budget_prints_report_and_exits_1(capsys, monkeypatch):
         assert err == ""
 
 
+def test_square_scan_frob_k_past_the_cap_exits_2(capsys):
+    """3^100 used to end in an OverflowError traceback."""
+    code, out, err = run(capsys, "charsum", "square-scan", "--field", "3^2", "--frob-k", "100")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "exceeds the cap" in err
+
+
 @pytest.mark.parametrize("delta", ["0", "-1", "4"])
 def test_mcconnel_bad_delta_exits_2(capsys, delta):
     """delta must exceed 1 and divide q - 1 = 6. Zero used to end in a

@@ -1,6 +1,7 @@
 """Direction sets and the exhaustive affine-or-spanning scan."""
 
 import itertools
+import sys
 
 import pytest
 
@@ -213,6 +214,21 @@ def test_carlitz_scan_budget_exceeded():
     assert rep.counters["candidates"] % 9 == 0
     # a budget the scan fits in changes nothing
     assert carlitz_scan(make_field(3, 2), node_budget=793).verdict == "pass"
+
+
+def test_carlitz_scan_walks_past_the_recursion_limit():
+    """At 2^10 the all-zero prefix never gains a direction, so the first
+    leaf lies q = 1024 positions deep, past the interpreter's recursion
+    limit: a walk that recursed once per position raised RecursionError
+    here instead of reporting the spent budget."""
+    ctx = make_field(2, 10)
+    assert ctx.q > sys.getrecursionlimit()
+    rep = carlitz_scan(ctx, node_budget=2000)
+    assert rep.verdict == "budget-exceeded"
+    assert rep.parameters["nodeBudget"] == 2000
+    # the first leaf, the constant 0, and its q translates
+    assert rep.counters == {"affine": 1024, "candidates": 1024, "nodesVisited": 2001}
+    assert rep.witnesses == []
 
 
 def test_carlitz_scan_counterexample_outlives_the_budget(monkeypatch):

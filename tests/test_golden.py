@@ -75,11 +75,11 @@ GOLDEN = {
         '{"claimId":"rootable-count","counters":{"cases":8},"fieldSpec":"multiple","parameters":{},"primaryCounter":"cases","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
     ],
     "stability-probe": [
-        '{"claimId":"stability-probe","counters":{"distinctSizes":3,"maxSize":16,"overThreshold":3213,"trials":10000},"fieldSpec":"2^2","parameters":{"k":2,"sizeDistribution":{"10":5509,"16":3213,"8":1278},"trials":10000},"primaryCounter":"maxSize","seed":20248,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
-        '{"claimId":"stability-probe","counters":{"distinctSizes":8,"maxSize":25,"overThreshold":2084,"trials":10000},"fieldSpec":"5^1","parameters":{"k":2,"sizeDistribution":{"10":123,"11":2246,"12":822,"13":916,"15":3180,"25":2084,"7":97,"9":532},"trials":10000},"primaryCounter":"maxSize","seed":20248,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
-        '{"claimId":"stability-probe","counters":{"distinctSizes":15,"maxSize":49,"overThreshold":1069,"trials":10000},"fieldSpec":"7^1","parameters":{"k":2,"sizeDistribution":{"10":104,"11":417,"12":894,"13":774,"14":547,"15":1152,"16":520,"17":455,"18":562,"19":1204,"20":154,"22":147,"28":1988,"49":1069,"9":13},"trials":10000},"primaryCounter":"maxSize","seed":20248,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
-        '{"claimId":"stability-probe","counters":{"distinctSizes":18,"maxSize":64,"overThreshold":875,"trials":10000},"fieldSpec":"2^3","parameters":{"k":2,"sizeDistribution":{"10":36,"11":106,"12":245,"13":757,"14":971,"15":653,"16":542,"17":730,"18":633,"19":236,"20":424,"21":147,"22":969,"24":937,"32":122,"36":1616,"64":875,"9":1},"trials":10000},"primaryCounter":"maxSize","seed":20248,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
-        '{"claimId":"stability-probe","counters":{"distinctSizes":24,"maxSize":81,"overThreshold":682,"trials":10000},"fieldSpec":"3^2","parameters":{"k":2,"sizeDistribution":{"10":2,"11":24,"12":143,"13":490,"14":662,"15":741,"16":578,"17":462,"18":597,"19":634,"20":582,"21":436,"22":357,"23":157,"24":313,"25":91,"26":191,"27":291,"28":509,"29":551,"30":79,"37":117,"45":1311,"81":682},"trials":10000},"primaryCounter":"maxSize","seed":20248,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
+        '{"claimId":"stability-probe","counters":{"distinctSizes":3,"maxSize":16,"overThreshold":3241,"trials":10000},"fieldSpec":"2^2","parameters":{"k":2,"sizeDistribution":{"10":5481,"16":3241,"8":1278},"trials":10000},"primaryCounter":"maxSize","seed":20248,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
+        '{"claimId":"stability-probe","counters":{"distinctSizes":8,"maxSize":25,"overThreshold":2079,"trials":10000},"fieldSpec":"5^1","parameters":{"k":2,"sizeDistribution":{"10":120,"11":2198,"12":800,"13":953,"15":3147,"25":2079,"7":98,"9":605},"trials":10000},"primaryCounter":"maxSize","seed":20248,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
+        '{"claimId":"stability-probe","counters":{"distinctSizes":15,"maxSize":49,"overThreshold":1073,"trials":10000},"fieldSpec":"7^1","parameters":{"k":2,"sizeDistribution":{"10":87,"11":433,"12":842,"13":771,"14":556,"15":1109,"16":534,"17":441,"18":552,"19":1234,"20":185,"22":157,"28":2005,"49":1073,"9":21},"trials":10000},"primaryCounter":"maxSize","seed":20248,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
+        '{"claimId":"stability-probe","counters":{"distinctSizes":18,"maxSize":64,"overThreshold":852,"trials":10000},"fieldSpec":"2^3","parameters":{"k":2,"sizeDistribution":{"10":51,"11":105,"12":281,"13":740,"14":1097,"15":610,"16":583,"17":714,"18":582,"19":199,"20":441,"21":136,"22":994,"24":901,"32":127,"36":1586,"64":852,"8":1},"trials":10000},"primaryCounter":"maxSize","seed":20248,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
+        '{"claimId":"stability-probe","counters":{"distinctSizes":25,"maxSize":81,"overThreshold":653,"trials":10000},"fieldSpec":"3^2","parameters":{"k":2,"sizeDistribution":{"10":1,"11":35,"12":119,"13":459,"14":695,"15":636,"16":594,"17":496,"18":572,"19":691,"20":551,"21":372,"22":345,"23":162,"24":319,"25":104,"26":185,"27":344,"28":557,"29":544,"30":67,"37":120,"45":1377,"81":653,"9":2},"trials":10000},"primaryCounter":"maxSize","seed":20248,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
     ],
 }
 

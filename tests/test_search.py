@@ -16,9 +16,9 @@ import pytest
 from polyfam import search
 from polyfam.charsum import mcconnel_scan
 from polyfam.directions import carlitz_scan
-from polyfam.families import common_point
+from polyfam.families import common_point, hilton_milner, pencil
 from polyfam.gf import make_field, make_field_of_order
-from polyfam.polyfun import intersection_count
+from polyfam.polyfun import evaluate, intersection_count
 from polyfam.report import DEFAULT_NODE_BUDGET
 from polyfam.search import (
     CliqueResult,
@@ -658,21 +658,14 @@ def _shuffle_greedy(adj, start, order):
 
 
 class _ScriptedRng:
-    """Stands in for random.Random in _greedy_maximal_clique. Its first two
-    getrandbits calls draw one seed vertex, `start`: randint(1, 3) answers
-    1, then sample(range(nv), 1) answers start, each at the width that
-    draw takes. Then come the given answers (0 once they run out), with
-    the width of every such call recorded."""
+    """Stands in for random.Random in _greedy_maximal_clique: answers its
+    getrandbits calls from a script (0 once it runs out), with the width
+    of every call recorded."""
 
-    def __init__(self, start, answers, nv):
-        self.seed_draws = [(2, 0), (nv.bit_length(), start)]
+    def __init__(self, answers):
         self.answers, self.widths = answers, []
 
     def getrandbits(self, k):
-        if self.seed_draws:
-            width, a = self.seed_draws.pop(0)
-            assert k == width
-            return a
         i = len(self.widths)
         self.widths.append(k)
         a = self.answers[i] if i < len(self.answers) else 0
@@ -680,21 +673,21 @@ class _ScriptedRng:
         return a
 
 
-def _uniform_candidate_cliques(adj, nv, start):
+def _uniform_candidate_cliques(adj, nv):
     """Exact distribution of the cliques _greedy_maximal_clique draws from
-    one seed vertex, by branching over every accepted answer of each draw.
-    The bound n of a draw is the popcount of the common neighbourhood of
-    the clique so far, and each of its n answers has probability 1/n. On
-    the last branch of every draw the script answers n first: that value
-    must be rejected and redrawn at the same width."""
+    vertex 0, by branching over every accepted answer of each draw. The
+    bound n of a draw is the popcount of the common neighbourhood of the
+    clique so far, and each of its n answers has probability 1/n. On the
+    last branch of every draw the script answers n first: that value must
+    be rejected and redrawn at the same width."""
     dist: Counter = Counter()
 
     def walk(answers, widths, members, prob):
-        rng = _ScriptedRng(start, answers, nv)
-        clique = _greedy_maximal_clique(adj, nv, rng)
+        rng = _ScriptedRng(answers)
+        clique = _greedy_maximal_clique(adj, rng)
         assert rng.widths[: len(widths)] == widths
         assert clique[: len(members)] == members
-        cand = adj[start]
+        cand = adj[0]
         for v in members[1:]:
             cand &= adj[v]
         n = cand.bit_count()
@@ -708,7 +701,7 @@ def _uniform_candidate_cliques(adj, nv, start):
             script = [n, a] if a == n - 1 else [a]
             walk(answers + script, widths + [k] * len(script), members + [ones[a]], prob / n)
 
-    walk([], [], [start], Fraction(1))
+    walk([], [], [0], Fraction(1))
     return dist
 
 
@@ -719,21 +712,135 @@ def _size_distribution(dist):
     return out
 
 
+def _shuffled_cliques(adj, nv, start):
+    """Exact distribution of the shuffled greedy from `start`, over every
+    order of the other vertices."""
+    rest = [v for v in range(nv) if v != start]
+    counts = Counter(frozenset(_shuffle_greedy(adj, start, order)) for order in itertools.permutations(rest))
+    perms = math.factorial(nv - 1)
+    return {cl: Fraction(c, perms) for cl, c in counts.items()}
+
+
 def test_uniform_candidate_draws_match_shuffled_greedy_exactly():
     g = build_graph(make_field(2, 1), 2, 1)
     adj, nv = g.adj, g.n_vertices
     assert nv == 8
-    perms = math.factorial(nv - 1)
-    for start in range(nv):
-        rest = [v for v in range(nv) if v != start]
-        counts = Counter(
-            frozenset(_shuffle_greedy(adj, start, order)) for order in itertools.permutations(rest)
-        )
-        shuffled = {cl: Fraction(c, perms) for cl, c in counts.items()}
-        uniform = _uniform_candidate_cliques(adj, nv, start)
-        assert sum(uniform.values()) == 1
-        assert uniform == shuffled, start  # the same cliques, equally likely
-        assert _size_distribution(uniform) == _size_distribution(shuffled), start
+    shuffled = _shuffled_cliques(adj, nv, 0)
+    uniform = _uniform_candidate_cliques(adj, nv)
+    assert sum(uniform.values()) == 1
+    assert uniform == shuffled  # the same cliques, equally likely
+    assert _size_distribution(uniform) == _size_distribution(shuffled)
+
+
+def test_shuffled_greedy_from_every_start_translates_the_one_from_zero():
+    """The graph is a Cayley graph: at p = 2 adding s to every coefficient
+    is v -> v ^ s on vertex numbers, an automorphism taking 0 to s. So the
+    shuffled greedy from s draws the translates of the cliques drawn from
+    0, with the same probabilities."""
+    g = build_graph(make_field(2, 1), 2, 1)
+    adj, nv = g.adj, g.n_vertices
+    for s in range(nv):
+        assert all(adj[u ^ s] == sum(1 << (v ^ s) for v in range(nv) if adj[u] >> v & 1) for u in range(nv))
+    from_zero = _shuffled_cliques(adj, nv, 0)
+    for s in range(1, nv):
+        want = {frozenset(v ^ s for v in cl): prob for cl, prob in from_zero.items()}
+        assert _shuffled_cliques(adj, nv, s) == want, s
+
+
+def _completions(adj, members, memo):
+    """Exact distribution of the cliques that uniform candidate draws
+    complete the clique `members` (a frozenset) to, memoized on it."""
+    if members not in memo:
+        cand = -1
+        for v in members:
+            cand &= adj[v]
+        dist: Counter = Counter()
+        if not cand:
+            dist[members] = Fraction(1)
+        ones = [v for v in range(cand.bit_length()) if cand >> v & 1]
+        for v in ones:
+            for cl, p in _completions(adj, members | {v}, memo).items():
+                dist[cl] += p / len(ones)
+        memo[members] = dist
+    return memo[members]
+
+
+def _seeded_cliques(adj, nv, memo):
+    """Exact distribution of the probe's earlier process, kept here as the
+    oracle: the seeds rng.sample(range(nv), rng.randint(1, 3)), each kept
+    while it is still a candidate, then uniform candidate draws. The seed
+    draw is enumerated: a count of 1 to 3 with probability 1/3 each, then
+    every ordered tuple of that many distinct vertices, equally likely."""
+    dist: Counter = Counter()
+    for count in (1, 2, 3):
+        tuples = list(itertools.permutations(range(nv), count))
+        for seeds in tuples:
+            members, cand = frozenset(), (1 << nv) - 1
+            for v in seeds:
+                if cand >> v & 1:
+                    members |= {v}
+                    cand &= adj[v]
+            for cl, p in _completions(adj, members, memo).items():
+                dist[cl] += p / (3 * len(tuples))
+    return dist
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_zero_frame_matches_the_seeded_process_exactly(q):
+    """Starting every trial at vertex 0 draws the sizes and the common
+    points of the seeded process exactly, though not the same cliques.
+    At q = 2 every maximal clique is a pencil of 4; q = 3 has non-pencil
+    cliques and several sizes."""
+    ctx = make_field_of_order(q)
+    g = build_graph(ctx, 2, 1)
+    adj, nv = g.adj, g.n_vertices
+    memo: dict = {}
+    seeded = _seeded_cliques(adj, nv, memo)
+    zero = _completions(adj, frozenset([0]), memo)
+    if q == 2:
+        assert zero == _uniform_candidate_cliques(adj, nv)  # what the probe draws
+    assert sum(seeded.values()) == sum(zero.values()) == 1
+    assert zero != seeded
+    assert _size_distribution(zero) == _size_distribution(seeded)
+
+    def with_a_common_point(dist):
+        return sum(p for cl, p in dist.items() if common_point(ctx, family_from_vertices(q, 2, cl)))
+
+    assert with_a_common_point(zero) == with_a_common_point(seeded)
+    if q == 3:
+        assert len(_size_distribution(zero)) > 1
+        assert 0 < with_a_common_point(zero) < 1
+    # the through masks see the common points that common_point finds
+    through = search._through_masks(ctx)
+    for cl in zero:
+        has_point = common_point(ctx, family_from_vertices(q, 2, cl)) is not None
+        assert search._in_a_pencil(cl, through) == has_point, cl
+
+
+def _vertex(q, f):
+    return sum(c * q**i for i, c in enumerate(f.coeffs))
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7])
+def test_through_masks_hold_the_pencils_on_y0_and_miss_hilton_milner(q):
+    ctx = make_field_of_order(q)
+    through = search._through_masks(ctx)
+    # entry x: the polynomials that vanish at x, found by evaluation
+    for x, mask in enumerate(through):
+        assert mask == sum(1 << v for v in range(q**3) if evaluate(ctx, vertex_to_poly(q, 2, v), x) == 0)
+    for x in range(q):
+        assert search._in_a_pencil([_vertex(q, f) for f in pencil(ctx, x, 0, 2).members], through)
+    # Hilton-Milner: the line y = 0 (vertex 0) and the parabolas through
+    # (0, 1) that meet it; intersecting, but with no common point
+    hm = [_vertex(q, f) for f in hilton_milner(ctx, (0, 1), 0, 0).members]
+    assert 0 in hm
+    g = build_graph(ctx, 2, 1)
+    assert search.missing_edge(g, hm) is None
+    assert common_point(ctx, family_from_vertices(q, 2, hm)) is None
+    assert not search._in_a_pencil(hm, through)
+    # a pencil through a point off y = 0 lies in none of the masks
+    off = [_vertex(q, f) for f in pencil(ctx, 0, 1, 2).members]
+    assert not search._in_a_pencil(off, through)
 
 
 @pytest.mark.parametrize("q", [3, 4, 5])
@@ -742,7 +849,8 @@ def test_probe_cliques_are_maximal_cliques(q):
     adj, nv = g.adj, g.n_vertices
     seed = 20248
     for i in range(300):
-        clique = _greedy_maximal_clique(adj, nv, random.Random(seed * 2654435761 + i))
+        clique = _greedy_maximal_clique(adj, random.Random(seed * 2654435761 + i))
+        assert clique[0] == 0
         assert len(set(clique)) == len(clique) <= q * q
         for u, v in itertools.combinations(clique, 2):
             assert adj[u] >> v & 1
@@ -752,15 +860,12 @@ def test_probe_cliques_are_maximal_cliques(q):
         assert common == 0, (i, clique)
 
 
-def _randrange_greedy_clique(adj, nv, rng):
-    """Reference for _greedy_maximal_clique's inline draw: rng.randrange
-    over the candidates, then plain bisection for the drawn rank."""
-    clique = []
-    cand = (1 << nv) - 1
-    for v in rng.sample(range(nv), rng.randint(1, 3)):
-        if cand >> v & 1:
-            clique.append(v)
-            cand &= adj[v]
+def _randrange_greedy_clique(adj, rng):
+    """Reference for _greedy_maximal_clique's inline draw: from vertex 0,
+    rng.randrange over the candidates, then plain bisection for the drawn
+    rank."""
+    clique = [0]
+    cand = adj[0]
     while cand:
         v = _bisect_nth_set_bit(cand, rng.randrange(cand.bit_count()))
         clique.append(v)
@@ -772,14 +877,11 @@ def _randrange_greedy_clique(adj, nv, rng):
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_greedy_clique_matches_the_randrange_loop(q, seed):
     # same seeding as stability_probe: the inline draws must leave every
-    # seeded trial's clique, and the stream after it, as randint, sample
-    # and randrange had them. nv = 8 at q = 2 takes sample's pool branch
-    # (nv <= 21), every larger q its set branch.
-    g = build_graph(make_field_of_order(q), 2, 1)
-    adj, nv = g.adj, g.n_vertices
+    # seeded trial's clique, and the stream after it, as randrange had them
+    adj = build_graph(make_field_of_order(q), 2, 1).adj
     for i in range(2000):
         rng, ref = random.Random(seed * 2654435761 + i), random.Random(seed * 2654435761 + i)
-        assert _greedy_maximal_clique(adj, nv, rng) == _randrange_greedy_clique(adj, nv, ref), i
+        assert _greedy_maximal_clique(adj, rng) == _randrange_greedy_clique(adj, ref), i
         assert rng.getstate() == ref.getstate(), i
 
 
@@ -797,20 +899,18 @@ def _merge_trials(parts):
 def test_probe_trials_merge_over_uneven_ranges(q, witnessed):
     ctx = make_field_of_order(q)
     adj = build_graph(ctx, 2, 1).adj
-    # witnessed: vertex v's graph vector is that of the constant v mod q, so
-    # an over-threshold clique has a common point only if all its members
-    # agree mod q, and nearly every one is a witness
-    vectors = [
-        search.graph_vector(ctx, vertex_to_poly(q, 2, v % q if witnessed else v))
-        for v in range(len(adj))
-    ]
+    # witnessed: the masks hold no vertex, so every over-threshold clique
+    # is a witness
+    through = [0] * q if witnessed else search._through_masks(ctx)
     T = 401
-    whole = search._probe_trials(ctx, adj, vectors, 7, 0, T)
+    whole = search._probe_trials(ctx, adj, through, 7, 0, T)
     cuts = [0, 1, 2, 57, 58, 300, T]
-    parts = [search._probe_trials(ctx, adj, vectors, 7, a, b) for a, b in zip(cuts, cuts[1:])]
+    parts = [search._probe_trials(ctx, adj, through, 7, a, b) for a, b in zip(cuts, cuts[1:])]
     assert _merge_trials(parts) == whole
     assert sum(whole[0].values()) == T
     assert bool(whole[2]) == witnessed
+    if witnessed:
+        assert len(whole[2]) == whole[1]
 
 
 def _assert_no_children():
