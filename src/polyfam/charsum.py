@@ -125,6 +125,8 @@ def poly_radical(ctx: FieldCtx, f: DensePoly) -> DensePoly:
     if not fp:
         return poly_radical(ctx, poly_pth_root(ctx, poly_monic(ctx, f)))
     g = poly_gcd(ctx, f, fp)
+    if poly_deg(g) < 1:
+        return poly_monic(ctx, f)  # squarefree
     w = poly_monic(ctx, poly_divmod(ctx, f, g)[0])
     c = g
     while True:

@@ -9,10 +9,16 @@ functions it meets along the way.
 
 from __future__ import annotations
 
+import sys
+import time
 from dataclasses import dataclass
 
 from .gf import FieldCtx, Fe
 from .report import DEFAULT_NODE_BUDGET, WITNESS_CAP, Report, Stopwatch
+
+
+# carlitz_scan writes one progress line on stderr every this many nodes
+PROGRESS_EVERY = 10**6
 
 
 @dataclass(frozen=True)
@@ -116,10 +122,12 @@ def carlitz_scan(ctx: FieldCtx, node_budget: int = DEFAULT_NODE_BUDGET) -> Repor
     exact. Visiting more than node_budget nodes stops the scan with
     verdict budget-exceeded and partial counters, unless a counterexample
     was already found. At q = 2 the claim does not apply, so the verdict
-    is inapplicable.
+    is inapplicable. Every PROGRESS_EVERY nodes the scan writes the nodes
+    so far and the rate to stderr.
     """
     watch = Stopwatch()
     q, n = ctx.q, ctx.n
+    spec = ctx.report_spec_string()
     params: dict = {"mode": "exhaustive", "order": "odometer, low element index first"}
     if q == 2:
         params["hypothesisNote"] = "classification needs q > 2; this run is vacuous"
@@ -149,6 +157,9 @@ def carlitz_scan(ctx: FieldCtx, node_budget: int = DEFAULT_NODE_BUDGET) -> Repor
         if nodes > node_budget:
             aborted = True
             break
+        if nodes % PROGRESS_EVERY == 0:
+            rate = nodes / (time.perf_counter() - watch.t0)
+            print(f"direction-span-affine {spec}: {nodes} nodes, {rate:.0f} nodes/s", file=sys.stderr, flush=True)
         vals[m] = v
         child = spans[m].clone()
         row = inv_diff[m]
@@ -181,7 +192,7 @@ def carlitz_scan(ctx: FieldCtx, node_budget: int = DEFAULT_NODE_BUDGET) -> Repor
 
     return Report(
         claim_id="direction-span-affine",
-        field_spec=ctx.report_spec_string(),
+        field_spec=spec,
         verdict="budget-exceeded" if aborted else "inapplicable" if q == 2 else None,
         parameters=params,
         witnesses=witnesses,

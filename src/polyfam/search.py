@@ -16,6 +16,7 @@ import os
 import random
 import sys
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .families import Family, common_point, exceeds_threshold, pencil
 from .gf import FieldCtx
@@ -160,36 +161,44 @@ def max_clique(
                 colours.append(c)
         return order, colours
 
-    def expand(clique: list[int], cand: int):
-        nonlocal best, nodes, aborted
-        nodes += 1
-        if nodes > budget:
-            # the path so far is a clique: keep it if it beats the best
-            aborted = True
-            if len(clique) > len(best):
-                best = clique.copy()
-            return
-        order, colours = colour(cand)
-        for i in range(len(order) - 1, -1, -1):
-            if aborted:
-                return
-            if len(clique) + colours[i] <= len(best):
-                return
-            v = order[i]
-            clique.append(v)
-            nxt = cand & adj[v]
-            if nxt:
-                expand(clique, nxt)
-            elif len(clique) > len(best):
-                best = clique.copy()
-            clique.pop()
-            cand &= ~(1 << v)
-
-    if n:
-        expand([], (1 << n) - 1)
-    # expand refers to itself through its closure cell; clearing the cell
-    # frees the closure, and adj with it, now rather than at a full GC
-    expand = None
+    # The walk, in a loop rather than a recursion as deep as the clique:
+    # stack[d] = [order, colours, i, cand] for the node at depth d, where
+    # clique[:d] is its path and order[i] is the next vertex it tries.
+    clique: list[int] = []
+    stack: list[list] = []
+    cand = (1 << n) - 1
+    while cand or stack:
+        if cand:  # enter a node whose candidates are cand
+            nodes += 1
+            if nodes > budget:
+                # the path so far is a clique: keep it if it beats the best
+                aborted = True
+                if len(clique) > len(best):
+                    best = clique.copy()
+                break
+            order, colours = colour(cand)
+            stack.append([order, colours, len(order) - 1, cand])
+        node = stack[-1]
+        order, colours, i, cand = node
+        if i < 0 or len(clique) + colours[i] <= len(best):
+            # the node is done: back up, and drop its vertex from the parent
+            stack.pop()
+            if stack:
+                node = stack[-1]
+                node[2] -= 1
+                node[3] &= ~(1 << clique.pop())
+            cand = 0
+            continue
+        v = order[i]
+        clique.append(v)
+        cand &= adj[v]
+        if cand:
+            continue
+        if len(clique) > len(best):
+            best = clique.copy()
+        clique.pop()
+        node[2] = i - 1
+        node[3] &= ~(1 << v)
     return CliqueResult(len(best), tuple(sorted(best)), nodes, not aborted)
 
 
@@ -400,7 +409,9 @@ def _greedy_maximal_clique(adj: list[int], rng: random.Random) -> list[int]:
     a uniformly shuffled order: candidate sets only shrink, so every
     current candidate lies in the unexamined part of the order, and the
     first of them there is uniform over the candidates. Any other start
-    draws the translates of these cliques: the graph is a Cayley graph."""
+    draws the translates of these cliques: the graph is a Cayley graph.
+    _probe_trials makes the same draws in the N(0) frame; this routine
+    replays its witnesses and is its reference."""
     # Every draw is made inline the way CPython 3.10-3.13's Random makes
     # it: randrange(n), through _randbelow_with_getrandbits, takes
     # k = n.bit_length() bits and redraws while r >= n (n = 1 still takes
@@ -434,46 +445,104 @@ def _through_masks(ctx: FieldCtx) -> list[int]:
     return through
 
 
-def _in_a_pencil(clique: list[int], through: list[int]) -> bool:
-    """Whether every vertex of clique lies in one of the masks."""
-    mask = sum(1 << v for v in clique)
-    return any(mask & t == mask for t in through)
+def _zero_frame(adj: list[int], through: list[int]) -> tuple[list[int], list[int]]:
+    """adj and through restricted to N(0), the neighbours of vertex 0,
+    with each vertex renumbered by its position in N(0): (frame
+    adjacency, frame through masks). Every probe member after vertex 0
+    lies in N(0). The renumbering keeps the order, so the r-th set bit of
+    a frame mask is the frame number of the r-th set bit of the full one."""
+    nv = len(adj)
+    members = [v for v in range(nv) if adj[0] >> v & 1]
+    # the binary digits of a full mask, most significant first, picked
+    # down to those of the members
+    pick = itemgetter(*[nv - 1 - v for v in reversed(members)])
+
+    def restrict(mask: int) -> int:
+        return int("".join(pick(format(mask, f"0{nv}b"))), 2)
+
+    return [restrict(adj[v]) for v in members], [restrict(t) for t in through]
 
 
-def _probe_trials(ctx: FieldCtx, adj: list[int], through: list[int], seed: int, start: int, stop: int):
+def _probe_trials(ctx: FieldCtx, adj: list[int], frame: tuple[list[int], list[int]], seed: int, start: int, stop: int):
     """Trials start..stop-1 of stability_probe at k = 2, as (sizes,
-    overThreshold, witnesses). An over-threshold clique is a witness
-    unless it lies inside one of the `through` masks. Trial i reseeds one
-    generator with seed * 2654435761 + i, so the trials of any split of a
-    range merge to the trials of the whole range."""
+    overThreshold, witnesses). Trial i reseeds one generator with
+    seed * 2654435761 + i, so the trials of any split of a range merge
+    to the trials of the whole range.
+
+    A trial walks _greedy_maximal_clique in the N(0) frame (_zero_frame)
+    and stops once its candidates form a clique: every later draw would
+    keep all the others, so all of them join, in any order, and the
+    vertex set, its size and the common-point test are the full walk's.
+    The test keeps one candidate u and its non-neighbours among the
+    candidates as a certificate; only when that breaks does it scan the
+    candidates from the lowest up, for a new u or for the stop. An
+    over-threshold clique is a witness unless it lies inside one of the
+    frame's through masks; a witness lists its clique in draw order, so
+    its trial is replayed in full with _greedy_maximal_clique."""
     q = ctx.q
+    fadj, fthrough = frame
+    n0 = len(fadj)
+    k0 = n0.bit_length()
+    # non[v]: the frame vertices other than v that v is not adjacent to
+    full = (1 << n0) - 1
+    non = [full ^ m ^ (1 << v) for v, m in enumerate(fadj)]
     over = [exceeds_threshold(q, m, 2) for m in range(q * q + 1)]
     rng = random.Random()
     reseed = rng.seed
+    getrandbits = rng.getrandbits
     sizes: dict[int, int] = {}
     witnesses = []
     over_threshold = 0
     for i in range(start, stop):
         reseed(seed * 2654435761 + i)
-        clique = _greedy_maximal_clique(adj, rng)
-        m = len(clique)
+        # the first draw is over all of N(0): its rank is its frame number
+        v = getrandbits(k0)
+        while v >= n0:
+            v = getrandbits(k0)
+        mask = 1 << v
+        cand = fadj[v]
+        u = v  # not a candidate, so the first test scans
+        while True:
+            if not (cand >> u & 1 and cand & non[u]):
+                c = cand
+                while c:
+                    u = (c & -c).bit_length() - 1
+                    if cand & non[u]:
+                        break
+                    c &= c - 1
+                else:
+                    break
+            n = cand.bit_count()
+            k = n.bit_length()
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            v = _nth_set_bit(cand, n, r)
+            mask |= 1 << v
+            cand &= fadj[v]
+        mask |= cand
+        m = mask.bit_count() + 1  # and vertex 0
         sizes[m] = sizes.get(m, 0) + 1
-        if m > q * q:
-            witnesses.append({"trial": i, "size": m, "clique": clique})
-            continue
-        if over[m]:
+        if m <= q * q:
+            if not over[m]:
+                continue
             over_threshold += 1
-            if not _in_a_pencil(clique, through):
-                witnesses.append({"trial": i, "size": m, "clique": clique, "commonPoint": None})
+            if any(mask & t == mask for t in fthrough):
+                continue
+        reseed(seed * 2654435761 + i)
+        witness = {"trial": i, "size": m, "clique": _greedy_maximal_clique(adj, rng)}
+        if m <= q * q:
+            witness["commonPoint"] = None
+        witnesses.append(witness)
     return sizes, over_threshold, witnesses
 
 
 # Fewest trials worth a process of their own: stability_probe splits its
 # trials only into parts at least this long. Timed on 2 cores at q = 4,
 # the cheapest trials the suite runs, in a process the size of a suite
-# run: 1,000 trials took 28 ms in one process and 20 ms in two, 500 took
-# 13.7 and 11.9 ms, and 250 took 7.2 and 7.9 ms. The fork itself costs
-# the parent about 1 ms.
+# run (medians of 15): 1,000 trials took 24-26 ms in one process and
+# 19-21 ms in two, 500 took 13-14 and 12-13 ms, and 250 took 7 and
+# 8-10 ms. The fork itself costs the parent about 1 ms.
 SPLIT_CUT = 500
 
 
@@ -538,7 +607,8 @@ def stability_probe(ctx: FieldCtx, trials: int, seed: int = DEFAULT_SEED) -> Rep
     """Randomized maximal intersecting families at k = 2: start from the
     zero polynomial, complete greedily with uniformly random candidates,
     then check that no family beats q^2 and that every family over the
-    size threshold has a common point (_through_masks). Trials are
+    size threshold has a common point (_through_masks). The N(0) frame
+    (_zero_frame) is built once, before the split. Trials are
     independently seeded, so they run split across the usable cores
     (_probe_parts) and merge to the same report; zero trials check
     nothing and are inapplicable."""
@@ -546,10 +616,10 @@ def stability_probe(ctx: FieldCtx, trials: int, seed: int = DEFAULT_SEED) -> Rep
         raise ValueError(f"trials must be >= 0, got {trials}")
     watch = Stopwatch()
     adj = build_graph(ctx, 2, 1).adj
-    through = _through_masks(ctx)
+    frame = _zero_frame(adj, _through_masks(ctx))
 
     def run(start, stop):
-        return _probe_trials(ctx, adj, through, seed, start, stop)
+        return _probe_trials(ctx, adj, frame, seed, start, stop)
 
     sizes: dict[int, int] = {}
     witnesses = []

@@ -116,6 +116,29 @@ def test_radical_mixed_multiplicity_divisible_by_p():
     assert distinct_root_count(ctx, g) == 2
 
 
+@pytest.mark.parametrize("q", [3, 5, 9])
+def test_distinct_root_count_matches_a_brute_force_count(q):
+    """Every monic f of degree <= 4: f has as many distinct roots in the
+    algebraic closure as the degrees of its distinct monic irreducible
+    factors add up to. Those factors come from a sieve of products here,
+    with no gcd or derivative."""
+    ctx = make_field_of_order(q)
+
+    def monic(deg):
+        return [tail + (1,) for tail in itertools.product(range(q), repeat=deg)]
+
+    factor_degrees = {f: [] for deg in range(5) for f in monic(deg)}
+    for deg in range(1, 5):
+        for f in monic(deg):
+            if factor_degrees[f]:
+                continue  # a multiple of an irreducible of lower degree
+            for deg2 in range(5 - deg):
+                for g in monic(deg2):
+                    factor_degrees[poly_mul(ctx, f, g)].append(deg)
+    for f, degrees in factor_degrees.items():
+        assert distinct_root_count(ctx, f) == sum(degrees), f
+
+
 def test_distinct_root_count_frozen():
     c5 = make_field(5, 1)
     assert distinct_root_count(c5, (0, 0, 1)) == 1

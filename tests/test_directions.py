@@ -231,6 +231,18 @@ def test_carlitz_scan_walks_past_the_recursion_limit():
     assert rep.witnesses == []
 
 
+def test_carlitz_scan_writes_progress_every_interval(monkeypatch, capsys):
+    monkeypatch.setattr(directions, "PROGRESS_EVERY", 200)
+    rep = carlitz_scan(make_field(3, 2))  # 793 nodes
+    assert rep.counters["nodesVisited"] == 793
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.split(" nodes, ")[0] for line in lines] == [f"direction-span-affine 3^2: {n}" for n in (200, 400, 600)]
+    assert all(line.endswith(" nodes/s") for line in lines)
+    monkeypatch.setattr(directions, "PROGRESS_EVERY", 10**6)
+    carlitz_scan(make_field(3, 2))
+    assert capsys.readouterr().err == ""
+
+
 def test_carlitz_scan_counterexample_outlives_the_budget(monkeypatch):
     # with every candidate taken as non-affine, the first leaf is a
     # counterexample, and a scan stopped afterwards still fails

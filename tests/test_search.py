@@ -6,6 +6,7 @@ import itertools
 import math
 import os
 import random
+import sys
 import threading
 import time
 from collections import Counter
@@ -16,7 +17,7 @@ import pytest
 from polyfam import search
 from polyfam.charsum import mcconnel_scan
 from polyfam.directions import carlitz_scan
-from polyfam.families import common_point, hilton_milner, pencil
+from polyfam.families import common_point, exceeds_threshold, hilton_milner, pencil
 from polyfam.gf import make_field, make_field_of_order
 from polyfam.polyfun import evaluate, intersection_count
 from polyfam.report import DEFAULT_NODE_BUDGET
@@ -312,6 +313,22 @@ def test_max_clique_on_intersection_graphs():
         want, _ = brute_max_clique(g.adj, g.n_vertices)
         res = max_clique(g)
         assert res.proven and res.size == want == q**k
+
+
+def test_max_clique_walks_past_the_recursion_limit():
+    """Any two distinct polynomials of degree <= 2 share at most 2 points,
+    so this graph is complete on 512 vertices and the search walks one
+    path 512 nodes deep, past the recursion limit set here. A search that
+    recursed once per clique member raised RecursionError."""
+    g = build_graph(make_field(2, 3), 2, 2, "max_shared")
+    assert g.edge_count == 512 * 511 // 2
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(400)
+    try:
+        res = max_clique(g)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert res == CliqueResult(512, tuple(range(512)), 512, True)
 
 
 def test_max_clique_budget_abort():
@@ -814,11 +831,18 @@ def test_zero_frame_matches_the_seeded_process_exactly(q):
     through = search._through_masks(ctx)
     for cl in zero:
         has_point = common_point(ctx, family_from_vertices(q, 2, cl)) is not None
-        assert search._in_a_pencil(cl, through) == has_point, cl
+        assert _in_a_pencil(cl, through) == has_point, cl
 
 
 def _vertex(q, f):
     return sum(c * q**i for i, c in enumerate(f.coeffs))
+
+
+def _in_a_pencil(clique, through):
+    """Oracle for the probe's common-point test: whether every vertex of
+    clique lies in one of the through masks."""
+    mask = sum(1 << v for v in clique)
+    return any(mask & t == mask for t in through)
 
 
 @pytest.mark.parametrize("q", [3, 4, 5, 7])
@@ -829,7 +853,7 @@ def test_through_masks_hold_the_pencils_on_y0_and_miss_hilton_milner(q):
     for x, mask in enumerate(through):
         assert mask == sum(1 << v for v in range(q**3) if evaluate(ctx, vertex_to_poly(q, 2, v), x) == 0)
     for x in range(q):
-        assert search._in_a_pencil([_vertex(q, f) for f in pencil(ctx, x, 0, 2).members], through)
+        assert _in_a_pencil([_vertex(q, f) for f in pencil(ctx, x, 0, 2).members], through)
     # Hilton-Milner: the line y = 0 (vertex 0) and the parabolas through
     # (0, 1) that meet it; intersecting, but with no common point
     hm = [_vertex(q, f) for f in hilton_milner(ctx, (0, 1), 0, 0).members]
@@ -837,10 +861,10 @@ def test_through_masks_hold_the_pencils_on_y0_and_miss_hilton_milner(q):
     g = build_graph(ctx, 2, 1)
     assert search.missing_edge(g, hm) is None
     assert common_point(ctx, family_from_vertices(q, 2, hm)) is None
-    assert not search._in_a_pencil(hm, through)
+    assert not _in_a_pencil(hm, through)
     # a pencil through a point off y = 0 lies in none of the masks
     off = [_vertex(q, f) for f in pencil(ctx, 0, 1, 2).members]
-    assert not search._in_a_pencil(off, through)
+    assert not _in_a_pencil(off, through)
 
 
 @pytest.mark.parametrize("q", [3, 4, 5])
@@ -894,6 +918,62 @@ def _merge_trials(parts):
     return dict(sizes), over, witnesses
 
 
+def _replayed_trials(ctx, adj, through, seed, start, stop):
+    """Reference for _probe_trials: every trial walked in full by
+    _greedy_maximal_clique on the whole graph, the common point tested by
+    _in_a_pencil."""
+    q = ctx.q
+    sizes, over, witnesses = Counter(), 0, []
+    for i in range(start, stop):
+        clique = _greedy_maximal_clique(adj, random.Random(seed * 2654435761 + i))
+        m = len(clique)
+        sizes[m] += 1
+        if m > q * q:
+            witnesses.append({"trial": i, "size": m, "clique": clique})
+        elif exceeds_threshold(q, m, 2):
+            over += 1
+            if not _in_a_pencil(clique, through):
+                witnesses.append({"trial": i, "size": m, "clique": clique, "commonPoint": None})
+    return dict(sizes), over, witnesses
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_zero_frame_restricts_and_renumbers_by_position(q):
+    ctx = make_field_of_order(q)
+    adj = build_graph(ctx, 2, 1).adj
+    through = search._through_masks(ctx)
+    fadj, fthrough = search._zero_frame(adj, through)
+    members = [v for v in range(q**3) if adj[0] >> v & 1]
+    # N(0): the nonzero polynomials with a root, that is all but the q - 1
+    # nonzero constants and the (q - 1) q (q - 1) / 2 irreducible quadratics
+    assert len(fadj) == len(members) == q**3 - q - q * (q - 1) ** 2 // 2
+
+    def restricted(mask):
+        return sum(1 << j for j, v in enumerate(members) if mask >> v & 1)
+
+    assert fadj == [restricted(adj[v]) for v in members]
+    assert fthrough == [restricted(t) for t in through]
+
+
+@pytest.mark.parametrize("seed", [20248, 1])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_probe_trials_match_the_replayed_greedy_walk(q, seed):
+    """The N(0) frame and the stop at a clique of candidates leave every
+    trial's size, threshold test and common-point answer as the full walk
+    has them. With no vertex in the through masks, every over-threshold
+    trial is a witness, listed in draw order."""
+    ctx = make_field_of_order(q)
+    adj = build_graph(ctx, 2, 1).adj
+    for through in (search._through_masks(ctx), [0] * q):
+        frame = search._zero_frame(adj, through)
+        got = search._probe_trials(ctx, adj, frame, seed, 0, 2000)
+        assert got == _replayed_trials(ctx, adj, through, seed, 0, 2000)
+        if not any(through):
+            assert len(got[2]) == got[1]
+            # the replay path runs: only at q = 3 does no size exceed the threshold
+            assert (got[1] > 0) == (q != 3)
+
+
 # no clique size exceeds the stability threshold at q = 3
 @pytest.mark.parametrize("q,witnessed", [(3, False), (4, False), (4, True)])
 def test_probe_trials_merge_over_uneven_ranges(q, witnessed):
@@ -902,10 +982,11 @@ def test_probe_trials_merge_over_uneven_ranges(q, witnessed):
     # witnessed: the masks hold no vertex, so every over-threshold clique
     # is a witness
     through = [0] * q if witnessed else search._through_masks(ctx)
+    frame = search._zero_frame(adj, through)
     T = 401
-    whole = search._probe_trials(ctx, adj, through, 7, 0, T)
+    whole = search._probe_trials(ctx, adj, frame, 7, 0, T)
     cuts = [0, 1, 2, 57, 58, 300, T]
-    parts = [search._probe_trials(ctx, adj, through, 7, a, b) for a, b in zip(cuts, cuts[1:])]
+    parts = [search._probe_trials(ctx, adj, frame, 7, a, b) for a, b in zip(cuts, cuts[1:])]
     assert _merge_trials(parts) == whole
     assert sum(whole[0].values()) == T
     assert bool(whole[2]) == witnessed
