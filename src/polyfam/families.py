@@ -133,7 +133,7 @@ def tangent_family(ctx: FieldCtx, A: Fe, B: Fe, C: Fe) -> Family:
 # Family checks meet the same polynomials in many families: the
 # pencil-extension claim drops each member of a 25- or 49-member pencil in
 # turn and checks the rest, so 64 vectors keep a whole pencil in memory
-# (at q = 2^16 they would take about 13 MB).
+# (at q = 2^16 they would take 64 x 256 KB, about 16.8 MB).
 _member_vector = functools.lru_cache(maxsize=64)(graph_vector)
 
 
@@ -170,7 +170,7 @@ def all_common_points(ctx: FieldCtx, fam: Family) -> list[PointAG]:
     vs = _graph_vectors(ctx, fam)
     if not vs:
         return []
-    return lane_points(ctx.q, vs[0], common_lanes(ctx.q, vs))
+    return lane_points(ctx, vs[0], common_lanes(ctx.q, vs))
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ A PolyK holds the k+1 coefficients (element indices, low degree first) of
 a polynomial of degree at most k. Its graph is the point set
 {(x, f(x)) : x in F_q} in the affine plane; two graphs intersect where
 the difference polynomial vanishes. Family checks work on packed graph
-vectors instead, one int per polynomial holding f(x) in lane x, which
+vectors instead, one int per polynomial: the values_by_log words
+f(g^j) in lane j, then f(0) in lane q - 1, 32 bits per lane. Two vectors
 compare all q points of two graphs in a few big-int operations.
 """
 
@@ -73,24 +74,18 @@ def intersection_count(ctx: FieldCtx, f: PolyK, g: PolyK) -> int:
 
 
 # ---------------------------------------------------------------------------
-# packed graph vectors: lane x of lane_width(q) bits holds f(x); the top bit
-# of every lane is a guard that stays 0, so lanewise adds never carry across
-
-
-def lane_width(q: int) -> int:
-    """Bits per lane: the whole bytes that hold the largest element index
-    plus a guard bit."""
-    return 8 * ((q - 1).bit_length() // 8 + 1)
+# packed graph vectors: lane j of 32 bits holds f(g^j) for j < q - 1 and
+# lane q - 1 holds f(0); the top bit of every lane is a guard that stays 0,
+# so lanewise adds never carry across
 
 
 @functools.lru_cache(maxsize=None)
 def lane_masks(q: int) -> tuple[int, int]:
-    """(M, H) for q lanes: M holds 2^(w-1) - 1 in every lane, H the guard
+    """(M, H) for q lanes: M holds 2^31 - 1 in every lane, H the guard
     bit of every lane. ((u ^ v) + M) & H keeps a lane's guard bit exactly
     when u and v differ in that lane."""
-    w = lane_width(q)
-    ones = int.from_bytes((1).to_bytes(w // 8, "little") * q, "little")
-    return ones * ((1 << (w - 1)) - 1), ones << (w - 1)
+    ones = ((1 << (32 * q)) - 1) // 0xFFFFFFFF
+    return ones * 0x7FFFFFFF, ones << 31
 
 
 def values_by_log(ctx: FieldCtx, f: PolyK) -> array:
@@ -136,19 +131,14 @@ def values_by_log(ctx: FieldCtx, f: PolyK) -> array:
     return array("I", acc.to_bytes(4 * m, order))
 
 
-def graph_values(ctx: FieldCtx, f: PolyK) -> list[Fe]:
-    """[f(x) for x in range(ctx.q)]: f(0) is the constant term, and f(x)
-    for x = g^j is entry j of values_by_log."""
-    vals = values_by_log(ctx, f)
-    return [f.coeffs[0], *map(vals.__getitem__, ctx.log[1:])]
-
-
 def graph_vector(ctx: FieldCtx, f: PolyK) -> int:
-    """The graph of f packed into one int, lane x holding f(x), in time
-    linear in q."""
-    size = lane_width(ctx.q) // 8
-    lanes = b"".join([y.to_bytes(size, "little") for y in graph_values(ctx, f)])
-    return int.from_bytes(lanes, "little")
+    """The graph of f packed into one int: the values_by_log words, then
+    f(0) in the last lane, read little-endian."""
+    words = values_by_log(ctx, f)
+    words.append(f.coeffs[0])
+    if sys.byteorder == "big":
+        words.byteswap()
+    return int.from_bytes(words, "little")
 
 
 def shared_points(q: int, v: int, others) -> list[int]:
@@ -172,18 +162,17 @@ def common_lanes(q: int, vectors) -> int:
     return e
 
 
-def lane_points(q: int, v: int, lanes: int) -> list[PointAG]:
+def lane_points(ctx: FieldCtx, v: int, lanes: int) -> list[PointAG]:
     """The points (x, f(x)) of graph vector v at the lanes whose guard bit
     is set in `lanes`, in ascending order of x."""
-    w = lane_width(q)
-    low = (1 << (w - 1)) - 1
     out = []
     while lanes:
         bit = lanes & -lanes
-        x = (bit.bit_length() - 1) // w
-        out.append(PointAG(x, v >> (x * w) & low))
+        j = (bit.bit_length() - 1) >> 5
+        x = ctx.exp[j] if j < ctx.q - 1 else 0
+        out.append(PointAG(x, v >> (32 * j) & 0x7FFFFFFF))
         lanes ^= bit
-    return out
+    return sorted(out)
 
 
 def pair_intersects_fast(ctx: FieldCtx, f: PolyK, g: PolyK) -> bool:

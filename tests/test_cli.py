@@ -478,3 +478,27 @@ def test_version_flag(capsys):
     assert ei.value.code == 0
     out, _ = capsys.readouterr()
     assert "polyfam" in out
+
+
+@pytest.mark.parametrize(
+    "argv", [["--version"], ["suite", "--tier", "fast", "--claim", "pencil-size"]]
+)
+def test_python_dash_m_runs_the_cli(argv):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    res = subprocess.run(
+        [sys.executable, "-m", "polyfam", *argv], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout
+
+
+def test_import_leaves_main_unloaded():
+    # `import polyfam` is timed by the benchmark's setup; __main__ runs the CLI
+    src = str(Path(cli.__file__).resolve().parents[1])
+    res = subprocess.run(
+        [sys.executable, "-c", "import sys, polyfam; print('polyfam.__main__' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"

@@ -216,6 +216,48 @@ def test_common_points_answer_the_pair_check(monkeypatch):
         is_t_intersecting(ctx, hm, 1)
 
 
+def test_common_points_come_in_ascending_x_not_lane_order():
+    """Lane j holds x = g^j and the last lane x = 0, so at q = 7 (g = 3)
+    the common points of f + c x (x - 2)(x - 3) sit in lane order 3, 2, 0."""
+    ctx = make_field(7, 1)
+    assert ctx.generator == 3 and (ctx.log[3], ctx.log[2]) == (1, 2)
+    f = (1, 2, 3, 0)
+    h = (0, 6, 2, 1)  # x (x - 2)(x - 3) = x^3 - 5 x^2 + 6 x
+    fam = Family.from_polys(
+        3, [PolyK(3, tuple((a + c * b) % 7 for a, b in zip(f, h))) for c in range(7)]
+    )
+    want = [PointAG(x, evaluate(ctx, PolyK(3, f), x)) for x in (0, 2, 3)]
+    assert all_common_points(ctx, fam) == want
+    assert common_point(ctx, fam) == want[0]
+
+
+def test_family_checks_at_2_16():
+    """24 members through one point of the 2^16 plane, and the same
+    members with one moved off the point."""
+    ctx = make_field(2, 16)
+    q = ctx.q
+    rng = random.Random(20248)
+    point = PointAG(rng.randrange(q), rng.randrange(q))
+    alpha, beta = point
+    members = []
+    for _ in range(24):
+        c1, c2 = rng.randrange(q), rng.randrange(q)
+        c0 = ctx.sub(beta, ctx.add(ctx.mul(c1, alpha), ctx.mul(c2, ctx.mul(alpha, alpha))))
+        members.append(PolyK(2, (c0, c1, c2)))
+    fam = Family.from_polys(2, members)
+    moved = members[:]
+    moved[5] = PolyK(2, (ctx.add(members[5].coeffs[0], 1), *members[5].coeffs[1:]))
+    moved = Family.from_polys(2, moved)
+    assert all_common_points(ctx, fam) == [point]
+    assert all_common_points(ctx, moved) == []
+    for t in (1, 2, 3):
+        assert is_t_intersecting(ctx, fam, t) == pairwise_t_intersecting(ctx, fam, t)
+        assert is_t_intersecting(ctx, moved, t) == pairwise_t_intersecting(ctx, moved, t)
+    assert is_t_intersecting(ctx, fam, 1) == (True, None)
+    res = extend_unique(ctx, fam)
+    assert res.points == (point,) and not res.unique  # 24 <= q^(k-1)
+
+
 def test_extend_unique_small_family_is_ambiguous():
     ctx = make_field(5, 1)
     fam = Family.from_polys(2, [PolyK(2, (0, 0, 1))])

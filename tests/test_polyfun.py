@@ -21,14 +21,13 @@ from polyfam.polyfun import (
     format_poly,
     intersection_count,
     common_lanes,
-    graph_values,
     graph_vector,
     lane_masks,
     lane_points,
-    lane_width,
     pair_intersects_fast,
     parse_poly,
     shared_points,
+    values_by_log,
 )
 
 
@@ -204,13 +203,14 @@ def test_shared_points_matches_closed_form_and_brute_force(q, k):
             assert packed == brute == intersection_count(ctx, f, polys[j]), (f, polys[j])
 
 
-@pytest.mark.parametrize("p,n", [(2, 8), (3, 5)])
+@pytest.mark.parametrize("p,n", [(2, 8), (3, 5), (2, 16), (3, 10), (251, 2)])
 def test_shared_points_sampled_pairs_large_lanes(p, n):
-    # nine-bit lanes; every g also comes shifted to share a point with f
+    # every g also comes shifted to share a point with f; the fields past
+    # 2^12 take fewer pairs, each build costing a few ms
     ctx = make_field(p, n)
     q = ctx.q
     rng = random.Random(q)
-    for _ in range(300):
+    for _ in range(300 if q < 4096 else 20):
         f = PolyK(2, tuple(rng.randrange(q) for _ in range(3)))
         g = PolyK(2, tuple(rng.randrange(q) for _ in range(3)))
         x = rng.randrange(q)
@@ -220,18 +220,17 @@ def test_shared_points_sampled_pairs_large_lanes(p, n):
         assert got == [intersection_count(ctx, f, g), intersection_count(ctx, f, h)]
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 9, 16, 289])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9, 16, 289, 65536])
 def test_graph_vector_lanes_hold_the_values(q):
-    # 289 = 17^2 is past the flat addition table and has two-byte lanes
+    # 289 = 17^2 and 2^16 are past the flat addition table; at 2^16 the
+    # evaluate oracle reads 1000 sampled lanes and the last one
     ctx = make_field_of_order(q)
-    w = lane_width(q)
-    assert w % 8 == 0 and 1 << (w - 1) >= q  # whole bytes, values below the guard
     f = PolyK(2, (q - 1, 1 % q, q - 1))
     v = graph_vector(ctx, f)
-    assert [(v >> (x * w)) & ((1 << w) - 1) for x in range(q)] == [
-        evaluate(ctx, f, x) for x in range(q)
-    ]
-    assert v >> (q * w) == 0
+    xs = [*ctx.exp, 0]
+    js = range(q) if q < 1000 else [*random.Random(q).sample(range(q - 1), 1000), q - 1]
+    assert [(v >> (32 * j)) & 0xFFFFFFFF for j in js] == [evaluate(ctx, f, xs[j]) for j in js]
+    assert v >> (32 * q) == 0
 
 
 @pytest.mark.parametrize(
@@ -242,7 +241,8 @@ def test_graph_values_match_evaluate(p, n, k):
     """Random f, plus the first Horner step's edge cases: a zero top
     coefficient (no rotation), a monic f (rotation by log 1 = 0) and, at
     k = 0, the constants 0 and 1. 3^6, 17^2 and 251^2 add past the flat
-    addition table, 2^3 and 2^5 by XOR."""
+    addition table, 2^3 and 2^5 by XOR. The graph's values are f(0), the
+    constant term, and entry j of values_by_log at x = g^j."""
     ctx = make_field(p, n)
     q = ctx.q
     rng = random.Random(q + k)
@@ -250,8 +250,9 @@ def test_graph_values_match_evaluate(p, n, k):
     low = tuple(rng.randrange(q) for _ in range(k))
     polys += [PolyK(k, low + (0,)), PolyK(k, low + (1,))]
     for f in polys:
-        assert graph_values(ctx, f) == [evaluate(ctx, f, x) for x in range(ctx.q)], f
-    assert graph_values(ctx, PolyK(0, (5 % q,))) == [5 % q] * q
+        values = [f.coeffs[0], *values_by_log(ctx, f)]
+        assert values == [evaluate(ctx, f, x) for x in [0, *ctx.exp]], f
+    assert list(values_by_log(ctx, PolyK(0, (5 % q,)))) == [5 % q] * (q - 1)
 
 
 @pytest.mark.parametrize("p,n", [(2, 16), (3, 10), (251, 2), (65521, 1)])
@@ -271,9 +272,10 @@ def test_graph_values_match_evaluate_in_large_fields(p, n):
             # 7 + x (x - r): the partial value x - r vanishes at x = r
             polys.append(PolyK(k, (7, ctx.sub(0, rng.randrange(1, q)), 1) + (0,) * (k - 2)))
         for f in polys:
-            values = graph_values(ctx, f)
-            assert len(values) == q
-            assert [values[x] for x in xs] == [evaluate(ctx, f, x) for x in xs], f
+            values = values_by_log(ctx, f)
+            assert len(values) == q - 1
+            got = [values[ctx.log[x]] if x else f.coeffs[0] for x in xs]
+            assert got == [evaluate(ctx, f, x) for x in xs], f
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
@@ -408,7 +410,8 @@ def test_quadratic_roots_match_the_method_call_version_up_to_1024():
 def test_root_count_matches_graph_values_at_large_odd_q(p, n):
     """Seeded quadratics at 3^10 and 251^2 in each branch of the count:
     b = 0, a zero discriminant (a = b^2 / 4c, one root), and the generic
-    read of the table; the oracle counts the zeros of graph_values."""
+    read of the table; the oracle counts the zeros of values_by_log, plus
+    x = 0 when the constant term is 0."""
     ctx = make_field(p, n)
     q = ctx.q
     rng = random.Random(20248 + q)
@@ -424,7 +427,7 @@ def test_root_count_matches_graph_values_at_large_odd_q(p, n):
         cases.append((nonzero(), nonzero(), nonzero()))
     seen = set()
     for a, b, c in cases:
-        want = graph_values(ctx, PolyK(2, (a, b, c))).count(0)
+        want = (a == 0) + values_by_log(ctx, PolyK(2, (a, b, c))).count(0)
         assert ctx.quadratic_root_count(a, b, c) == want, (a, b, c)
         seen.add(want)
         if b and ctx.sub(ctx.mul(b, b), ctx.mul(4 % p, ctx.mul(a, c))) == 0:
@@ -457,15 +460,13 @@ def test_intersection_count_above_k2_matches_pointwise(p, n, k):
     assert intersection_count(ctx, f, f) == q
 
 
-@pytest.mark.parametrize("q", [2, 5, 127, 128, 289, 32768, 32769])
+@pytest.mark.parametrize("q", [2, 5, 127, 128, 289, 32768, 32769, 65536])
 def test_lane_masks_mark_every_lane(q):
-    w = lane_width(q)
-    assert (q - 1).bit_length() < w <= (q - 1).bit_length() + 8
     m, h = lane_masks(q)
-    ones = h >> (w - 1)
-    assert h.bit_count() == q and h.bit_length() == q * w
-    assert ones * ((1 << w) - 1) == (1 << (q * w)) - 1  # one 1 at the foot of every lane
-    assert m == ones * ((1 << (w - 1)) - 1)
+    ones = h >> 31
+    assert h.bit_count() == q and h.bit_length() == 32 * q
+    assert ones * 0xFFFFFFFF == (1 << (32 * q)) - 1  # one 1 at the foot of every lane
+    assert m == ones * 0x7FFFFFFF
 
 
 def test_common_lanes_and_points():
@@ -473,7 +474,7 @@ def test_common_lanes_and_points():
     polys = [PolyK(2, (3, 0, 0)), PolyK(2, (3, 1, 0)), PolyK(2, (3, 0, 1))]
     vs = [graph_vector(ctx, f) for f in polys]
     # all three take the value 3 at x = 0 and nowhere else in common
-    assert lane_points(7, vs[0], common_lanes(7, vs)) == [PointAG(0, 3)]
+    assert lane_points(ctx, vs[0], common_lanes(7, vs)) == [PointAG(0, 3)]
     assert common_lanes(7, []) == 0
-    one = lane_points(7, vs[1], common_lanes(7, vs[1:2]))
+    one = lane_points(ctx, vs[1], common_lanes(7, vs[1:2]))
     assert one == graph_points(ctx, polys[1])
