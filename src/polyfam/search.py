@@ -21,7 +21,7 @@ from operator import itemgetter
 from .families import Family, common_point, exceeds_threshold, pencil
 from .gf import FieldCtx
 from .polyfun import PolyK, intersection_count
-from .report import DEFAULT_NODE_BUDGET, DEFAULT_SEED, Report, Stopwatch
+from .report import DEFAULT_NODE_BUDGET, DEFAULT_SEED, WITNESS_CAP, Report, Stopwatch
 
 VERTEX_CAP = 4096
 ENUMERATION_CAP = 64
@@ -402,35 +402,6 @@ def _nth_set_bit(mask: int, n: int, r: int) -> int:
     return lo
 
 
-def _greedy_maximal_clique(adj: list[int], rng: random.Random) -> list[int]:
-    """Start from vertex 0, the zero polynomial, then add a uniformly
-    random current candidate until none is left. This draws the same
-    cliques, with the same probabilities, as taking the other vertices in
-    a uniformly shuffled order: candidate sets only shrink, so every
-    current candidate lies in the unexamined part of the order, and the
-    first of them there is uniform over the candidates. Any other start
-    draws the translates of these cliques: the graph is a Cayley graph.
-    _probe_trials makes the same draws in the N(0) frame; this routine
-    replays its witnesses and is its reference."""
-    # Every draw is made inline the way CPython 3.10-3.13's Random makes
-    # it: randrange(n), through _randbelow_with_getrandbits, takes
-    # k = n.bit_length() bits and redraws while r >= n (n = 1 still takes
-    # one bit).
-    getrandbits = rng.getrandbits
-    clique = [0]
-    cand = adj[0]
-    while cand:
-        n = cand.bit_count()
-        k = n.bit_length()
-        r = getrandbits(k)
-        while r >= n:
-            r = getrandbits(k)
-        v = _nth_set_bit(cand, n, r)
-        clique.append(v)
-        cand &= adj[v]
-    return clique
-
-
 def _through_masks(ctx: FieldCtx) -> list[int]:
     """Entry x: the vertex mask, at k = 2, of the pencil through (x, 0).
     Every probe clique holds vertex 0, whose graph is y = 0, so any point
@@ -445,12 +416,14 @@ def _through_masks(ctx: FieldCtx) -> list[int]:
     return through
 
 
-def _zero_frame(adj: list[int], through: list[int]) -> tuple[list[int], list[int]]:
+def _zero_frame(adj: list[int], through: list[int]) -> tuple[list[int], list[int], list[int]]:
     """adj and through restricted to N(0), the neighbours of vertex 0,
-    with each vertex renumbered by its position in N(0): (frame
-    adjacency, frame through masks). Every probe member after vertex 0
-    lies in N(0). The renumbering keeps the order, so the r-th set bit of
-    a frame mask is the frame number of the r-th set bit of the full one."""
+    with each vertex renumbered by its position in N(0): (members,
+    frame adjacency, frame through masks), where members lists N(0) in
+    ascending order, so frame vertex j is vertex members[j]. Every probe
+    member after vertex 0 lies in N(0). The renumbering keeps the order,
+    so the r-th set bit of a frame mask is the frame number of the r-th
+    set bit of the full one."""
     nv = len(adj)
     members = [v for v in range(nv) if adj[0] >> v & 1]
     # the binary digits of a full mask, most significant first, picked
@@ -460,27 +433,36 @@ def _zero_frame(adj: list[int], through: list[int]) -> tuple[list[int], list[int
     def restrict(mask: int) -> int:
         return int("".join(pick(format(mask, f"0{nv}b"))), 2)
 
-    return [restrict(adj[v]) for v in members], [restrict(t) for t in through]
+    return members, [restrict(adj[v]) for v in members], [restrict(t) for t in through]
 
 
-def _probe_trials(ctx: FieldCtx, adj: list[int], frame: tuple[list[int], list[int]], seed: int, start: int, stop: int):
+def _probe_trials(q: int, frame: tuple[list[int], list[int], list[int]], seed: int, start: int, stop: int):
     """Trials start..stop-1 of stability_probe at k = 2, as (sizes,
     overThreshold, witnesses). Trial i reseeds one generator with
     seed * 2654435761 + i, so the trials of any split of a range merge
     to the trials of the whole range.
 
-    A trial walks _greedy_maximal_clique in the N(0) frame (_zero_frame)
-    and stops once its candidates form a clique: every later draw would
-    keep all the others, so all of them join, in any order, and the
-    vertex set, its size and the common-point test are the full walk's.
-    The test keeps one candidate u and its non-neighbours among the
-    candidates as a certificate; only when that breaks does it scan the
-    candidates from the lowest up, for a new u or for the stop. An
-    over-threshold clique is a witness unless it lies inside one of the
-    frame's through masks; a witness lists its clique in draw order, so
-    its trial is replayed in full with _greedy_maximal_clique."""
-    q = ctx.q
-    fadj, fthrough = frame
+    A trial starts from vertex 0, the zero polynomial, and adds a
+    uniformly random current candidate until none is left. This draws the
+    same cliques, with the same probabilities, as taking the other
+    vertices in a uniformly shuffled order: candidate sets only shrink,
+    so every current candidate lies in the unexamined part of the order,
+    and the first of them there is uniform over the candidates. Any other
+    start draws the translates of these cliques: the graph is a Cayley
+    graph. Each draw is made inline the way CPython 3.10-3.13's Random
+    makes randrange(n): k = n.bit_length() bits, redrawn while r >= n.
+
+    The walk runs in the N(0) frame (_zero_frame) and stops once its
+    candidates form a clique: every later draw would keep all the others,
+    so all of them join, in any order, and the vertex set, its size and
+    the common-point test are the full walk's. The test keeps one
+    candidate u and its non-neighbours among the candidates as a
+    certificate; only when that breaks does it scan the candidates from
+    the lowest up, for a new u or for the stop. An over-threshold clique
+    is a witness unless it lies inside one of the frame's through masks;
+    the first WITNESS_CAP witnesses of the range are kept, each with its
+    clique in ascending vertex order."""
+    members, fadj, fthrough = frame
     n0 = len(fadj)
     k0 = n0.bit_length()
     # non[v]: the frame vertices other than v that v is not adjacent to
@@ -529,36 +511,27 @@ def _probe_trials(ctx: FieldCtx, adj: list[int], frame: tuple[list[int], list[in
             over_threshold += 1
             if any(mask & t == mask for t in fthrough):
                 continue
-        reseed(seed * 2654435761 + i)
-        witness = {"trial": i, "size": m, "clique": _greedy_maximal_clique(adj, rng)}
-        if m <= q * q:
-            witness["commonPoint"] = None
-        witnesses.append(witness)
+        if len(witnesses) < WITNESS_CAP:
+            clique = [0] + [v for j, v in enumerate(members) if mask >> j & 1]
+            witness = {"trial": i, "size": m, "clique": clique}
+            if m <= q * q:
+                witness["commonPoint"] = None
+            witnesses.append(witness)
     return sizes, over_threshold, witnesses
-
-
-# Fewest trials worth a process of their own: stability_probe splits its
-# trials only into parts at least this long. Timed on 2 cores at q = 4,
-# the cheapest trials the suite runs, in a process the size of a suite
-# run (medians of 15): 1,000 trials took 24-26 ms in one process and
-# 19-21 ms in two, 500 took 13-14 and 12-13 ms, and 250 took 7 and
-# 8-10 ms. The fork itself costs the parent about 1 ms.
-SPLIT_CUT = 500
 
 
 def _probe_parts(trials: int) -> int:
     """How many processes stability_probe runs its trials in: one per
-    usable core, as long as every part keeps SPLIT_CUT trials. One where
-    forking is unavailable or unsafe: without os.fork, or with other
-    threads running."""
-    parts = trials // SPLIT_CUT
-    if parts < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+    usable core, at most one per trial. One for fewer than 2 trials, and
+    where forking is unavailable or unsafe: without os.fork, or with
+    other threads running."""
+    if trials < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
     # read from sys.modules: without threading, no other thread was started
     threading = sys.modules.get("threading")
     if threading is not None and threading.active_count() > 1:
         return 1
-    return min(parts, len(os.sched_getaffinity(0)))
+    return min(trials, len(os.sched_getaffinity(0)))
 
 
 def _split_trials(run, trials: int, parts: int) -> list:
@@ -605,13 +578,15 @@ def _split_trials(run, trials: int, parts: int) -> list:
 
 def stability_probe(ctx: FieldCtx, trials: int, seed: int = DEFAULT_SEED) -> Report:
     """Randomized maximal intersecting families at k = 2: start from the
-    zero polynomial, complete greedily with uniformly random candidates,
-    then check that no family beats q^2 and that every family over the
-    size threshold has a common point (_through_masks). The N(0) frame
-    (_zero_frame) is built once, before the split. Trials are
-    independently seeded, so they run split across the usable cores
-    (_probe_parts) and merge to the same report; zero trials check
-    nothing and are inapplicable."""
+    zero polynomial, complete greedily with uniformly random candidates
+    (_probe_trials), then check that no family beats q^2 and that every
+    family over the size threshold has a common point (_through_masks).
+    The N(0) frame (_zero_frame) is built once, before the split. Trials
+    are independently seeded, so they run split across the usable cores
+    (_probe_parts) and merge, in range order, to the same report. The
+    witnesses are the first WITNESS_CAP over all trials; overThreshold
+    counts every over-threshold trial. Zero trials check nothing and are
+    inapplicable."""
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
     watch = Stopwatch()
@@ -619,7 +594,7 @@ def stability_probe(ctx: FieldCtx, trials: int, seed: int = DEFAULT_SEED) -> Rep
     frame = _zero_frame(adj, _through_masks(ctx))
 
     def run(start, stop):
-        return _probe_trials(ctx, adj, frame, seed, start, stop)
+        return _probe_trials(ctx.q, frame, seed, start, stop)
 
     sizes: dict[int, int] = {}
     witnesses = []
@@ -638,7 +613,7 @@ def stability_probe(ctx: FieldCtx, trials: int, seed: int = DEFAULT_SEED) -> Rep
             "k": 2,
             "sizeDistribution": {str(s): c for s, c in sorted(sizes.items())},
         },
-        witnesses=witnesses,
+        witnesses=witnesses[:WITNESS_CAP],
         counters={
             "trials": trials,
             "distinctSizes": len(sizes),

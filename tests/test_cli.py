@@ -460,7 +460,7 @@ def test_cli_and_a_split_probe_import_no_process_pool():
         "from polyfam import cli, search\n"
         "pools = ('multiprocessing', 'concurrent.futures')\n"
         "print([m for m in pools if m in sys.modules])\n"
-        "search.stability_probe(cli.make_field_of_order(4), 2 * search.SPLIT_CUT)\n"
+        "search.stability_probe(cli.make_field_of_order(4), 1000)\n"
         "print([m for m in pools if m in sys.modules])\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])

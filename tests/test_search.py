@@ -20,11 +20,10 @@ from polyfam.directions import carlitz_scan
 from polyfam.families import common_point, exceeds_threshold, hilton_milner, pencil
 from polyfam.gf import make_field, make_field_of_order
 from polyfam.polyfun import evaluate, intersection_count
-from polyfam.report import DEFAULT_NODE_BUDGET
+from polyfam.report import DEFAULT_NODE_BUDGET, WITNESS_CAP
 from polyfam.search import (
     CliqueResult,
     IntersectionGraph,
-    _greedy_maximal_clique,
     _nth_set_bit,
     build_graph,
     ekr_oracle,
@@ -674,54 +673,6 @@ def _shuffle_greedy(adj, start, order):
     return clique
 
 
-class _ScriptedRng:
-    """Stands in for random.Random in _greedy_maximal_clique: answers its
-    getrandbits calls from a script (0 once it runs out), with the width
-    of every call recorded."""
-
-    def __init__(self, answers):
-        self.answers, self.widths = answers, []
-
-    def getrandbits(self, k):
-        i = len(self.widths)
-        self.widths.append(k)
-        a = self.answers[i] if i < len(self.answers) else 0
-        assert 0 <= a < 1 << k
-        return a
-
-
-def _uniform_candidate_cliques(adj, nv):
-    """Exact distribution of the cliques _greedy_maximal_clique draws from
-    vertex 0, by branching over every accepted answer of each draw. The
-    bound n of a draw is the popcount of the common neighbourhood of the
-    clique so far, and each of its n answers has probability 1/n. On the
-    last branch of every draw the script answers n first: that value must
-    be rejected and redrawn at the same width."""
-    dist: Counter = Counter()
-
-    def walk(answers, widths, members, prob):
-        rng = _ScriptedRng(answers)
-        clique = _greedy_maximal_clique(adj, rng)
-        assert rng.widths[: len(widths)] == widths
-        assert clique[: len(members)] == members
-        cand = adj[0]
-        for v in members[1:]:
-            cand &= adj[v]
-        n = cand.bit_count()
-        if n == 0:
-            assert clique == members
-            dist[frozenset(clique)] += prob
-            return
-        ones = [i for i in range(nv) if cand >> i & 1]
-        k = n.bit_length()
-        for a in range(n):
-            script = [n, a] if a == n - 1 else [a]
-            walk(answers + script, widths + [k] * len(script), members + [ones[a]], prob / n)
-
-    walk([], [], [0], Fraction(1))
-    return dist
-
-
 def _size_distribution(dist):
     out: Counter = Counter()
     for clique, prob in dist.items():
@@ -743,7 +694,7 @@ def test_uniform_candidate_draws_match_shuffled_greedy_exactly():
     adj, nv = g.adj, g.n_vertices
     assert nv == 8
     shuffled = _shuffled_cliques(adj, nv, 0)
-    uniform = _uniform_candidate_cliques(adj, nv)
+    uniform = _completions(adj, frozenset([0]), {})
     assert sum(uniform.values()) == 1
     assert uniform == shuffled  # the same cliques, equally likely
     assert _size_distribution(uniform) == _size_distribution(shuffled)
@@ -815,7 +766,7 @@ def test_zero_frame_matches_the_seeded_process_exactly(q):
     seeded = _seeded_cliques(adj, nv, memo)
     zero = _completions(adj, frozenset([0]), memo)
     if q == 2:
-        assert zero == _uniform_candidate_cliques(adj, nv)  # what the probe draws
+        assert zero == _shuffled_cliques(adj, nv, 0)
     assert sum(seeded.values()) == sum(zero.values()) == 1
     assert zero != seeded
     assert _size_distribution(zero) == _size_distribution(seeded)
@@ -867,27 +818,45 @@ def test_through_masks_hold_the_pencils_on_y0_and_miss_hilton_milner(q):
     assert not _in_a_pencil(off, through)
 
 
+def _every_trial_a_witness(monkeypatch, ctx):
+    """The probe's N(0) frame with empty through masks, and every size
+    over the threshold: each trial of _probe_trials lists its clique."""
+    monkeypatch.setattr(search, "exceeds_threshold", lambda q, m, k: True)
+    adj = build_graph(ctx, 2, 1).adj
+    return adj, search._zero_frame(adj, [0] * ctx.q)
+
+
+def _witness_cliques(q, frame, seed, trials):
+    """The clique of every trial in range(trials), read from the
+    witnesses of _probe_trials in runs of WITNESS_CAP trials."""
+    cliques = []
+    for a in range(0, trials, WITNESS_CAP):
+        _, _, witnesses = search._probe_trials(q, frame, seed, a, min(a + WITNESS_CAP, trials))
+        assert [w["trial"] for w in witnesses] == list(range(a, min(a + WITNESS_CAP, trials)))
+        assert all(w["size"] == len(w["clique"]) for w in witnesses)
+        cliques += [w["clique"] for w in witnesses]
+    return cliques
+
+
 @pytest.mark.parametrize("q", [3, 4, 5])
-def test_probe_cliques_are_maximal_cliques(q):
-    g = build_graph(make_field_of_order(q), 2, 1)
-    adj, nv = g.adj, g.n_vertices
-    seed = 20248
-    for i in range(300):
-        clique = _greedy_maximal_clique(adj, random.Random(seed * 2654435761 + i))
+def test_probe_cliques_are_maximal_cliques(monkeypatch, q):
+    ctx = make_field_of_order(q)
+    g = build_graph(ctx, 2, 1)
+    adj, frame = _every_trial_a_witness(monkeypatch, ctx)
+    for i, clique in enumerate(_witness_cliques(q, frame, 20248, 300)):
         assert clique[0] == 0
-        assert len(set(clique)) == len(clique) <= q * q
-        for u, v in itertools.combinations(clique, 2):
-            assert adj[u] >> v & 1
-        common = (1 << nv) - 1
+        assert clique == sorted(set(clique)) and len(clique) <= q * q
+        assert search.missing_edge(g, clique) is None
+        common = (1 << g.n_vertices) - 1
         for v in clique:
             common &= adj[v]
         assert common == 0, (i, clique)
 
 
 def _randrange_greedy_clique(adj, rng):
-    """Reference for _greedy_maximal_clique's inline draw: from vertex 0,
-    rng.randrange over the candidates, then plain bisection for the drawn
-    rank."""
+    """Reference walk for _probe_trials on the whole graph: from vertex 0,
+    rng.randrange over the candidates until none is left, then plain
+    bisection for the drawn rank."""
     clique = [0]
     cand = adj[0]
     while cand:
@@ -899,14 +868,13 @@ def _randrange_greedy_clique(adj, rng):
 
 @pytest.mark.parametrize("seed", [20248, 1])
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
-def test_greedy_clique_matches_the_randrange_loop(q, seed):
-    # same seeding as stability_probe: the inline draws must leave every
-    # seeded trial's clique, and the stream after it, as randrange had them
-    adj = build_graph(make_field_of_order(q), 2, 1).adj
-    for i in range(2000):
-        rng, ref = random.Random(seed * 2654435761 + i), random.Random(seed * 2654435761 + i)
-        assert _greedy_maximal_clique(adj, rng) == _randrange_greedy_clique(adj, ref), i
-        assert rng.getstate() == ref.getstate(), i
+def test_greedy_clique_matches_the_randrange_loop(monkeypatch, q, seed):
+    # same seeding as stability_probe: the inline draws, the N(0) frame and
+    # the stop at a clique of candidates must leave every seeded trial's
+    # clique as randrange over the whole graph draws it
+    adj, frame = _every_trial_a_witness(monkeypatch, make_field_of_order(q))
+    for i, clique in enumerate(_witness_cliques(q, frame, seed, 2000)):
+        assert clique == sorted(_randrange_greedy_clique(adj, random.Random(seed * 2654435761 + i))), i
 
 
 def _merge_trials(parts):
@@ -915,17 +883,18 @@ def _merge_trials(parts):
         sizes.update(part_sizes)
         over += part_over
         witnesses += part_witnesses
-    return dict(sizes), over, witnesses
+    return dict(sizes), over, witnesses[:WITNESS_CAP]
 
 
 def _replayed_trials(ctx, adj, through, seed, start, stop):
     """Reference for _probe_trials: every trial walked in full by
-    _greedy_maximal_clique on the whole graph, the common point tested by
-    _in_a_pencil."""
+    _randrange_greedy_clique on the whole graph, the common point tested
+    by _in_a_pencil, the first WITNESS_CAP witnesses kept with their
+    cliques sorted."""
     q = ctx.q
     sizes, over, witnesses = Counter(), 0, []
     for i in range(start, stop):
-        clique = _greedy_maximal_clique(adj, random.Random(seed * 2654435761 + i))
+        clique = sorted(_randrange_greedy_clique(adj, random.Random(seed * 2654435761 + i)))
         m = len(clique)
         sizes[m] += 1
         if m > q * q:
@@ -934,7 +903,7 @@ def _replayed_trials(ctx, adj, through, seed, start, stop):
             over += 1
             if not _in_a_pencil(clique, through):
                 witnesses.append({"trial": i, "size": m, "clique": clique, "commonPoint": None})
-    return dict(sizes), over, witnesses
+    return dict(sizes), over, witnesses[:WITNESS_CAP]
 
 
 @pytest.mark.parametrize("q", [3, 4, 5])
@@ -942,8 +911,8 @@ def test_zero_frame_restricts_and_renumbers_by_position(q):
     ctx = make_field_of_order(q)
     adj = build_graph(ctx, 2, 1).adj
     through = search._through_masks(ctx)
-    fadj, fthrough = search._zero_frame(adj, through)
-    members = [v for v in range(q**3) if adj[0] >> v & 1]
+    members, fadj, fthrough = search._zero_frame(adj, through)
+    assert members == [v for v in range(q**3) if adj[0] >> v & 1]
     # N(0): the nonzero polynomials with a root, that is all but the q - 1
     # nonzero constants and the (q - 1) q (q - 1) / 2 irreducible quadratics
     assert len(fadj) == len(members) == q**3 - q - q * (q - 1) ** 2 // 2
@@ -961,16 +930,16 @@ def test_probe_trials_match_the_replayed_greedy_walk(q, seed):
     """The N(0) frame and the stop at a clique of candidates leave every
     trial's size, threshold test and common-point answer as the full walk
     has them. With no vertex in the through masks, every over-threshold
-    trial is a witness, listed in draw order."""
+    trial is a witness, up to WITNESS_CAP, its clique in ascending order."""
     ctx = make_field_of_order(q)
     adj = build_graph(ctx, 2, 1).adj
     for through in (search._through_masks(ctx), [0] * q):
         frame = search._zero_frame(adj, through)
-        got = search._probe_trials(ctx, adj, frame, seed, 0, 2000)
+        got = search._probe_trials(q, frame, seed, 0, 2000)
         assert got == _replayed_trials(ctx, adj, through, seed, 0, 2000)
         if not any(through):
-            assert len(got[2]) == got[1]
-            # the replay path runs: only at q = 3 does no size exceed the threshold
+            assert len(got[2]) == min(got[1], WITNESS_CAP)
+            # witnesses are listed: only at q = 3 does no size exceed the threshold
             assert (got[1] > 0) == (q != 3)
 
 
@@ -984,14 +953,16 @@ def test_probe_trials_merge_over_uneven_ranges(q, witnessed):
     through = [0] * q if witnessed else search._through_masks(ctx)
     frame = search._zero_frame(adj, through)
     T = 401
-    whole = search._probe_trials(ctx, adj, frame, 7, 0, T)
+    whole = search._probe_trials(q, frame, 7, 0, T)
     cuts = [0, 1, 2, 57, 58, 300, T]
-    parts = [search._probe_trials(ctx, adj, frame, 7, a, b) for a, b in zip(cuts, cuts[1:])]
+    parts = [search._probe_trials(q, frame, 7, a, b) for a, b in zip(cuts, cuts[1:])]
     assert _merge_trials(parts) == whole
     assert sum(whole[0].values()) == T
     assert bool(whole[2]) == witnessed
     if witnessed:
-        assert len(whole[2]) == whole[1]
+        # the parts list more witnesses between them than the capped merge keeps
+        assert len(whole[2]) == WITNESS_CAP < sum(len(part[2]) for part in parts)
+        assert whole[1] > WITNESS_CAP
 
 
 def _assert_no_children():
@@ -1000,13 +971,20 @@ def _assert_no_children():
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-@pytest.mark.parametrize("parts", [2, 3])
-@pytest.mark.parametrize("q", [3, 4])
-def test_forked_probe_split_matches_the_in_process_run(monkeypatch, q, parts):
+@pytest.mark.parametrize(
+    "q,parts,witnessed",
+    [(3, 2, False), (3, 3, False), (4, 2, False), (4, 3, False), (4, 3, True)],
+    ids=["3-2", "3-3", "4-2", "4-3", "4-3-witnessed"],
+)
+def test_forked_probe_split_matches_the_in_process_run(monkeypatch, q, parts, witnessed):
     ctx = make_field_of_order(q)
     T = 1001  # divisible by neither part count
+    if witnessed:
+        # no vertex in the through masks: capped witnesses cross the pipes
+        monkeypatch.setattr(search, "_through_masks", lambda ctx: [0] * ctx.q)
     monkeypatch.setattr(search, "_probe_parts", lambda trials: 1)
     whole = stability_probe(ctx, T, seed=20248)
+    assert len(whole.witnesses) == (WITNESS_CAP if witnessed else 0)
     forks = []
     real_fork = os.fork
 
@@ -1048,21 +1026,20 @@ def test_split_trials_merges_in_range_order_and_raises_for_any_failed_part():
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_probe_parts_splits_only_where_it_pays_and_is_safe(monkeypatch):
-    cut = search.SPLIT_CUT
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    assert search._probe_parts(2 * cut - 1) == 1
-    assert search._probe_parts(2 * cut) == 2
-    assert search._probe_parts(10 * cut) == 3
+    assert search._probe_parts(0) == search._probe_parts(1) == 1
+    assert search._probe_parts(2) == 2
+    assert search._probe_parts(10**4) == 3
     # forking copies no other thread, nor the locks they hold
     done = threading.Event()
     other = threading.Thread(target=done.wait)
     other.start()
     try:
-        assert search._probe_parts(10 * cut) == 1
+        assert search._probe_parts(10**4) == 1
     finally:
         done.set()
         other.join(timeout=10)
     assert not other.is_alive()
-    assert search._probe_parts(10 * cut) == 3
+    assert search._probe_parts(10**4) == 3
     monkeypatch.delattr(os, "fork")
-    assert search._probe_parts(10 * cut) == 1
+    assert search._probe_parts(10**4) == 1
