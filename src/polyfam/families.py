@@ -208,13 +208,13 @@ def top_coeff_injective(ctx: FieldCtx, fam: Family, t: int) -> bool:
     ok, witness = is_t_intersecting(ctx, fam, t)
     if not ok:
         raise FamilyError(f"family is not {t}-intersecting: {witness}")
-    seen = set()
-    for f in fam.members:
-        tail = f.coeffs[t:]
-        if tail in seen:
-            return False
-        seen.add(tail)
-    return True
+    return _distinct_tails(fam, t)
+
+
+def _distinct_tails(fam: Family, t: int) -> bool:
+    """Whether the members are pairwise distinct on coefficients t..k."""
+    tails = [f.coeffs[t:] for f in fam.members]
+    return len(set(tails)) == len(tails)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +318,8 @@ def verify_file(path, t: int = 1) -> Report:
         cp = common_point(ctx, fam)
         params["commonPoint"] = list(cp) if cp else None
         params["familyType"] = "pencil-like" if cp else "hm-type"
-        params["topCoeffInjective"] = top_coeff_injective(ctx, fam, t)
+        # top_coeff_injective, without checking t-intersection again
+        params["topCoeffInjective"] = _distinct_tails(fam, t)
     else:
         witnesses.append({"pair": [list(witness[0].coeffs), list(witness[1].coeffs)]})
     return Report(

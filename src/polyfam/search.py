@@ -11,10 +11,7 @@ enumerates every maximum clique on small graphs.
 
 from __future__ import annotations
 
-import marshal
-import os
 import random
-import sys
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -436,11 +433,12 @@ def _zero_frame(adj: list[int], through: list[int]) -> tuple[list[int], list[int
     return members, [restrict(adj[v]) for v in members], [restrict(t) for t in through]
 
 
-def _probe_trials(q: int, frame: tuple[list[int], list[int], list[int]], seed: int, start: int, stop: int):
-    """Trials start..stop-1 of stability_probe at k = 2, as (sizes,
-    overThreshold, witnesses). Trial i reseeds one generator with
-    seed * 2654435761 + i, so the trials of any split of a range merge
-    to the trials of the whole range.
+def _probe_trials(q: int, frame: tuple[list[int], list[int], list[int]], seed: int, trials: int):
+    """The trials of stability_probe at k = 2, as (sizes, overThreshold,
+    witnesses). One generator, seeded once with seed, draws every trial in
+    turn, so a trial's draws depend on every trial before it: a witness's
+    trial is its position in this one stream, and replaying it means
+    replaying trials 0..trial in order.
 
     A trial starts from vertex 0, the zero polynomial, and adds a
     uniformly random current candidate until none is left. This draws the
@@ -460,8 +458,8 @@ def _probe_trials(q: int, frame: tuple[list[int], list[int], list[int]], seed: i
     certificate; only when that breaks does it scan the candidates from
     the lowest up, for a new u or for the stop. An over-threshold clique
     is a witness unless it lies inside one of the frame's through masks;
-    the first WITNESS_CAP witnesses of the range are kept, each with its
-    clique in ascending vertex order."""
+    the first WITNESS_CAP witnesses are kept, in trial order, each with
+    its clique in ascending vertex order."""
     members, fadj, fthrough = frame
     n0 = len(fadj)
     k0 = n0.bit_length()
@@ -469,14 +467,11 @@ def _probe_trials(q: int, frame: tuple[list[int], list[int], list[int]], seed: i
     full = (1 << n0) - 1
     non = [full ^ m ^ (1 << v) for v, m in enumerate(fadj)]
     over = [exceeds_threshold(q, m, 2) for m in range(q * q + 1)]
-    rng = random.Random()
-    reseed = rng.seed
-    getrandbits = rng.getrandbits
+    getrandbits = random.Random(seed).getrandbits
     sizes: dict[int, int] = {}
     witnesses = []
     over_threshold = 0
-    for i in range(start, stop):
-        reseed(seed * 2654435761 + i)
+    for i in range(trials):
         # the first draw is over all of N(0): its rank is its frame number
         v = getrandbits(k0)
         while v >= n0:
@@ -520,90 +515,21 @@ def _probe_trials(q: int, frame: tuple[list[int], list[int], list[int]], seed: i
     return sizes, over_threshold, witnesses
 
 
-def _probe_parts(trials: int) -> int:
-    """How many processes stability_probe runs its trials in: one per
-    usable core, at most one per trial. One for fewer than 2 trials, and
-    where forking is unavailable or unsafe: without os.fork, or with
-    other threads running."""
-    if trials < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    # read from sys.modules: without threading, no other thread was started
-    threading = sys.modules.get("threading")
-    if threading is not None and threading.active_count() > 1:
-        return 1
-    return min(trials, len(os.sched_getaffinity(0)))
-
-
-def _split_trials(run, trials: int, parts: int) -> list:
-    """run(start, stop) over [0, trials) cut into `parts` contiguous
-    ranges, results in range order. This process runs the first range;
-    each other one runs in a forked child, which sends its result back
-    through a pipe as marshal bytes. Every child is reaped before this
-    returns or raises, and a child that fails makes it raise. One part
-    forks nothing."""
-    bounds = [trials * j // parts for j in range(parts + 1)]
-    pids: list[int] = []
-    readers = []
-    try:
-        for j in range(1, parts):
-            r, w = os.pipe()
-            readers.append(open(r, "rb"))
-            with open(w, "wb") as writer:
-                pid = os.fork()
-                if pid == 0:
-                    code = 1
-                    try:
-                        writer.write(marshal.dumps(run(bounds[j], bounds[j + 1])))
-                        writer.flush()
-                        code = 0
-                    except BaseException:
-                        import traceback
-
-                        traceback.print_exc()
-                    finally:
-                        # never return into the parent's stack or flush its buffers
-                        os._exit(code)
-                pids.append(pid)
-        results = [run(bounds[0], bounds[1])]
-        data = [reader.read() for reader in readers]
-    finally:
-        for reader in readers:
-            reader.close()
-        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
-    for j, code in enumerate(codes, 1):
-        if code:
-            raise RuntimeError(f"the process for trials {bounds[j]}..{bounds[j + 1] - 1} exited with {code}")
-    return results + [marshal.loads(d) for d in data]
-
-
 def stability_probe(ctx: FieldCtx, trials: int, seed: int = DEFAULT_SEED) -> Report:
     """Randomized maximal intersecting families at k = 2: start from the
     zero polynomial, complete greedily with uniformly random candidates
     (_probe_trials), then check that no family beats q^2 and that every
     family over the size threshold has a common point (_through_masks).
-    The N(0) frame (_zero_frame) is built once, before the split. Trials
-    are independently seeded, so they run split across the usable cores
-    (_probe_parts) and merge, in range order, to the same report. The
-    witnesses are the first WITNESS_CAP over all trials; overThreshold
-    counts every over-threshold trial. Zero trials check nothing and are
-    inapplicable."""
+    Every trial runs in this process, drawn in order from one generator
+    seeded with seed. The witnesses are the first WITNESS_CAP in trial
+    order; overThreshold counts every over-threshold trial. Zero trials
+    check nothing and are inapplicable."""
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
     watch = Stopwatch()
     adj = build_graph(ctx, 2, 1).adj
     frame = _zero_frame(adj, _through_masks(ctx))
-
-    def run(start, stop):
-        return _probe_trials(ctx.q, frame, seed, start, stop)
-
-    sizes: dict[int, int] = {}
-    witnesses = []
-    over_threshold = 0
-    for part_sizes, part_over, part_witnesses in _split_trials(run, trials, _probe_parts(trials)):
-        for m, c in part_sizes.items():
-            sizes[m] = sizes.get(m, 0) + c
-        over_threshold += part_over
-        witnesses += part_witnesses
+    sizes, over_threshold, witnesses = _probe_trials(ctx.q, frame, seed, trials)
     return Report(
         claim_id="stability-probe",
         field_spec=ctx.report_spec_string(),
@@ -613,7 +539,7 @@ def stability_probe(ctx: FieldCtx, trials: int, seed: int = DEFAULT_SEED) -> Rep
             "k": 2,
             "sizeDistribution": {str(s): c for s, c in sorted(sizes.items())},
         },
-        witnesses=witnesses[:WITNESS_CAP],
+        witnesses=witnesses,
         counters={
             "trials": trials,
             "distinctSizes": len(sizes),

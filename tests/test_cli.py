@@ -454,14 +454,22 @@ def test_benchmark_hooks_resolve(monkeypatch):
 def test_cli_and_a_split_probe_import_no_process_pool():
     """multiprocessing and concurrent.futures cost a fresh CLI process
     about 35 ms and 1.5 MB (suite-full setup_s and peak_rss_mb). Nothing
-    imports them; the probe forks with os.fork alone."""
+    imports them, and the probe starts no child process: os.fork raises,
+    and no child is left to reap."""
     code = (
-        "import sys\n"
+        "import os, sys\n"
         "from polyfam import cli, search\n"
+        "def fork():\n"
+        "    raise AssertionError('the stability probe forked')\n"
+        "os.fork = fork\n"
         "pools = ('multiprocessing', 'concurrent.futures')\n"
         "print([m for m in pools if m in sys.modules])\n"
         "search.stability_probe(cli.make_field_of_order(4), 1000)\n"
         "print([m for m in pools if m in sys.modules])\n"
+        "try:\n"
+        "    os.waitpid(-1, os.WNOHANG)\n"
+        "except ChildProcessError:\n"
+        "    print('no child')\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     res = subprocess.run(
@@ -469,7 +477,7 @@ def test_cli_and_a_split_probe_import_no_process_pool():
         capture_output=True, text=True, timeout=120,
     )
     assert res.returncode == 0, res.stderr
-    assert res.stdout.splitlines() == ["[]", "[]"]
+    assert res.stdout.splitlines() == ["[]", "[]", "no child"]
 
 
 def test_version_flag(capsys):

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from polyfam import families
 from polyfam.gf import make_field, make_field_of_order
 from polyfam.polyfun import PointAG, PolyK, evaluate, intersection_count
 from polyfam.families import (
@@ -399,6 +400,28 @@ def test_verify_file_pass_and_fail(tmp_path):
     rep3 = verify_file(str(bad), 1)
     assert rep3.verdict == "fail"
     assert rep3.witnesses
+
+
+def test_verify_file_checks_t_intersection_once(monkeypatch, tmp_path):
+    ctx = make_field(5, 1)
+    calls = []
+    real = families.is_t_intersecting
+
+    def counted(ctx, fam, t):
+        calls.append(t)
+        return real(ctx, fam, t)
+
+    monkeypatch.setattr(families, "is_t_intersecting", counted)
+    path = tmp_path / "family.fam"
+    for fam in (pencil(ctx, 0, 0, 2), hilton_milner(ctx, (0, 1), 0, 0)):
+        write_family(path, ctx, fam)
+        calls.clear()
+        assert verify_file(str(path), 1).parameters["topCoeffInjective"] is True
+        assert calls == [1]
+    # a direct caller of top_coeff_injective still gets the check
+    calls.clear()
+    assert top_coeff_injective(ctx, pencil(ctx, 0, 0, 2), 1)
+    assert calls == [1]
 
 
 # -- packed family checks against the evaluate and pairwise loops -------------

@@ -75,11 +75,11 @@ GOLDEN = {
         '{"claimId":"rootable-count","counters":{"cases":8},"fieldSpec":"multiple","parameters":{},"primaryCounter":"cases","seed":null,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
     ],
     "stability-probe": [
-        '{"claimId":"stability-probe","counters":{"distinctSizes":3,"maxSize":16,"overThreshold":3241,"trials":10000},"fieldSpec":"2^2","parameters":{"k":2,"sizeDistribution":{"10":5481,"16":3241,"8":1278},"trials":10000},"primaryCounter":"maxSize","seed":20248,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
-        '{"claimId":"stability-probe","counters":{"distinctSizes":8,"maxSize":25,"overThreshold":2079,"trials":10000},"fieldSpec":"5^1","parameters":{"k":2,"sizeDistribution":{"10":120,"11":2198,"12":800,"13":953,"15":3147,"25":2079,"7":98,"9":605},"trials":10000},"primaryCounter":"maxSize","seed":20248,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
-        '{"claimId":"stability-probe","counters":{"distinctSizes":15,"maxSize":49,"overThreshold":1073,"trials":10000},"fieldSpec":"7^1","parameters":{"k":2,"sizeDistribution":{"10":87,"11":433,"12":842,"13":771,"14":556,"15":1109,"16":534,"17":441,"18":552,"19":1234,"20":185,"22":157,"28":2005,"49":1073,"9":21},"trials":10000},"primaryCounter":"maxSize","seed":20248,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
-        '{"claimId":"stability-probe","counters":{"distinctSizes":18,"maxSize":64,"overThreshold":852,"trials":10000},"fieldSpec":"2^3","parameters":{"k":2,"sizeDistribution":{"10":51,"11":105,"12":281,"13":740,"14":1097,"15":610,"16":583,"17":714,"18":582,"19":199,"20":441,"21":136,"22":994,"24":901,"32":127,"36":1586,"64":852,"8":1},"trials":10000},"primaryCounter":"maxSize","seed":20248,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
-        '{"claimId":"stability-probe","counters":{"distinctSizes":25,"maxSize":81,"overThreshold":653,"trials":10000},"fieldSpec":"3^2","parameters":{"k":2,"sizeDistribution":{"10":1,"11":35,"12":119,"13":459,"14":695,"15":636,"16":594,"17":496,"18":572,"19":691,"20":551,"21":372,"22":345,"23":162,"24":319,"25":104,"26":185,"27":344,"28":557,"29":544,"30":67,"37":120,"45":1377,"81":653,"9":2},"trials":10000},"primaryCounter":"maxSize","seed":20248,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
+        '{"claimId":"stability-probe","counters":{"distinctSizes":3,"maxSize":16,"overThreshold":3261,"trials":10000},"fieldSpec":"2^2","parameters":{"k":2,"sizeDistribution":{"10":5482,"16":3261,"8":1257},"trials":10000},"primaryCounter":"maxSize","seed":20248,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
+        '{"claimId":"stability-probe","counters":{"distinctSizes":8,"maxSize":25,"overThreshold":2045,"trials":10000},"fieldSpec":"5^1","parameters":{"k":2,"sizeDistribution":{"10":128,"11":2218,"12":779,"13":957,"15":3203,"25":2045,"7":105,"9":565},"trials":10000},"primaryCounter":"maxSize","seed":20248,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
+        '{"claimId":"stability-probe","counters":{"distinctSizes":15,"maxSize":49,"overThreshold":1149,"trials":10000},"fieldSpec":"7^1","parameters":{"k":2,"sizeDistribution":{"10":107,"11":453,"12":820,"13":788,"14":577,"15":1132,"16":554,"17":476,"18":544,"19":1179,"20":156,"22":155,"28":1895,"49":1149,"9":15},"trials":10000},"primaryCounter":"maxSize","seed":20248,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
+        '{"claimId":"stability-probe","counters":{"distinctSizes":19,"maxSize":64,"overThreshold":838,"trials":10000},"fieldSpec":"2^3","parameters":{"k":2,"sizeDistribution":{"10":34,"11":100,"12":230,"13":741,"14":1020,"15":649,"16":575,"17":783,"18":622,"19":208,"20":415,"21":165,"22":976,"24":946,"32":104,"36":1591,"64":838,"8":2,"9":1},"trials":10000},"primaryCounter":"maxSize","seed":20248,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
+        '{"claimId":"stability-probe","counters":{"distinctSizes":24,"maxSize":81,"overThreshold":678,"trials":10000},"fieldSpec":"3^2","parameters":{"k":2,"sizeDistribution":{"10":6,"11":28,"12":134,"13":488,"14":668,"15":747,"16":563,"17":516,"18":562,"19":624,"20":597,"21":404,"22":368,"23":162,"24":299,"25":100,"26":203,"27":304,"28":548,"29":539,"30":57,"37":105,"45":1300,"81":678},"trials":10000},"primaryCounter":"maxSize","seed":20248,"toolVersion":"0.1.0","verdict":"pass","wallTimeMs":0,"witnesses":[]}',
     ],
 }
 

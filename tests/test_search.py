@@ -819,23 +819,22 @@ def test_through_masks_hold_the_pencils_on_y0_and_miss_hilton_milner(q):
 
 
 def _every_trial_a_witness(monkeypatch, ctx):
-    """The probe's N(0) frame with empty through masks, and every size
-    over the threshold: each trial of _probe_trials lists its clique."""
+    """The probe's N(0) frame with empty through masks, every size over
+    the threshold and no witness cap: each trial of _probe_trials lists
+    its clique."""
     monkeypatch.setattr(search, "exceeds_threshold", lambda q, m, k: True)
+    monkeypatch.setattr(search, "WITNESS_CAP", sys.maxsize)
     adj = build_graph(ctx, 2, 1).adj
     return adj, search._zero_frame(adj, [0] * ctx.q)
 
 
 def _witness_cliques(q, frame, seed, trials):
-    """The clique of every trial in range(trials), read from the
-    witnesses of _probe_trials in runs of WITNESS_CAP trials."""
-    cliques = []
-    for a in range(0, trials, WITNESS_CAP):
-        _, _, witnesses = search._probe_trials(q, frame, seed, a, min(a + WITNESS_CAP, trials))
-        assert [w["trial"] for w in witnesses] == list(range(a, min(a + WITNESS_CAP, trials)))
-        assert all(w["size"] == len(w["clique"]) for w in witnesses)
-        cliques += [w["clique"] for w in witnesses]
-    return cliques
+    """The clique of every trial of a run of _probe_trials, read from its
+    witnesses; the cap must be raised (_every_trial_a_witness)."""
+    _, _, witnesses = search._probe_trials(q, frame, seed, trials)
+    assert [w["trial"] for w in witnesses] == list(range(trials))
+    assert all(w["size"] == len(w["clique"]) for w in witnesses)
+    return [w["clique"] for w in witnesses]
 
 
 @pytest.mark.parametrize("q", [3, 4, 5])
@@ -853,48 +852,59 @@ def test_probe_cliques_are_maximal_cliques(monkeypatch, q):
         assert common == 0, (i, clique)
 
 
-def _randrange_greedy_clique(adj, rng):
-    """Reference walk for _probe_trials on the whole graph: from vertex 0,
-    rng.randrange over the candidates until none is left, then plain
-    bisection for the drawn rank."""
+def _randrange_greedy_clique(adj, rng, stop=True):
+    """Reference walk for one trial of _probe_trials on the whole graph:
+    from vertex 0, rng.randrange over the candidates, then plain bisection
+    for the drawn rank. With stop, as in _probe_trials, once the
+    candidates form a clique they all join and nothing more is drawn;
+    without it, the walk draws until no candidate is left."""
     clique = [0]
     cand = adj[0]
     while cand:
+        if stop and _forms_a_clique(adj, cand):
+            return clique + [v for v in range(cand.bit_length()) if cand >> v & 1]
         v = _bisect_nth_set_bit(cand, rng.randrange(cand.bit_count()))
         clique.append(v)
         cand &= adj[v]
     return clique
 
 
+def _forms_a_clique(adj, mask):
+    """Whether the vertices of mask are pairwise adjacent."""
+    rest = mask
+    while rest:
+        v = (rest & -rest).bit_length() - 1
+        if mask & ~adj[v] != 1 << v:
+            return False
+        rest &= rest - 1
+    return True
+
+
 @pytest.mark.parametrize("seed", [20248, 1])
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_greedy_clique_matches_the_randrange_loop(monkeypatch, q, seed):
-    # same seeding as stability_probe: the inline draws, the N(0) frame and
-    # the stop at a clique of candidates must leave every seeded trial's
-    # clique as randrange over the whole graph draws it
+    # one generator across the trials, as in stability_probe: the inline
+    # draws and the N(0) frame must leave every trial's clique as randrange
+    # over the whole graph draws it, and from the same generator state the
+    # stop at a clique of candidates must leave the full walk's vertex set
     adj, frame = _every_trial_a_witness(monkeypatch, make_field_of_order(q))
+    rng, full = random.Random(seed), random.Random()
     for i, clique in enumerate(_witness_cliques(q, frame, seed, 2000)):
-        assert clique == sorted(_randrange_greedy_clique(adj, random.Random(seed * 2654435761 + i))), i
+        full.setstate(rng.getstate())
+        assert clique == sorted(_randrange_greedy_clique(adj, rng)), i
+        assert clique == sorted(_randrange_greedy_clique(adj, full, stop=False)), i
 
 
-def _merge_trials(parts):
-    sizes, over, witnesses = Counter(), 0, []
-    for part_sizes, part_over, part_witnesses in parts:
-        sizes.update(part_sizes)
-        over += part_over
-        witnesses += part_witnesses
-    return dict(sizes), over, witnesses[:WITNESS_CAP]
-
-
-def _replayed_trials(ctx, adj, through, seed, start, stop):
-    """Reference for _probe_trials: every trial walked in full by
-    _randrange_greedy_clique on the whole graph, the common point tested
-    by _in_a_pencil, the first WITNESS_CAP witnesses kept with their
-    cliques sorted."""
+def _replayed_trials(ctx, adj, through, seed, trials):
+    """Reference for _probe_trials: the trials walked in turn by
+    _randrange_greedy_clique on the whole graph from one random.Random(seed),
+    the common point tested by _in_a_pencil, the first WITNESS_CAP
+    witnesses kept with their cliques sorted."""
     q = ctx.q
+    rng = random.Random(seed)
     sizes, over, witnesses = Counter(), 0, []
-    for i in range(start, stop):
-        clique = sorted(_randrange_greedy_clique(adj, random.Random(seed * 2654435761 + i)))
+    for i in range(trials):
+        clique = sorted(_randrange_greedy_clique(adj, rng))
         m = len(clique)
         sizes[m] += 1
         if m > q * q:
@@ -928,15 +938,16 @@ def test_zero_frame_restricts_and_renumbers_by_position(q):
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_probe_trials_match_the_replayed_greedy_walk(q, seed):
     """The N(0) frame and the stop at a clique of candidates leave every
-    trial's size, threshold test and common-point answer as the full walk
-    has them. With no vertex in the through masks, every over-threshold
-    trial is a witness, up to WITNESS_CAP, its clique in ascending order."""
+    trial's size, threshold test and common-point answer as the reference
+    walk on the same stream has them. With no vertex in the through masks,
+    every over-threshold trial is a witness, up to WITNESS_CAP, its clique
+    in ascending order."""
     ctx = make_field_of_order(q)
     adj = build_graph(ctx, 2, 1).adj
     for through in (search._through_masks(ctx), [0] * q):
         frame = search._zero_frame(adj, through)
-        got = search._probe_trials(q, frame, seed, 0, 2000)
-        assert got == _replayed_trials(ctx, adj, through, seed, 0, 2000)
+        got = search._probe_trials(q, frame, seed, 2000)
+        assert got == _replayed_trials(ctx, adj, through, seed, 2000)
         if not any(through):
             assert len(got[2]) == min(got[1], WITNESS_CAP)
             # witnesses are listed: only at q = 3 does no size exceed the threshold
@@ -945,7 +956,9 @@ def test_probe_trials_match_the_replayed_greedy_walk(q, seed):
 
 # no clique size exceeds the stability threshold at q = 3
 @pytest.mark.parametrize("q,witnessed", [(3, False), (4, False), (4, True)])
-def test_probe_trials_merge_over_uneven_ranges(q, witnessed):
+def test_probe_trials_merge_over_uneven_ranges(monkeypatch, q, witnessed):
+    """A run of t trials is the first t trials of a longer run: the same
+    sizes, over-threshold count and capped witnesses, for any t."""
     ctx = make_field_of_order(q)
     adj = build_graph(ctx, 2, 1).adj
     # witnessed: the masks hold no vertex, so every over-threshold clique
@@ -953,16 +966,20 @@ def test_probe_trials_merge_over_uneven_ranges(q, witnessed):
     through = [0] * q if witnessed else search._through_masks(ctx)
     frame = search._zero_frame(adj, through)
     T = 401
-    whole = search._probe_trials(q, frame, 7, 0, T)
-    cuts = [0, 1, 2, 57, 58, 300, T]
-    parts = [search._probe_trials(q, frame, 7, a, b) for a, b in zip(cuts, cuts[1:])]
-    assert _merge_trials(parts) == whole
-    assert sum(whole[0].values()) == T
+    whole = search._probe_trials(q, frame, 7, T)
+    # the size of each of the T trials, from a run that lists them all
+    with monkeypatch.context() as patch:
+        _, every = _every_trial_a_witness(patch, ctx)
+        seq = [len(clique) for clique in _witness_cliques(q, every, 7, T)]
+    for t in (0, 1, 2, 57, 58, 300, T):
+        sizes, over, witnesses = search._probe_trials(q, frame, 7, t)
+        assert sizes == Counter(seq[:t])
+        assert over == sum(exceeds_threshold(q, m, 2) for m in seq[:t])
+        assert witnesses == [w for w in whole[2] if w["trial"] < t]
     assert bool(whole[2]) == witnessed
     if witnessed:
-        # the parts list more witnesses between them than the capped merge keeps
-        assert len(whole[2]) == WITNESS_CAP < sum(len(part[2]) for part in parts)
-        assert whole[1] > WITNESS_CAP
+        # the cap keeps the first WITNESS_CAP of more over-threshold trials
+        assert len(whole[2]) == WITNESS_CAP < whole[1]
 
 
 def _assert_no_children():
@@ -970,76 +987,97 @@ def _assert_no_children():
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def _forbid_fork(monkeypatch):
+    def fork():
+        raise AssertionError("the stability probe forked")
+
+    monkeypatch.setattr(os, "fork", fork, raising=False)
+
+
+@pytest.mark.skipif(not hasattr(os, "WNOHANG"), reason="reaps with os.waitpid")
 @pytest.mark.parametrize(
     "q,parts,witnessed",
     [(3, 2, False), (3, 3, False), (4, 2, False), (4, 3, False), (4, 3, True)],
     ids=["3-2", "3-3", "4-2", "4-3", "4-3-witnessed"],
 )
 def test_forked_probe_split_matches_the_in_process_run(monkeypatch, q, parts, witnessed):
+    """The probe runs in its caller alone. With os.fork raising, its report
+    is the one the reference walk gives, and `parts` probes running at
+    once in threads each give that report, leaving no child process."""
     ctx = make_field_of_order(q)
-    T = 1001  # divisible by neither part count
+    T = 1001
+    through = [0] * q if witnessed else search._through_masks(ctx)
     if witnessed:
-        # no vertex in the through masks: capped witnesses cross the pipes
         monkeypatch.setattr(search, "_through_masks", lambda ctx: [0] * ctx.q)
-    monkeypatch.setattr(search, "_probe_parts", lambda trials: 1)
+    _forbid_fork(monkeypatch)
     whole = stability_probe(ctx, T, seed=20248)
-    assert len(whole.witnesses) == (WITNESS_CAP if witnessed else 0)
-    forks = []
-    real_fork = os.fork
+    sizes, over, witnesses = _replayed_trials(ctx, build_graph(ctx, 2, 1).adj, through, 20248, T)
+    assert whole.parameters["sizeDistribution"] == {str(m): c for m, c in sorted(sizes.items())}
+    assert whole.counters["overThreshold"] == over
+    assert whole.witnesses == witnesses
+    assert len(witnesses) == (WITNESS_CAP if witnessed else 0)
+    reports = [None] * parts
 
-    def fork():
-        pid = real_fork()
-        if pid:
-            forks.append(pid)
-        return pid
+    def run(j):
+        reports[j] = stability_probe(ctx, T, seed=20248).canonical_json()
 
-    monkeypatch.setattr(os, "fork", fork)
-    monkeypatch.setattr(search, "_probe_parts", lambda trials: parts)
-    split = stability_probe(ctx, T, seed=20248)
-    assert len(forks) == parts - 1
-    assert split.canonical_json() == whole.canonical_json()
+    threads = [threading.Thread(target=run, args=(j,)) for j in range(parts)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    assert reports == [whole.canonical_json()] * parts
     _assert_no_children()
 
 
-def _fail_in(where):
-    def run(start, stop):
-        if (start == 0) == (where == "parent"):
-            raise ZeroDivisionError(f"trials {start}..{stop}")
-        return [start, stop]
-
-    return run
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_split_trials_merges_in_range_order_and_raises_for_any_failed_part():
-    assert search._split_trials(lambda a, b: [a, b], 10, 1) == [[0, 10]]
-    assert search._split_trials(lambda a, b: [a, b], 10, 3) == [[0, 3], [3, 6], [6, 10]]
+@pytest.mark.skipif(not hasattr(os, "WNOHANG"), reason="reaps with os.waitpid")
+def test_split_trials_merges_in_range_order_and_raises_for_any_failed_part(monkeypatch):
+    """Witnesses come in ascending trial order, and a trial that fails
+    raises in the caller, with no child to reap; the next run gives the
+    same report again."""
+    _forbid_fork(monkeypatch)
+    ctx = make_field_of_order(4)
+    monkeypatch.setattr(search, "_through_masks", lambda ctx: [0] * ctx.q)
+    rep = stability_probe(ctx, 300, seed=7)
+    trials = [w["trial"] for w in rep.witnesses]
+    assert len(trials) == WITNESS_CAP and trials == sorted(set(trials))
     _assert_no_children()
-    with pytest.raises(RuntimeError, match="trials 5..9 exited with 1"):
-        search._split_trials(_fail_in("child"), 10, 2)
+    selects = itertools.count()
+    real_select = search._nth_set_bit
+
+    def select(mask, n, r):
+        if next(selects) == 1000:  # partway through the trials
+            raise ZeroDivisionError("select")
+        return real_select(mask, n, r)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(search, "_nth_set_bit", select)
+        with pytest.raises(ZeroDivisionError):
+            stability_probe(ctx, 300, seed=7)
+    assert next(selects) > 1000
     _assert_no_children()
-    with pytest.raises(ZeroDivisionError):
-        search._split_trials(_fail_in("parent"), 10, 2)
-    _assert_no_children()
+    assert stability_probe(ctx, 300, seed=7).canonical_json() == rep.canonical_json()
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.skipif(not hasattr(os, "WNOHANG"), reason="reaps with os.waitpid")
 def test_probe_parts_splits_only_where_it_pays_and_is_safe(monkeypatch):
+    """Nothing about the host changes the report: not the core count, not
+    another thread running, not a missing os.fork."""
+    ctx = make_field_of_order(4)
+    counts = (0, 1, 2, 1000)
+    want = [stability_probe(ctx, t, seed=3).canonical_json() for t in counts]
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    assert search._probe_parts(0) == search._probe_parts(1) == 1
-    assert search._probe_parts(2) == 2
-    assert search._probe_parts(10**4) == 3
-    # forking copies no other thread, nor the locks they hold
+    _forbid_fork(monkeypatch)
     done = threading.Event()
     other = threading.Thread(target=done.wait)
     other.start()
     try:
-        assert search._probe_parts(10**4) == 1
+        assert [stability_probe(ctx, t, seed=3).canonical_json() for t in counts] == want
     finally:
         done.set()
         other.join(timeout=10)
     assert not other.is_alive()
-    assert search._probe_parts(10**4) == 3
     monkeypatch.delattr(os, "fork")
-    assert search._probe_parts(10**4) == 1
+    assert [stability_probe(ctx, t, seed=3).canonical_json() for t in counts] == want
+    _assert_no_children()
