@@ -17,7 +17,14 @@ import json
 import sys
 
 from . import __version__, charsum, directions, families, search
-from .gf import FieldError, factor_prime_power, make_field, make_field_of_order, parse_field_spec
+from .gf import (
+    MAX_FIELD_ORDER,
+    FieldError,
+    factor_prime_power,
+    make_field,
+    make_field_of_order,
+    parse_field_spec,
+)
 from .polyfun import (
     PolyK,
     check_elements,
@@ -238,6 +245,18 @@ def _write_lines(path, lines, summary: dict) -> int:
 
 def cmd_families_construct(args) -> int:
     ctx = parse_field_spec(args.field)
+    # refuse by the closed-form size before building anything; past k = 16
+    # a pencil has more than 2^16 members at every q
+    q = ctx.q
+    size = {
+        "pencil": q ** min(args.k, 17),
+        "hm": (q * q + q) // 2,
+        "tangent": q * (q - 1) // 2 + 1,
+    }[args.kind]
+    if size > MAX_FIELD_ORDER:
+        raise families.FamilyError(
+            f"{args.kind} family over F_{q} would have {size} members, cap is {MAX_FIELD_ORDER}"
+        )
     if args.kind == "pencil":
         alpha, beta = _parse_elements(ctx, args.point, "--point", 2)
         fam = families.pencil(ctx, alpha, beta, args.k)

@@ -1,9 +1,11 @@
 """Finite field construction and arithmetic backed by lookup tables.
 
-A field F_{p^n} is built once into an immutable FieldCtx holding exp/log,
-negation, trace, square-indicator and (for even n) norm tables, and for
-odd p one digitwise addition table over chunks of base-p digits; for p = 2
-addition is XOR. Elements are plain ints in [0, q): the base-p packing of
+A field F_{p^n} is built once into an immutable FieldCtx. The constructor
+builds the arithmetic: exp/log, negation and, for odd p, one digitwise
+addition table over chunks of base-p digits; for p = 2 addition is XOR.
+Every table derived from those (quadratic character, trace, norm, the
+digit-lane powers, the quadratic root counts) is built, and checked, on
+first use. Elements are plain ints in [0, q): the base-p packing of
 the coefficient vector of the residue class, low degree first. Index 0 is
 the zero element and indices 0..p-1 are the prime subfield in the obvious
 way. All operations are pure functions of (context, operands).
@@ -204,16 +206,16 @@ class FieldSpec:
 class FieldCtx:
     """Immutable arithmetic context for one finite field.
 
-    Tables built eagerly: exp/log for a fixed generator, negation, trace
-    to F_p, square indicator (odd q), norm to F_sqrt(q) (even n), and for
-    odd p one digitwise addition table over chunks of c base-p digits, c
-    the largest with p^c <= 256. For q <= 256 the chunk is the whole
-    element and the table is the flat q*q addition table; past that an add
-    reads it once per chunk. For p = 2 the digitwise sum mod 2 is the XOR
-    of the indices, so add and sub are operator.xor and no table is built.
-    The generator is the first element index of multiplicative order q-1.
-    The powers of g in digit-lane form (lane_exp) and the root counts of
-    z^2 + z + u (_roots_by_log) are built on first use.
+    One build rule: the constructor builds the arithmetic, and every table
+    derived from it is a cached property, built and checked on first use
+    and None where it does not apply. The arithmetic is exp/log for a
+    fixed generator, the first element index of multiplicative order q-1,
+    and at odd p negation and one digitwise addition table over chunks of
+    c base-p digits, c the largest with p^c <= 256. For q <= 256 the chunk
+    is the whole element and the table is the flat q*q addition table;
+    past that an add reads it once per chunk. For p = 2 the digitwise sum
+    mod 2 is the XOR of the indices, so add and sub are operator.xor and
+    no table is built.
 
     Multiplication by a fixed element is F_p-linear, so it is tabulated
     per chunk of digits (the chunk maps). A field of two chunks (q > 256,
@@ -231,7 +233,6 @@ class FieldCtx:
         self.p = spec.p
         self.n = spec.n
         self.q = spec.q
-        self._default_mod: bool | None = None
         q, p, n = self.q, self.p, self.n
         self._pw = [p**i for i in range(n)]
 
@@ -254,57 +255,20 @@ class FieldCtx:
         if p > 2:  # at p = 2 negation is the identity and nothing reads _neg
             self._neg = self._digitwise(0, n, sign=-1)
         self.generator = self._find_generator()
-        self.exp, self.log = exp, log = self._exp_log(c)
-        qm = q - 1
-
-        if q % 2 == 1:
-            qc = [0] + [1 - 2 * (e & 1) for e in log[1:]]
-            if qc.count(1) != qm // 2:
-                raise FieldError("square count check failed")
-            self.qchar_table = qc
-        else:
-            self.qchar_table = None
-
-        if n % 2 == 0:
-            self.sqrt_q = p ** (n // 2)
-            self.norm_table = self._norm(exp, log)
-        else:
-            self.sqrt_q = None
-            self.norm_table = None
-
-        # the trace is F_p-linear: take it on the basis 1, a, .., a^(n-1)
-        # from its definition, then expand digit by digit
-        basis_traces = []
-        for w in self._pw:
-            t = y = w
-            for _ in range(n - 1):
-                y = self.frobenius(y)
-                t = self.add(t, y)
-            if t >= p:
-                raise FieldError("trace landed outside the prime subfield")
-            basis_traces.append(t)
-        trace = [0]
-        for t in basis_traces:
-            trace = [(u + j * t) % p for j in range(p) for u in trace]
-        # x -> x^p takes g^i to g^(ip mod (q-1)): read the trace in exp
-        # order and at those powers
-        pth_logs = map(operator.mod, range(0, p * qm, p), itertools.repeat(qm))
-        read = trace.__getitem__
-        pth_powers = map(read, map(exp.__getitem__, pth_logs))
-        if any(map(operator.ne, pth_powers, map(read, exp))):
-            raise FieldError("trace is not invariant under Frobenius")
-        self.trace_table = trace
+        self.exp, self.log = self._exp_log(c)
+        self.sqrt_q = p ** (n // 2) if n % 2 == 0 else None
 
     # -- construction helpers ------------------------------------------------
 
     def _pack(self, vec) -> Fe:
         return sum(c * w for c, w in zip(vec, self._pw))
 
-    def _digitwise(self, x: Fe, m: int, sign: int = 1) -> list[Fe]:
+    def _digitwise(self, x: Fe, m: int, sign: int = 1, radix: int = 0) -> list[Fe]:
         """[x + sign * y for y below p^m], digit by digit mod p, in O(p^m)
         list steps: the table for the low i+1 digits is p copies of the
         table for the low i digits, the j-th shifted by digit
-        (x_i + sign * j)."""
+        (x_i + sign * j). Digit i of an entry weighs radix^i, p^i when
+        radix is 0."""
         p = self.p
         table = [0]
         weight = 1
@@ -312,7 +276,7 @@ class FieldCtx:
             x, d = divmod(x, p)
             shifts = [(d + sign * j) % p * weight for j in range(p)]
             table = [t + s for s in shifts for t in table]
-            weight *= p
+            weight *= radix or p
         return table
 
     def _chunk_maps(self, hvec, c: int) -> list[list[Fe]]:
@@ -335,22 +299,6 @@ class FieldCtx:
                 table = [add(t, m) for m in multiples for t in table]
             maps.append(table)
         return maps
-
-    def _norm(self, exp: list[Fe], log: list[int | None]) -> list[Fe]:
-        """The norm to F_s, s = sqrt(q), as a table over the elements.
-
-        N(g^i) = g^(i(s+1)) and q - 1 = (s-1)(s+1), so in exp order the
-        norm cycles through sub = [g^(j(s+1)) for j < s-1], the nonzero
-        elements of the subfield."""
-        s, qm = self.sqrt_q, self.q - 1
-        sub = exp[:: s + 1]
-        # the norm is fixed by x -> x^s, the Frobenius of the subfield
-        if any(exp[log[y] * s % qm] != y for y in sub):
-            raise FieldError("norm landed outside the subfield")
-        norm = [0] * self.q
-        for x, y in zip(exp, itertools.cycle(sub)):
-            norm[x] = y
-        return norm
 
     def _exp_log(self, c: int) -> tuple[list[Fe], list[int | None]]:
         """Powers of the generator and their inverse, with its order checked.
@@ -436,27 +384,76 @@ class FieldCtx:
                 return c
         raise FieldError("no generator found")  # unreachable for true fields
 
+    # -- derived tables: each built, and its check run, on first use ----------
+
+    @functools.cached_property
+    def qchar_table(self) -> list[int] | None:
+        """The quadratic character at every element; None at even q.
+        Checked: exactly (q-1)/2 nonzero elements are squares."""
+        if self.q % 2 == 0:
+            return None
+        qc = [0] + [1 - 2 * (e & 1) for e in self.log[1:]]
+        if qc.count(1) != (self.q - 1) // 2:
+            raise FieldError("square count check failed")
+        return qc
+
+    @functools.cached_property
+    def norm_table(self) -> list[Fe] | None:
+        """The norm to F_s, s = sqrt(q), at every element; None at odd n.
+
+        N(g^i) = g^(i(s+1)) and q - 1 = (s-1)(s+1), so in exp order the
+        norm cycles through sub = [g^(j(s+1)) for j < s-1], the nonzero
+        elements of the subfield."""
+        s, qm, exp, log = self.sqrt_q, self.q - 1, self.exp, self.log
+        if s is None:
+            return None
+        sub = exp[:: s + 1]
+        # the norm is fixed by x -> x^s, the Frobenius of the subfield
+        if any(exp[log[y] * s % qm] != y for y in sub):
+            raise FieldError("norm landed outside the subfield")
+        norm = [0] * self.q
+        for x, y in zip(exp, itertools.cycle(sub)):
+            norm[x] = y
+        return norm
+
+    @functools.cached_property
+    def trace_table(self) -> list[int]:
+        """The absolute trace to F_p at every element. It is F_p-linear:
+        take it on the basis 1, a, .., a^(n-1) from its definition, then
+        expand digit by digit. Checked: each basis trace lies in F_p, and
+        Tr(x^p) = Tr(x) for every x."""
+        p, n, qm, exp = self.p, self.n, self.q - 1, self.exp
+        basis_traces = []
+        for w in self._pw:
+            t = y = w
+            for _ in range(n - 1):
+                y = self.frobenius(y)
+                t = self.add(t, y)
+            if t >= p:
+                raise FieldError("trace landed outside the prime subfield")
+            basis_traces.append(t)
+        trace = [0]
+        for t in basis_traces:
+            trace = [(u + j * t) % p for j in range(p) for u in trace]
+        # x -> x^p takes g^i to g^(ip mod (q-1)): read the trace in exp
+        # order and at those powers
+        pth_logs = map(operator.mod, range(0, p * qm, p), itertools.repeat(qm))
+        read = trace.__getitem__
+        pth_powers = map(read, map(exp.__getitem__, pth_logs))
+        if any(map(operator.ne, pth_powers, map(read, exp))):
+            raise FieldError("trace is not invariant under Frobenius")
+        return trace
+
     @functools.cached_property
     def lane_exp(self) -> array:
         """[g^j for j below q-1] in digit-lane form: digit k of an element
-        moved to bit k*b, b = digit_bits(p), one 32-bit word per entry.
-        Built on first use, so a field that never evaluates a polynomial
-        over the whole field does not hold it."""
+        moved to bit k*b, b = digit_bits(p), one 32-bit word per entry."""
         words = array("I")
         assert words.itemsize == 4
         if self.p == 2:
             words.extend(self.exp)
             return words
-        # lanes[e] is the lane form of e; as in _digitwise, the table for
-        # the low k+1 digits is p copies of the one for the low k digits
-        b = digit_bits(self.p)
-        lanes = array("I", [0])
-        for k in range(self.n):
-            wider = array("I")
-            for d in range(self.p):
-                s = d << (k * b)
-                wider.extend(t + s for t in lanes)
-            lanes = wider
+        lanes = self._digitwise(0, self.n, radix=1 << digit_bits(self.p))
         words.extend(map(lanes.__getitem__, self.exp))
         return words
 
@@ -517,15 +514,17 @@ class FieldCtx:
     def norm_to_subfield(self, x: Fe) -> Fe:
         """Norm to F_sqrt(q) for even n: x^(sqrt(q)+1). The result index
         lies in the embedded subfield."""
-        if self.norm_table is None:
+        norm = self.norm_table
+        if norm is None:
             raise FieldError("norm to the half-degree subfield needs even n")
-        return self.norm_table[x]
+        return norm[x]
 
     def quadratic_character(self, x: Fe) -> int:
         """1 for nonzero squares, -1 for nonsquares, 0 for zero. Odd q."""
-        if self.qchar_table is None:
+        qc = self.qchar_table
+        if qc is None:
             raise FieldError("quadratic character is defined for odd q only")
-        return self.qchar_table[x]
+        return qc[x]
 
     def sqrt(self, x: Fe) -> Fe | None:
         """A square root of x, or None when x is a nonsquare (odd q).
@@ -546,11 +545,10 @@ class FieldCtx:
     @functools.cached_property
     def _roots_by_log(self) -> bytes:
         """Entry j: the number of z in F_q with z^2 + z + g^j = 0, that is,
-        how often z -> -(z^2 + z) = -z (z + 1) hits g^j. Built on first
-        use by counting that image over every z outside {0, -1}, in log
-        form: log(-1) + log z + log(z + 1). It reads neither trace_table
-        nor qchar_table, which the existence test pair_intersects_fast
-        decides by."""
+        how often z -> -(z^2 + z) = -z (z + 1) hits g^j, counted over every
+        z outside {0, -1} in log form: log(-1) + log z + log(z + 1). It
+        reads neither trace_table nor qchar_table, which the existence test
+        pair_intersects_fast decides by."""
         q, p, log = self.q, self.p, self.log
         qm = q - 1
         # log(z + 1) at every z: z + 1 raises the low digit of z, which
@@ -605,11 +603,13 @@ class FieldCtx:
     def short_spec_string(self) -> str:
         return f"{self.p}^{self.n}"
 
+    @functools.cached_property
+    def _default_modulus(self) -> bool:
+        return self.spec.modulus == default_modulus(self.p, self.n)
+
     def report_spec_string(self) -> str:
         """Short 'p^n' for the default modulus, the full form otherwise."""
-        if self._default_mod is None:
-            self._default_mod = self.spec.modulus == default_modulus(self.p, self.n)
-        return self.short_spec_string() if self._default_mod else self.spec_string()
+        return self.short_spec_string() if self._default_modulus else self.spec_string()
 
     def __repr__(self):
         return f"FieldCtx(q={self.q}, modulus={self.spec.modulus})"

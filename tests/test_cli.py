@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -312,6 +313,31 @@ def test_families_construct_to_stdout(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "5^1/0,1"  # full spec string, modulus included
     assert len(lines) == 16
+
+
+@pytest.mark.parametrize("argv,size", [
+    (("pencil", "--field", "2^16", "--point", "0,0"), 2**32),
+    (("hm", "--field", "2^16", "--point", "0,1", "--line", "0,0"), (2**32 + 2**16) // 2),
+    (("tangent", "--field", "251^2", "--quad", "1,2,3"), 63001 * 63000 // 2 + 1),
+], ids=["pencil", "hm", "tangent"])
+def test_families_construct_refuses_past_the_size_cap(capsys, argv, size):
+    """The closed-form size is checked before anything is built: these
+    families would take gigabytes and minutes to list."""
+    make_field(2, 16), make_field(251, 2)  # a cold field build is not the guard's time
+    start = time.perf_counter()
+    code, out, err = run(capsys, "families", "construct", *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert f"would have {size} members, cap is 65536" in err
+
+
+def test_families_construct_writes_a_family_at_the_size_cap(tmp_path, capsys):
+    fam = tmp_path / "line.fam"
+    code, out, _ = run(capsys, "families", "construct", "pencil", "--field", "2^16",
+                       "--point", "0,0", "--k", "1", "--out", str(fam))
+    assert code == 0
+    assert json.loads(out)["size"] == 2**16
+    assert len(fam.read_text(encoding="utf-8").splitlines()) == 2**16 + 1
 
 
 def test_families_threshold(capsys):

@@ -20,6 +20,7 @@ from polyfam.gf import (
     make_field_of_order,
     parse_field_spec,
 )
+from polyfam.polyfun import PolyK, values_by_log
 
 SMALL_Q = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27]
 
@@ -300,6 +301,36 @@ def test_root_count_table_is_built_on_first_use():
     table = vars(ctx)["_roots_by_log"]
     assert isinstance(table, bytes) and len(table) == ctx.q - 1
     assert ctx._roots_by_log is table
+
+
+DERIVED = ("qchar_table", "norm_table", "trace_table", "lane_exp", "_roots_by_log", "_default_modulus")
+
+
+@pytest.mark.parametrize("pn", [(2, 16), (3, 10)], ids=["2^16", "3^10"])
+def test_derived_tables_are_built_on_first_use(pn):
+    """A cold build holds none of the derived values; the first method
+    that reads one builds it, and later reads return the same object."""
+    ctx = build(*pn)
+    assert not set(DERIVED) & set(vars(ctx))
+    x = ctx.exp[5]
+    readers = [
+        ("trace_table", lambda: ctx.trace(x)),
+        ("lane_exp", lambda: values_by_log(ctx, PolyK(1, (1, 1)))),
+        ("_roots_by_log", lambda: ctx.quadratic_root_count(1, 1, 1)),
+        ("_default_modulus", ctx.report_spec_string),
+        ("norm_table", lambda: ctx.norm_to_subfield(x)),
+    ]
+    if ctx.q % 2:
+        readers.append(("qchar_table", lambda: ctx.quadratic_character(x)))
+    for name, read in readers:
+        assert name not in vars(ctx), name
+        read()
+        table = vars(ctx)[name]
+        read()
+        assert getattr(ctx, name) is table, name
+    assert ctx.report_spec_string() == f"{pn[0]}^{pn[1]}"
+    if ctx.q % 2 == 0:
+        assert ctx.qchar_table is None
 
 
 @pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27])
@@ -690,7 +721,7 @@ def test_square_count_check(monkeypatch, pn):
     q = pn[0] ** pn[1]
     corrupt_log(monkeypatch, lambda log: [None] + [2 * e % (q - 1) for e in log[1:]])
     with pytest.raises(FieldError, match="square count"):
-        build(*pn)
+        build(*pn).qchar_table
 
 
 def swap_logs(log, x, y):
@@ -704,7 +735,7 @@ def test_norm_check(monkeypatch, pn):
     exp = make_field(*pn).exp
     corrupt_log(monkeypatch, lambda log: swap_logs(log, exp[0], exp[2]))
     with pytest.raises(FieldError, match="norm landed outside"):
-        build(*pn)
+        build(*pn).norm_table
 
 
 @pytest.mark.parametrize("pn", [(3, 2), (5, 3)], ids=field_id)
@@ -712,7 +743,7 @@ def test_basis_trace_check(monkeypatch, pn):
     # with the identity for Frobenius, Tr(a) = n a, outside F_p for p > n
     monkeypatch.setattr(FieldCtx, "frobenius", lambda self, x, j=1: x)
     with pytest.raises(FieldError, match="outside the prime subfield"):
-        build(*pn)
+        build(*pn).trace_table
 
 
 def test_trace_frobenius_invariance_check(monkeypatch):
@@ -720,4 +751,4 @@ def test_trace_frobenius_invariance_check(monkeypatch):
     # so the basis passes; but Tr(a^2) = Tr(a + 1) = 0 differs from Tr(a)
     monkeypatch.setattr(FieldCtx, "frobenius", lambda self, x, j=1: self.add(x, 1))
     with pytest.raises(FieldError, match="not invariant under Frobenius"):
-        build(2, 2)
+        build(2, 2).trace_table
