@@ -1,6 +1,11 @@
 """Command line entry point: every construction, verification and scan
 as a subcommand, plus the claim suite with tiered budgets.
 
+The suite is the table SUITE: one row per claim, with the claim's units
+at each tier (fast, full, extended). A unit is a field order plus its
+arguments. Every claim runs at every tier, each unit in its own report
+or all of them in one report of cases.
+
 Reports stream to stdout one JSON object per line (or CSV/human with
 --format). Exit code 0 means every emitted verdict was pass or
 inapplicable, 1 means some claim failed or ran out of budget, 2 means
@@ -13,7 +18,9 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
+import random
 import sys
 
 from . import __version__, charsum, directions, families, search
@@ -21,7 +28,6 @@ from .gf import (
     MAX_FIELD_ORDER,
     FieldError,
     factor_prime_power,
-    make_field,
     make_field_of_order,
     parse_field_spec,
 )
@@ -351,59 +357,74 @@ def cmd_search_graph(args) -> int:
 # the suite
 
 
-def _sizes_report(claim_id, field_spec, cases, watch, note=None) -> Report:
-    return Report(
-        claim_id=claim_id,
-        field_spec=field_spec,
-        parameters={"note": note} if note else {},
-        witnesses=[c for c in cases if not c["ok"]],
-        counters={"cases": len(cases)},
-        wall_time_ms=watch.ms(),
-        primary_counter="cases",
-    )
+def _tiers(fast, full=None, extended=None) -> dict:
+    """A claim's units by tier: full defaults to the fast units, extended
+    to the full ones. A unit is (q, *args), q a field order; a bare q is
+    the unit (q,)."""
+    full = fast if full is None else full
+    units = {"fast": fast, "full": full, "extended": full if extended is None else extended}
+    return {tier: [u if isinstance(u, tuple) else (u,) for u in us] for tier, us in units.items()}
 
 
-def run_pencil_size(tier: str, seed: int) -> list[Report]:
-    watch = Stopwatch()
-    cases = []
-    for q, k in ((5, 2), (7, 2), (3, 3)):
-        ctx = make_field_of_order(q)
-        fam = families.pencil(ctx, 0, 0, k)
-        cases.append({"q": q, "k": k, "size": len(fam), "expected": q**k, "ok": len(fam) == q**k})
-    return [_sizes_report("pencil-size", "multiple", cases, watch)]
+def _per_field(unit, **units):
+    """A runner with one report per unit of the tier: unit(ctx, seed, *args),
+    ctx the field of order q."""
+    tiers = _tiers(**units)
+    return lambda tier, seed: [unit(make_field_of_order(q), seed, *args) for q, *args in tiers[tier]]
 
 
-def run_hm_size(tier: str, seed: int) -> list[Report]:
-    watch = Stopwatch()
-    cases = []
-    for q in (3, 4, 5, 7, 8, 9, 11):
-        ctx = make_field_of_order(q)
-        fam = families.hilton_milner(ctx, (0, 1), 0, 0)
-        want = (q * q + q) // 2
-        cases.append({"q": q, "size": len(fam), "expected": want, "ok": len(fam) == want})
-    return [_sizes_report("hm-size", "multiple", cases, watch)]
+def _one_report(claim_id, case, field_spec="multiple", note=None, **units):
+    """A runner with one report over all units of the tier: case(q, *args)
+    is a dict whose "ok" says whether the unit holds, and the cases that
+    do not hold are the witnesses."""
+    tiers = _tiers(**units)
+
+    def run(tier: str, seed: int) -> list[Report]:
+        watch = Stopwatch()
+        cases = [case(q, *args) for q, *args in tiers[tier]]
+        return [
+            Report(
+                claim_id=claim_id,
+                field_spec=field_spec,
+                parameters={"note": note} if note else {},
+                witnesses=[c for c in cases if not c["ok"]],
+                counters={"cases": len(cases)},
+                wall_time_ms=watch.ms(),
+                primary_counter="cases",
+            )
+        ]
+
+    return run
 
 
-def run_hm_properties(tier: str, seed: int) -> list[Report]:
-    watch = Stopwatch()
-    cases = []
-    for q in (3, 4, 5, 7, 8, 9, 11):
-        ctx = make_field_of_order(q)
-        fam = families.hilton_milner(ctx, (0, 1), 0, 0)
-        ok_int, _ = families.is_t_intersecting(ctx, fam, 1)
-        cp = families.common_point(ctx, fam)
-        cases.append(
-            {"q": q, "intersecting": ok_int, "commonPoint": list(cp) if cp else None,
-             "ok": ok_int and cp is None}
-        )
-    return [_sizes_report("hm-properties", "multiple", cases, watch)]
+def _pencil_size_case(q, k):
+    size = len(families.pencil(make_field_of_order(q), 0, 0, k))
+    return {"q": q, "k": k, "size": size, "expected": q**k, "ok": size == q**k}
+
+
+def _hm_size_case(q):
+    size = len(families.hilton_milner(make_field_of_order(q), (0, 1), 0, 0))
+    want = (q * q + q) // 2
+    return {"q": q, "size": size, "expected": want, "ok": size == want}
+
+
+def _hm_properties_case(q):
+    ctx = make_field_of_order(q)
+    fam = families.hilton_milner(ctx, (0, 1), 0, 0)
+    ok_int, _ = families.is_t_intersecting(ctx, fam, 1)
+    cp = families.common_point(ctx, fam)
+    return {"q": q, "intersecting": ok_int, "commonPoint": list(cp) if cp else None,
+            "ok": ok_int and cp is None}
+
+
+def _hm_threshold_case(q):
+    size = (q * q + q) // 2
+    return {"q": q, "size": size, "ok": not families.exceeds_threshold(q, size, 2)}
 
 
 def _odd_prime_powers(lo: int, hi: int) -> list[int]:
     out = []
-    for q in range(lo, hi + 1):
-        if q % 2 == 0:
-            continue
+    for q in range(lo | 1, hi + 1, 2):
         try:
             factor_prime_power(q)
         except FieldError:
@@ -412,249 +433,159 @@ def _odd_prime_powers(lo: int, hi: int) -> list[int]:
     return out
 
 
-def run_hm_threshold(tier: str, seed: int) -> list[Report]:
-    watch = Stopwatch()
-    cases = []
-    for q in _odd_prime_powers(11, 169):
-        size = (q * q + q) // 2
-        cases.append({"q": q, "size": size, "ok": not families.exceeds_threshold(q, size, 2)})
-    return [
-        _sizes_report(
-            "hm-threshold",
-            "odd prime powers 11..169",
-            cases,
-            watch,
-            note="family size must stay at or below the k=2 stability threshold",
-        )
-    ]
+def _rootable_case(q):
+    """search.rootable_count against its closed form at every d, w != 0."""
+    ctx = make_field_of_order(q)
+    bad = 0
+    for d in range(1, q):
+        for w in range(1, q):
+            # q // 2 at even q; at odd q one more when w/d is a square
+            want = q // 2 + (q % 2 == 1 and ctx.quadratic_character(ctx.div(w, d)) == 1)
+            bad += search.rootable_count(ctx, d, w) != want
+    return {"q": q, "mismatches": bad, "ok": bad == 0}
 
 
 def run_tangent_size(tier: str, seed: int) -> list[Report]:
-    watch = Stopwatch()
-    cases = []
-    sizes = {}
-    alt_twice = {}
-    for q in (5, 7, 9, 11, 13):
+    sizes, alt_twice = {}, {}
+    base = PolyK(2, (0, 0, 1))
+
+    def case(q):
         ctx = make_field_of_order(q)
         fam = families.tangent_family(ctx, 1, 0, 0)
         want = q * (q - 1) // 2 + 1
-        base = PolyK(2, (0, 0, 1))
         tangency = all(
             intersection_count(ctx, base, g) == 1 for g in fam.members if g != base
         )
         sizes[str(q)] = len(fam)
         alt_twice[str(q)] = q * q - q + 1
-        cases.append(
-            {"q": q, "size": len(fam), "expected": want, "tangency": tangency,
-             "ok": len(fam) == want and tangency}
-        )
+        return {"q": q, "size": len(fam), "expected": want, "tangency": tangency,
+                "ok": len(fam) == want and tangency}
+
     note = (
         "construction count is q(q-1)/2 + 1; the alternate closed form "
         "(q^2-q+1)/2 is non-integral for odd q (its doubled numerator is "
         "reported per field under altClosedFormTwice, never as the target)"
     )
-    rep = _sizes_report("tangent-size", "multiple", cases, watch, note=note)
-    rep.parameters["sizeConstructed"] = sizes
-    rep.parameters["altClosedFormTwice"] = alt_twice
+    [rep] = _one_report("tangent-size", case, note=note, fast=(5, 7, 9, 11, 13))(tier, seed)
+    rep.parameters.update(sizeConstructed=sizes, altClosedFormTwice=alt_twice)
     return [rep]
 
 
-def run_quad_sum(tier: str, seed: int) -> list[Report]:
-    qs = (3, 5, 7) if tier == "fast" else (3, 5, 7, 9, 11, 13)
-    out = []
-    for q in qs:
-        watch = Stopwatch()
-        ctx = make_field_of_order(q)
-        mismatches = []
-        checked = 0
-        for a in range(1, q):
-            for b in range(q):
-                for c in range(q):
-                    checked += 1
-                    exact = charsum.quad_sum_exact(ctx, a, b, c)
-                    brute = charsum.char_sum(ctx, charsum.poly_trim((c, b, a)))
-                    if exact != brute and len(mismatches) < WITNESS_CAP:
-                        mismatches.append({"a": a, "b": b, "c": c, "exact": exact, "brute": brute})
-        out.append(
-            Report(
-                claim_id="quad-sum-identity",
-                field_spec=ctx.report_spec_string(),
-                witnesses=mismatches,
-                counters={"checked": checked},
-                wall_time_ms=watch.ms(),
-                primary_counter="checked",
-            )
-        )
-    return out
-
-
-def run_weil(tier: str, seed: int) -> list[Report]:
-    import random
-
-    qs = (9, 25) if tier == "fast" else (9, 25, 49, 121)
-    count = 200 if tier == "fast" else 1000
-    out = []
-    for q in qs:
-        watch = Stopwatch()
-        ctx = make_field_of_order(q)
-        rng = random.Random(seed + q)
-        violations = []
-        checked = 0
-        while checked < count:
-            deg = rng.randint(1, 5)
-            f = tuple(rng.randrange(q) for _ in range(deg)) + (1,)
-            res = charsum.weil_check(ctx, f)
-            if res.is_square_shape:
-                continue
-            checked += 1
-            if not res.within_bound and len(violations) < WITNESS_CAP:
-                violations.append(
-                    {"poly": list(f), "sum": res.sum_value, "distinctRoots": res.distinct_roots}
-                )
-        out.append(
-            Report(
-                claim_id="weil-bound",
-                field_spec=ctx.report_spec_string(),
-                parameters={"maxDegree": 5},
-                witnesses=violations,
-                counters={"checked": checked},
-                wall_time_ms=watch.ms(),
-                seed=seed + q,
-                primary_counter="checked",
-            )
-        )
-    return out
-
-
-def run_carlitz(tier: str, seed: int) -> list[Report]:
-    qs = [(2, 2)] if tier == "fast" else [(2, 2), (2, 3)]
-    if tier == "extended":
-        qs += [(3, 2), (2, 4)]
-    return [directions.carlitz_scan(make_field(p, n)) for p, n in qs]
-
-
-def run_shortcut(tier: str, seed: int) -> list[Report]:
-    if tier == "fast":
-        return []
-    out = [charsum.shortcut_scan(make_field(5, 2))]
-    if tier == "extended":
-        out.append(charsum.shortcut_scan(make_field(7, 2)))
-    return out
-
-
-def run_square_scan(tier: str, seed: int) -> list[Report]:
-    scans = [((3, 2), 1)]
-    if tier == "extended":
-        scans += [((3, 3), 1), ((3, 3), 2), ((5, 2), 1), ((3, 4), 1)]
-    return [charsum.square_coefficient_scan(make_field(*pn), k) for pn, k in scans]
-
-
-def run_mcconnel(tier: str, seed: int) -> list[Report]:
-    out = [_mcconnel_report(make_field(5, 1), 2)]
-    if tier != "fast":
-        out.append(_mcconnel_report(make_field(3, 2), 2))
-    if tier == "extended":
-        out.append(_mcconnel_report(make_field(2, 2), 3))
-    return out
-
-
-def run_ekr(tier: str, seed: int) -> list[Report]:
-    out = []
-    qs = (3, 4) if tier != "extended" else (2, 3, 4)
-    for q in qs:
-        ctx = make_field_of_order(q)
-        out.append(search.ekr_oracle(ctx, 2))
-    return out
-
-
-def run_sam0(tier: str, seed: int) -> list[Report]:
-    out = []
-    for q in (2, 3, 4, 5):
-        ctx = make_field_of_order(q)
-        for k, t in ((1, 1), (2, 1), (2, 2)):
-            out.append(search.sam0_check(ctx, k, t))
-    return out
-
-
-def run_rootable(tier: str, seed: int) -> list[Report]:
+def _quad_sum_unit(ctx, seed) -> Report:
     watch = Stopwatch()
-    cases = []
-    for q in (3, 4, 5, 7, 8, 9, 11, 13):
-        ctx = make_field_of_order(q)
-        bad = 0
-        for d in range(1, q):
-            for w in range(1, q):
-                got = search.rootable_count(ctx, d, w)
-                if q % 2 == 0:
-                    want = q // 2
-                else:
-                    want = (q + 1) // 2 if ctx.quadratic_character(ctx.div(w, d)) == 1 else (q - 1) // 2
-                if got != want:
-                    bad += 1
-        cases.append({"q": q, "mismatches": bad, "ok": bad == 0})
-    return [_sizes_report("rootable-count", "multiple", cases, watch)]
+    q = ctx.q
+    mismatches = []
+    for a, b, c in itertools.product(range(1, q), range(q), range(q)):
+        exact = charsum.quad_sum_exact(ctx, a, b, c)
+        brute = charsum.char_sum(ctx, charsum.poly_trim((c, b, a)))
+        if exact != brute and len(mismatches) < WITNESS_CAP:
+            mismatches.append({"a": a, "b": b, "c": c, "exact": exact, "brute": brute})
+    return Report(
+        claim_id="quad-sum-identity",
+        field_spec=ctx.report_spec_string(),
+        witnesses=mismatches,
+        counters={"checked": (q - 1) * q * q},
+        wall_time_ms=watch.ms(),
+        primary_counter="checked",
+    )
 
 
-def run_probe(tier: str, seed: int) -> list[Report]:
-    if tier == "fast":
-        qs, trials = (4, 5), 1000
-    else:
-        qs, trials = (4, 5, 7, 8, 9), 10000
-    out = []
-    for q in qs:
-        ctx = make_field_of_order(q)
-        out.append(search.stability_probe(ctx, trials, seed))
-    return out
+def _weil_unit(ctx, seed, count) -> Report:
+    """count random monic polynomials of degree 1..5 that are not square
+    shapes, each against the Weil bound, drawn with seed + q."""
+    watch = Stopwatch()
+    q = ctx.q
+    rng = random.Random(seed + q)
+    violations = []
+    checked = 0
+    while checked < count:
+        f = tuple(rng.randrange(q) for _ in range(rng.randint(1, 5))) + (1,)
+        res = charsum.weil_check(ctx, f)
+        if res.is_square_shape:
+            continue
+        checked += 1
+        if not res.within_bound and len(violations) < WITNESS_CAP:
+            violations.append(
+                {"poly": list(f), "sum": res.sum_value, "distinctRoots": res.distinct_roots}
+            )
+    return Report(
+        claim_id="weil-bound",
+        field_spec=ctx.report_spec_string(),
+        parameters={"maxDegree": 5},
+        witnesses=violations,
+        counters={"checked": checked},
+        wall_time_ms=watch.ms(),
+        seed=seed + q,
+        primary_counter="checked",
+    )
 
 
 def run_extension(tier: str, seed: int) -> list[Report]:
-    import random
-
-    watch = Stopwatch()
-    cases = []
     checks = 0
-    for q in (5, 7):
-        ctx = make_field(q, 1)
+
+    def case(q):
+        nonlocal checks
+        ctx = make_field_of_order(q)
         rng = random.Random(seed + q)
         ok = True
         for _ in range(20):
             alpha, beta = rng.randrange(q), rng.randrange(q)
-            pen = families.pencil(ctx, alpha, beta, 2)
-            for drop in range(len(pen)):
+            members = families.pencil(ctx, alpha, beta, 2).members
+            for drop in range(len(members)):
                 rest = families.Family.from_polys(
-                    2, [f for i, f in enumerate(pen.members) if i != drop]
+                    2, [f for i, f in enumerate(members) if i != drop]
                 )
                 res = families.extend_unique(ctx, rest)
                 checks += 1
                 # a pencil is fixed by its point
-                if not (res.unique and res.points == ((alpha, beta),)):
-                    ok = False
+                ok = res.unique and res.points == ((alpha, beta),)
+                if not ok:
                     break
             if not ok:
                 break
-        cases.append({"q": q, "pencils": 20, "removalsEach": q * q, "ok": ok})
-    rep = _sizes_report("pencil-extension", "multiple", cases, watch)
+        return {"q": q, "pencils": 20, "removalsEach": q * q, "ok": ok}
+
+    [rep] = _one_report("pencil-extension", case, fast=(5, 7))(tier, seed)
     rep.counters["extensionChecks"] = checks
     rep.seed = seed
     return [rep]
 
 
+# One row per claim: its id and its runner(tier, seed), run in this order.
+# A row names its engine through the engine's module inside the unit, so
+# the call looks the engine up when it runs; a function object stored in
+# the table would escape a patched module attribute.
 SUITE = [
-    ("ekr-bound", run_ekr),
-    ("pencil-size", run_pencil_size),
-    ("hm-size", run_hm_size),
-    ("hm-properties", run_hm_properties),
-    ("hm-threshold", run_hm_threshold),
+    ("ekr-bound", _per_field(lambda ctx, seed, k: search.ekr_oracle(ctx, k),
+                             fast=((3, 2), (4, 2)), extended=((2, 2), (3, 2), (4, 2)))),
+    ("pencil-size", _one_report("pencil-size", _pencil_size_case, fast=((5, 2), (7, 2), (3, 3)))),
+    ("hm-size", _one_report("hm-size", _hm_size_case, fast=(3, 4, 5, 7, 8, 9, 11))),
+    ("hm-properties", _one_report("hm-properties", _hm_properties_case, fast=(3, 4, 5, 7, 8, 9, 11))),
+    ("hm-threshold", _one_report(
+        "hm-threshold", _hm_threshold_case, field_spec="odd prime powers 11..169",
+        note="family size must stay at or below the k=2 stability threshold",
+        fast=_odd_prime_powers(11, 169))),
     ("tangent-size", run_tangent_size),
-    ("quad-sum-identity", run_quad_sum),
-    ("weil-bound", run_weil),
-    ("direction-span-affine", run_carlitz),
-    ("square-value-shortcut", run_shortcut),
-    ("square-coeff-relation", run_square_scan),
-    ("power-map-class", run_mcconnel),
-    ("clique-bounds", run_sam0),
-    ("rootable-count", run_rootable),
-    ("stability-probe", run_probe),
+    ("quad-sum-identity", _per_field(_quad_sum_unit, fast=(3, 5, 7), full=(3, 5, 7, 9, 11, 13))),
+    ("weil-bound", _per_field(_weil_unit, fast=((9, 200), (25, 200)),
+                              full=((9, 1000), (25, 1000), (49, 1000), (121, 1000)))),
+    ("direction-span-affine", _per_field(lambda ctx, seed: directions.carlitz_scan(ctx),
+                                         fast=(4,), full=(4, 8), extended=(4, 8, 9, 16))),
+    ("square-value-shortcut", _per_field(lambda ctx, seed: charsum.shortcut_scan(ctx),
+                                         fast=(25,), extended=(25, 49))),
+    ("square-coeff-relation", _per_field(
+        lambda ctx, seed, k: charsum.square_coefficient_scan(ctx, k),
+        fast=((9, 1),), extended=((9, 1), (27, 1), (27, 2), (25, 1), (81, 1)))),
+    ("power-map-class", _per_field(lambda ctx, seed, delta: _mcconnel_report(ctx, delta),
+                                   fast=((5, 2),), full=((5, 2), (9, 2)),
+                                   extended=((5, 2), (9, 2), (4, 3)))),
+    ("clique-bounds", _per_field(
+        lambda ctx, seed, k, t: search.sam0_check(ctx, k, t),
+        fast=[(q, k, t) for q in (2, 3, 4, 5) for k, t in ((1, 1), (2, 1), (2, 2))])),
+    ("rootable-count", _one_report("rootable-count", _rootable_case, fast=(3, 4, 5, 7, 8, 9, 11, 13))),
+    ("stability-probe", _per_field(lambda ctx, seed, trials: search.stability_probe(ctx, trials, seed),
+                                   fast=((4, 1000), (5, 1000)),
+                                   full=((4, 10000), (5, 10000), (7, 10000), (8, 10000), (9, 10000)))),
     ("pencil-extension", run_extension),
 ]
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from polyfam import charsum, cli, directions
-from polyfam.cli import _mcconnel_report, main, run_carlitz
+from polyfam.cli import _mcconnel_report, main
 from polyfam.gf import make_field
 from polyfam.report import CSV_HEADER, DEFAULT_SEED
 
@@ -177,7 +177,7 @@ def test_directions_carlitz_has_no_sampler_flags(capsys, flag):
 
 
 def test_run_carlitz_extended_is_exhaustive():
-    reps = run_carlitz("extended", DEFAULT_SEED)
+    reps = dict(cli.SUITE)["direction-span-affine"]("extended", DEFAULT_SEED)
     assert [r.field_spec for r in reps] == ["2^2", "2^3", "3^2", "2^4"]
     for r in reps:
         p, n = map(int, r.field_spec.split("^"))
@@ -475,6 +475,33 @@ def test_benchmark_hooks_resolve(monkeypatch):
     assert all(len(entry) == 2 and callable(entry[1]) for entry in cli.SUITE)
     ids = tuple(cid for cid, _ in cli.SUITE)
     assert ids == load_perfbench(monkeypatch, "workloads").SUITE_CLAIMS
+
+
+def test_span_recorder_reaches_the_engines_the_suite_calls(monkeypatch, capsys):
+    """The suite's runners look their engines up when they run, so the
+    recorder's patched module attributes see every call; a runner that
+    stored the engine's function object would record none."""
+    engines = {
+        "direction-span-affine": "directions.carlitz_scan",
+        "square-value-shortcut": "charsum.shortcut_scan",
+        "square-coeff-relation": "charsum.square_coefficient_scan",
+        "stability-probe": "search.stability_probe",
+    }
+    rec = load_perfbench(monkeypatch, "spans").Recorder()
+    rec.install()
+    try:
+        argv = ["suite", "--tier", "fast"]
+        for claim in engines:
+            argv += ["--claim", claim]
+        code, out, _ = run(capsys, *argv)
+    finally:
+        rec.uninstall()
+    assert code == 0 and rec.missing == []
+    reports = [json.loads(line)["claimId"] for line in out.splitlines()]
+    totals = rec.totals()
+    for claim, engine in engines.items():
+        assert reports.count(claim) >= 1, claim
+        assert totals.get(engine, {"calls": 0})["calls"] == reports.count(claim), engine
 
 
 def test_cli_and_a_split_probe_import_no_process_pool():

@@ -1,9 +1,13 @@
 """Frozen suite output: the full-tier reports of all sixteen claims in
-cli.SUITE, byte for byte in canonical form."""
+cli.SUITE, byte for byte in canonical form, and the reports of every
+tier by claim, field and hash."""
+
+import hashlib
 
 import pytest
 
 from polyfam.cli import SUITE, main
+from polyfam.report import DEFAULT_SEED
 from report_io import report_from_json
 
 GOLDEN = {
@@ -95,3 +99,88 @@ def test_full_tier_canonical_json_is_frozen(capsys, claim):
     assert code == 0
     got = [report_from_json(line).canonical_json() for line in out.splitlines()]
     assert got == GOLDEN[claim]
+
+
+CLIQUE_BOUNDS = [spec for spec in ("2^1", "3^1", "2^2", "5^1") for _ in range(3)]
+
+# tier -> the first 12 hex digits of the SHA-1 of the tier's reports'
+# canonical_json lines joined by newlines, in cli.SUITE order at
+# DEFAULT_SEED, and each claim's reports by fieldSpec, in that order
+TIERS = {
+    "fast": (
+        "86bffb9a2398",
+        {
+            "ekr-bound": ["3^1", "2^2"],
+            "pencil-size": ["multiple"],
+            "hm-size": ["multiple"],
+            "hm-properties": ["multiple"],
+            "hm-threshold": ["odd prime powers 11..169"],
+            "tangent-size": ["multiple"],
+            "quad-sum-identity": ["3^1", "5^1", "7^1"],
+            "weil-bound": ["3^2", "5^2"],
+            "direction-span-affine": ["2^2"],
+            "square-value-shortcut": ["5^2"],
+            "square-coeff-relation": ["3^2"],
+            "power-map-class": ["5^1"],
+            "clique-bounds": CLIQUE_BOUNDS,
+            "rootable-count": ["multiple"],
+            "stability-probe": ["2^2", "5^1"],
+            "pencil-extension": ["multiple"],
+        },
+    ),
+    "full": (
+        "76761053b6fb",
+        {
+            "ekr-bound": ["3^1", "2^2"],
+            "pencil-size": ["multiple"],
+            "hm-size": ["multiple"],
+            "hm-properties": ["multiple"],
+            "hm-threshold": ["odd prime powers 11..169"],
+            "tangent-size": ["multiple"],
+            "quad-sum-identity": ["3^1", "5^1", "7^1", "3^2", "11^1", "13^1"],
+            "weil-bound": ["3^2", "5^2", "7^2", "11^2"],
+            "direction-span-affine": ["2^2", "2^3"],
+            "square-value-shortcut": ["5^2"],
+            "square-coeff-relation": ["3^2"],
+            "power-map-class": ["5^1", "3^2"],
+            "clique-bounds": CLIQUE_BOUNDS,
+            "rootable-count": ["multiple"],
+            "stability-probe": ["2^2", "5^1", "7^1", "2^3", "3^2"],
+            "pencil-extension": ["multiple"],
+        },
+    ),
+    "extended": (
+        "dfea14b7d4c0",
+        {
+            "ekr-bound": ["2^1", "3^1", "2^2"],
+            "pencil-size": ["multiple"],
+            "hm-size": ["multiple"],
+            "hm-properties": ["multiple"],
+            "hm-threshold": ["odd prime powers 11..169"],
+            "tangent-size": ["multiple"],
+            "quad-sum-identity": ["3^1", "5^1", "7^1", "3^2", "11^1", "13^1"],
+            "weil-bound": ["3^2", "5^2", "7^2", "11^2"],
+            "direction-span-affine": ["2^2", "2^3", "3^2", "2^4"],
+            "square-value-shortcut": ["5^2", "7^2"],
+            "square-coeff-relation": ["3^2", "3^3", "3^3", "5^2", "3^4"],
+            "power-map-class": ["5^1", "3^2", "2^2"],
+            "clique-bounds": CLIQUE_BOUNDS,
+            "rootable-count": ["multiple"],
+            "stability-probe": ["2^2", "5^1", "7^1", "2^3", "3^2"],
+            "pencil-extension": ["multiple"],
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("tier", sorted(TIERS))
+def test_tier_reports_are_pinned(tier):
+    digest, specs = TIERS[tier]
+    reports = [r for _, run in SUITE for r in run(tier, DEFAULT_SEED)]
+    assert [(r.claim_id, r.field_spec) for r in reports] == [
+        (claim, spec) for claim, claim_specs in specs.items() for spec in claim_specs
+    ]
+    # every claim yields a report at every tier
+    assert list(dict.fromkeys(r.claim_id for r in reports)) == [claim for claim, _ in SUITE]
+    joined = "\n".join(r.canonical_json() for r in reports)
+    assert hashlib.sha1(joined.encode()).hexdigest()[:12] == digest
