@@ -5,8 +5,9 @@ base-q packing of their coefficient index vectors (low-degree coefficient
 is the least significant digit). Adjacency is kept as one bitmask int per
 vertex. The solver is a deterministic branch and bound with a greedy
 colouring bound; it can start from a known clique, as `ekr_oracle` does
-from a pencil once the adjacency confirms it. A second routine
-enumerates every maximum clique on small graphs.
+from a pencil once the adjacency confirms it, or decide whether some
+clique above a floor has no common point, as `ekr_oracle`'s equality
+case does.
 """
 
 from __future__ import annotations
@@ -15,13 +16,13 @@ import random
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .families import Family, common_point, exceeds_threshold, pencil
+from .families import exceeds_threshold, pencil
 from .gf import FieldCtx
 from .polyfun import PolyK, intersection_count
 from .report import DEFAULT_NODE_BUDGET, DEFAULT_SEED, WITNESS_CAP, Report, Stopwatch
 
 VERTEX_CAP = 4096
-ENUMERATION_CAP = 64
+DECISION_CAP = 64  # most vertices on which ekr_oracle decides its equality case
 
 
 @dataclass
@@ -116,7 +117,7 @@ class CliqueResult:
 
 
 def max_clique(
-    graph: IntersectionGraph, budget: int = DEFAULT_NODE_BUDGET, start=()
+    graph: IntersectionGraph, budget: int = DEFAULT_NODE_BUDGET, start=(), floor: int = 0, through=()
 ) -> CliqueResult:
     """Exact maximum clique via branch and bound.
 
@@ -129,6 +130,15 @@ def max_clique(
     result is the larger of `start` and what the search finds. Expanding
     more than `budget` nodes stops the search: the result is then a
     best-effort lower bound with proven=False.
+
+    `floor` is a size the result must beat, with no clique behind it:
+    when nothing beats it, the result is `start`. With `through`, one
+    vertex mask per point, a clique counts only if it lies in none of
+    them (has no common point among them): each node carries `live`, the
+    points its whole path lies on, and while `live` is not empty branches
+    escape-first, only on E = cand & ~through[x] for the live x with the
+    fewest such candidates, in colour order, bounded by the node's top
+    colour. An empty E prunes the node.
     """
     adj = graph.adj
     n = graph.n_vertices
@@ -138,6 +148,11 @@ def max_clique(
     gap = missing_edge(graph, best)
     if gap is not None:
         raise ValueError(f"start is not a clique: {gap[0]} and {gap[1]} are not adjacent")
+    top = max(len(best), floor)  # the size a clique must beat
+    on = [0] * n  # on[v]: the points whose mask holds v
+    for x, t in enumerate(through):
+        for v in range(n):
+            on[v] |= (t >> v & 1) << x
     nodes = 0
     aborted = False
 
@@ -159,25 +174,30 @@ def max_clique(
         return order, colours
 
     # The walk, in a loop rather than a recursion as deep as the clique:
-    # stack[d] = [order, colours, i, cand] for the node at depth d, where
-    # clique[:d] is its path and order[i] is the next vertex it tries.
+    # stack[d] = [order, colours, i, cand, live] for the node at depth d,
+    # where clique[:d] is its path and order[i] is the next vertex it tries.
     clique: list[int] = []
     stack: list[list] = []
     cand = (1 << n) - 1
+    live = (1 << len(through)) - 1
     while cand or stack:
         if cand:  # enter a node whose candidates are cand
             nodes += 1
             if nodes > budget:
-                # the path so far is a clique: keep it if it beats the best
+                # the path so far is a clique: keep it if it counts and beats the best
                 aborted = True
-                if len(clique) > len(best):
+                if not live and len(clique) > top:
                     best = clique.copy()
                 break
             order, colours = colour(cand)
-            stack.append([order, colours, len(order) - 1, cand])
+            if live:  # escape-first
+                esc = min((cand & ~t for x, t in enumerate(through) if live >> x & 1), key=int.bit_count)
+                order = [v for v in order if esc >> v & 1]
+                colours = [colours[-1]] * len(order)
+            stack.append([order, colours, len(order) - 1, cand, live])
         node = stack[-1]
-        order, colours, i, cand = node
-        if i < 0 or len(clique) + colours[i] <= len(best):
+        order, colours, i, cand, live = node
+        if i < 0 or len(clique) + colours[i] <= top:
             # the node is done: back up, and drop its vertex from the parent
             stack.pop()
             if stack:
@@ -189,49 +209,16 @@ def max_clique(
         v = order[i]
         clique.append(v)
         cand &= adj[v]
+        live &= on[v]
         if cand:
             continue
-        if len(clique) > len(best):
+        if not live and len(clique) > top:
             best = clique.copy()
+            top = len(best)
         clique.pop()
         node[2] = i - 1
         node[3] &= ~(1 << v)
     return CliqueResult(len(best), tuple(sorted(best)), nodes, not aborted)
-
-
-def enumerate_maximum_cliques(graph: IntersectionGraph, size: int) -> list[tuple[int, ...]]:
-    """Every clique of exactly `size` vertices, ascending order inside
-    each clique and lexicographic across cliques. Meant for graphs at or
-    under ENUMERATION_CAP vertices."""
-    if graph.n_vertices > ENUMERATION_CAP:
-        raise ValueError(
-            f"enumeration is capped at {ENUMERATION_CAP} vertices, "
-            f"graph has {graph.n_vertices}"
-        )
-    adj = graph.adj
-    out: list[tuple[int, ...]] = []
-
-    def ext(clique: list[int], cand: int):
-        if len(clique) == size:
-            out.append(tuple(clique))
-            return
-        while cand:
-            if len(clique) + cand.bit_count() < size:
-                return
-            v = (cand & -cand).bit_length() - 1
-            cand ^= 1 << v
-            clique.append(v)
-            ext(clique, cand & adj[v])
-            clique.pop()
-
-    if graph.n_vertices:
-        ext([], (1 << graph.n_vertices) - 1)
-    ext = None  # break the closure's self-reference, as in max_clique
-    return out
-
-
-def family_from_vertices(q: int, k: int, vertices) -> Family:
-    return Family.from_polys(k, [vertex_to_poly(q, k, v) for v in vertices])
 
 
 # ---------------------------------------------------------------------------
@@ -240,9 +227,9 @@ def family_from_vertices(q: int, k: int, vertices) -> Family:
 
 def ekr_oracle(ctx: FieldCtx, k: int, budget: int = DEFAULT_NODE_BUDGET) -> Report:
     """Exact maximum-clique check on the 1-intersection graph: the
-    maximum must be q^k, and on graphs small enough to enumerate, every
-    maximum clique must be a pencil (share a point). An unproven maximum
-    is a lower bound: over q^k it still refutes the claim.
+    maximum must be q^k, and on graphs of at most DECISION_CAP vertices,
+    every maximum clique must be a pencil (share a point). An unproven
+    maximum is a lower bound: over q^k it still refutes the claim.
 
     The search starts from the pencil through (0, 0), the q^k vertices
     with constant term 0, once the adjacency confirms it is a clique; the
@@ -250,9 +237,13 @@ def ekr_oracle(ctx: FieldCtx, k: int, budget: int = DEFAULT_NODE_BUDGET) -> Repo
     maximum is proven in one node. A pencil that is not a clique is a
     witness, and the search then runs without a start.
 
-    The equality case needs k >= 2: at k = 1, lines of distinct slopes
-    meet pairwise with no common point, so a smaller k is inapplicable
-    and nothing is searched."""
+    The equality case is max_clique's decision, with its own `budget`,
+    at floor q^k - 1 with the pencil masks of all q^2 points. A clique it
+    finds is a witness; otherwise each maximum clique is the pencil
+    through its common point, and `maximumCliques` and `pencilPoints`
+    come from the pencils that are cliques. It needs k >= 2: at k = 1,
+    lines of distinct slopes meet pairwise with no common point, so a
+    smaller k is inapplicable and nothing is searched."""
     watch = Stopwatch()
     if k < 2:
         return Report(
@@ -284,22 +275,30 @@ def ekr_oracle(ctx: FieldCtx, k: int, budget: int = DEFAULT_NODE_BUDGET) -> Repo
         params["nodeBudget"] = budget
     if res.size > q**k or (res.proven and res.size < q**k):
         witnesses.append({"maxClique": res.size, "expected": q**k, "witness": list(res.witness)})
-    elif res.proven and g.n_vertices <= ENUMERATION_CAP:
-        cliques = enumerate_maximum_cliques(g, res.size)
-        counters["maximumCliques"] = len(cliques)
-        points = []
-        for cl in cliques:
-            fam = family_from_vertices(q, k, cl)
-            cp = common_point(ctx, fam)
-            if cp is None:
-                witnesses.append({"clique": list(cl), "commonPoint": None})
-            else:
-                points.append([cp.x, cp.y])
-        params["pencilPoints"] = points
+    elif res.proven and g.n_vertices <= DECISION_CAP:
+        # can a clique of q^k vertices lack a common point?
+        points = [(x, y) for x in range(q) for y in range(q)]
+        through = _through_masks(ctx, k, points)
+        dec = max_clique(g, budget, floor=q**k - 1, through=through)
+        if dec.size >= q**k:
+            witnesses.append({"clique": list(dec.witness), "commonPoint": None})
+        elif not dec.proven:
+            params["nodeBudget"] = budget
+        else:
+            # each maximum clique is the whole pencil through its common
+            # point: list the pencils that are cliques, in the
+            # lexicographic order of their vertex lists
+            pencils = []
+            for point, mask in zip(points, through):
+                members = [v for v in range(g.n_vertices) if mask >> v & 1]
+                if missing_edge(g, members) is None:
+                    pencils.append((members, list(point)))
+            counters["maximumCliques"] = len(pencils)
+            params["pencilPoints"] = [point for _, point in sorted(pencils)]
     return Report(
         claim_id="ekr-bound",
         field_spec=ctx.report_spec_string(),
-        verdict=None if res.proven else "budget-exceeded",
+        verdict="budget-exceeded" if "nodeBudget" in params else None,
         parameters=params,
         witnesses=witnesses,
         counters=counters,
@@ -399,18 +398,16 @@ def _nth_set_bit(mask: int, n: int, r: int) -> int:
     return lo
 
 
-def _through_masks(ctx: FieldCtx) -> list[int]:
-    """Entry x: the vertex mask, at k = 2, of the pencil through (x, 0).
-    Every probe clique holds vertex 0, whose graph is y = 0, so any point
-    its members share is some (x, 0), and the clique has a common point
-    exactly when its mask lies inside one of these q masks."""
+def _through_masks(ctx: FieldCtx, k: int, points) -> list[int]:
+    """Entry i: the vertex mask, at degree k, of the pencil through
+    points[i], an (x, y) pair. A clique has a common point among the
+    points exactly when its mask lies inside one of these masks."""
     q = ctx.q
-    through = [0] * q
-    for x in range(q):
-        for f in pencil(ctx, x, 0, 2).members:
-            c0, c1, c2 = f.coeffs
-            through[x] |= 1 << (c0 + q * (c1 + q * c2))
-    return through
+    masks = []
+    for x, y in points:
+        members = pencil(ctx, x, y, k).members
+        masks.append(sum(1 << sum(c * q**i for i, c in enumerate(f.coeffs)) for f in members))
+    return masks
 
 
 def _zero_frame(adj: list[int], through: list[int]) -> tuple[list[int], list[int], list[int]]:
@@ -519,7 +516,9 @@ def stability_probe(ctx: FieldCtx, trials: int, seed: int = DEFAULT_SEED) -> Rep
     """Randomized maximal intersecting families at k = 2: start from the
     zero polynomial, complete greedily with uniformly random candidates
     (_probe_trials), then check that no family beats q^2 and that every
-    family over the size threshold has a common point (_through_masks).
+    family over the size threshold has a common point: every probe
+    clique holds vertex 0, whose graph is y = 0, so any point its members
+    share is some (x, 0), and _through_masks gives those q pencils.
     Every trial runs in this process, drawn in order from one generator
     seeded with seed. The witnesses are the first WITNESS_CAP in trial
     order; overThreshold counts every over-threshold trial. Zero trials
@@ -528,7 +527,7 @@ def stability_probe(ctx: FieldCtx, trials: int, seed: int = DEFAULT_SEED) -> Rep
         raise ValueError(f"trials must be >= 0, got {trials}")
     watch = Stopwatch()
     adj = build_graph(ctx, 2, 1).adj
-    frame = _zero_frame(adj, _through_masks(ctx))
+    frame = _zero_frame(adj, _through_masks(ctx, 2, [(x, 0) for x in range(ctx.q)]))
     sizes, over_threshold, witnesses = _probe_trials(ctx.q, frame, seed, trials)
     return Report(
         claim_id="stability-probe",

@@ -13,43 +13,48 @@ import time
 from polyfam import charsum, cli
 from polyfam.gf import make_field
 from polyfam.report import DEFAULT_SEED
+from test_golden import TIERS
 
 
 def has(rep, **want):
     return {name: rep.counters[name] for name in want} == want
 
 
-# claim id -> (reports at the full tier, what each report must show
-# besides a pass with no witnesses, given the report and its field order
-# q; q is None for a report that spans several fields)
+# claim id -> what each of its full-tier reports must show besides a
+# pass with no witnesses, given the report and its field order q; q is
+# None for a report that spans several fields. How many reports each
+# claim makes is read from the pinned tiers (test_golden.TIERS).
 FULL_TIER = {
-    # every maximum clique was enumerated and is a pencil
-    "ekr-bound": (2, lambda r, q: has(r, maxClique=q * q,
-                                      maximumCliques=len(r.parameters["pencilPoints"]))),
-    "pencil-size": (1, lambda r, q: has(r, cases=3)),
-    "hm-size": (1, lambda r, q: has(r, cases=7)),
-    "hm-properties": (1, lambda r, q: has(r, cases=7)),
+    # no clique of q^2 members lacks a common point, so every maximum
+    # clique is the pencil through one point
+    "ekr-bound": lambda r, q: has(r, maxClique=q * q, maximumCliques=q * q)
+    and len(r.parameters["pencilPoints"]) == q * q,
+    "pencil-size": lambda r, q: has(r, cases=3),
+    "hm-size": lambda r, q: has(r, cases=7),
+    "hm-properties": lambda r, q: has(r, cases=7),
     # the 35 odd primes from 11 to 167, and 25, 27, 49, 81, 121, 125, 169
-    "hm-threshold": (1, lambda r, q: has(r, cases=42)),
+    "hm-threshold": lambda r, q: has(r, cases=42),
     # the alternate closed form for the tangent count is non-integral
     # and must surface in the suite output instead of being dropped
-    "tangent-size": (1, lambda r, q: has(r, cases=5) and "non-integral" in r.parameters["note"]
-                     and r.parameters["sizeConstructed"]["5"] == 11
-                     and r.parameters["altClosedFormTwice"]["5"] == 21
-                     and all(v % 2 for v in r.parameters["altClosedFormTwice"].values())),
-    "quad-sum-identity": (6, lambda r, q: has(r, checked=(q - 1) * q * q)),
-    "weil-bound": (4, lambda r, q: has(r, checked=1000) and r.seed == DEFAULT_SEED + q),
-    "direction-span-affine": (2, lambda r, q: has(r, scanned=q**q, affine=q * q)),
-    "square-value-shortcut": (1, lambda r, q: r.counters["largeValueSets"] > 0 and has(
-        r, scanned=375000, violations=0, controlTriples=24 * 25 * 24)),
-    "square-coeff-relation": (1, lambda r, q: has(r, scanned=6561, violations=0)),
-    "power-map-class": (2, lambda r, q: has(r, found=r.counters["predicted"])),
-    "clique-bounds": (12, lambda r, q: q <= 5 and 1 <= r.parameters["t"] <= r.parameters["k"] <= 2),
-    "rootable-count": (1, lambda r, q: has(r, cases=8)),
-    "stability-probe": (5, lambda r, q: has(r, trials=10_000) and r.counters["maxSize"] <= q * q
-                        and sum(r.parameters["sizeDistribution"].values()) == 10_000),
-    "pencil-extension": (1, lambda r, q: has(r, cases=2) and r.seed == DEFAULT_SEED),
+    "tangent-size": lambda r, q: has(r, cases=5) and "non-integral" in r.parameters["note"]
+    and r.parameters["sizeConstructed"]["5"] == 11
+    and r.parameters["altClosedFormTwice"]["5"] == 21
+    and all(v % 2 for v in r.parameters["altClosedFormTwice"].values()),
+    "quad-sum-identity": lambda r, q: has(r, checked=(q - 1) * q * q),
+    "weil-bound": lambda r, q: has(r, checked=1000) and r.seed == DEFAULT_SEED + q,
+    "direction-span-affine": lambda r, q: has(r, scanned=q**q, affine=q * q),
+    "square-value-shortcut": lambda r, q: r.counters["largeValueSets"] > 0
+    and has(r, scanned=375000, violations=0, controlTriples=24 * 25 * 24),
+    "square-coeff-relation": lambda r, q: has(r, scanned=6561, violations=0),
+    "power-map-class": lambda r, q: has(r, found=r.counters["predicted"]),
+    "clique-bounds": lambda r, q: q <= 5 and 1 <= r.parameters["t"] <= r.parameters["k"] <= 2,
+    "rootable-count": lambda r, q: has(r, cases=8),
+    "stability-probe": lambda r, q: has(r, trials=10_000) and r.counters["maxSize"] <= q * q
+    and sum(r.parameters["sizeDistribution"].values()) == 10_000,
+    "pencil-extension": lambda r, q: has(r, cases=2) and r.seed == DEFAULT_SEED,
 }
+# claim id -> the field specs of its full-tier reports, in order
+FULL_SPECS = TIERS["full"][1]
 
 
 @contextlib.contextmanager
@@ -69,9 +74,9 @@ def sweep(label, budget_s, *claims):
     runners = dict(cli.SUITE)
     with criterion(label, budget_s):
         for claim in claims:
-            count, check = FULL_TIER[claim]
+            check = FULL_TIER[claim]
             reports = runners[claim]("full", DEFAULT_SEED)
-            assert len(reports) == count, (claim, [r.field_spec for r in reports])
+            assert [r.field_spec for r in reports] == FULL_SPECS[claim], claim
             for rep in reports:
                 p, _, n = rep.field_spec.partition("^")
                 q = int(p) ** int(n) if n else None

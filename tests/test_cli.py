@@ -379,6 +379,21 @@ def test_search_ekr_k1_is_inapplicable(capsys):
     assert d["witnesses"] == []
 
 
+def test_search_ekr_equality_case_stops_at_the_budget(capsys):
+    """The maximum is proven in one node, but deciding the equality case
+    takes more than 100: the report is budget-exceeded, names the budget,
+    lists no pencils, and the command exits 1."""
+    code, out, _ = run(capsys, "search", "ekr", "--field", "2^2", "--budget", "100")
+    assert code == 1
+    d = json.loads(out)
+    assert d["verdict"] == "budget-exceeded"
+    assert d["parameters"] == {"k": 2, "proven": True, "nodeBudget": 100}
+    assert "maximumCliques" not in d["counters"]
+    code, out, _ = run(capsys, "search", "ekr", "--field", "2^2")
+    assert code == 0
+    assert json.loads(out)["counters"]["maximumCliques"] == 16
+
+
 def test_search_probe(capsys):
     code, out, _ = run(capsys, "search", "probe", "--field", "5", "--trials", "100",
                        "--seed", "3")

@@ -17,7 +17,7 @@ import pytest
 from polyfam import search
 from polyfam.charsum import mcconnel_scan
 from polyfam.directions import carlitz_scan
-from polyfam.families import common_point, exceeds_threshold, hilton_milner, pencil
+from polyfam.families import Family, common_point, exceeds_threshold, hilton_milner, pencil
 from polyfam.gf import make_field, make_field_of_order
 from polyfam.polyfun import evaluate, intersection_count
 from polyfam.report import DEFAULT_NODE_BUDGET, WITNESS_CAP
@@ -27,8 +27,6 @@ from polyfam.search import (
     _nth_set_bit,
     build_graph,
     ekr_oracle,
-    enumerate_maximum_cliques,
-    family_from_vertices,
     graph_dump_lines,
     max_clique,
     rootable_count,
@@ -45,6 +43,20 @@ def poly_to_vertex(q, f):
     for c in reversed(f.coeffs):
         v = v * q + c
     return v
+
+
+def family_from_vertices(q, k, vertices):
+    """The family whose members are the polynomials of the vertices."""
+    return Family.from_polys(k, [vertex_to_poly(q, k, v) for v in vertices])
+
+
+def all_points(q):
+    return [(x, y) for x in range(q) for y in range(q)]
+
+
+def y0_masks(ctx):
+    """The probe's through masks: the k = 2 pencils through each (x, 0)."""
+    return search._through_masks(ctx, 2, [(x, 0) for x in range(ctx.q)])
 
 
 @pytest.mark.parametrize("q,k", [(2, 1), (3, 1), (2, 2), (3, 2), (4, 2)])
@@ -164,7 +176,7 @@ def test_build_graph_q16_k2():
     "call",
     [
         lambda g: max_clique(g),
-        lambda g: enumerate_maximum_cliques(g, 9),
+        lambda g: max_clique(g, floor=8, through=search._through_masks(make_field(3, 1), 2, all_points(3))),
         lambda g: ekr_oracle(make_field(3, 1), 2),
         lambda g: mcconnel_scan(make_field(5, 1), 2),
         lambda g: carlitz_scan(make_field(3, 1)),
@@ -368,12 +380,41 @@ def brute_all_maximum_cliques(adj, nv, size):
     return sorted(out)
 
 
+def brute_cliques(adj, nv):
+    """Every nonempty clique, as a vertex mask."""
+    out = []
+    for mask in range(1, 1 << nv):
+        vs = [v for v in range(nv) if mask >> v & 1]
+        if all(adj[u] >> v & 1 for u, v in itertools.combinations(vs, 2)):
+            out.append(mask)
+    return out
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_enumerate_maximum_cliques_random(seed):
+    """Decision mode against brute force, for random point masks at every
+    floor: max_clique returns the largest clique that lies in none of the
+    masks when it beats the floor, and the empty clique otherwise. Half
+    of the masks hold a random clique, so large cliques have common
+    points too."""
     g = random_graph(11, 0.55, 100 + seed)
-    size, _ = brute_max_clique(g.adj, g.n_vertices)
-    got = sorted(tuple(c) for c in enumerate_maximum_cliques(g, size))
-    assert got == brute_all_maximum_cliques(g.adj, g.n_vertices, size)
+    nv = g.n_vertices
+    cliques = brute_cliques(g.adj, nv)
+    rng = random.Random(seed)
+    for points in (0, 1, 2, 4, 7):
+        through = [rng.getrandbits(nv) | (rng.choice(cliques) if j % 2 else 0) for j in range(points)]
+        escaping = [c for c in cliques if not any(c & t == c for t in through)]
+        best = max((c.bit_count() for c in escaping), default=0)
+        for floor in range(nv + 1):
+            res = max_clique(g, floor=floor, through=through)
+            assert res.proven
+            if best > floor:
+                assert res.size == best
+                assert sum(1 << v for v in res.witness) in escaping
+            else:
+                assert (res.size, res.witness) == (0, ())
+        if not through:
+            assert max_clique(g, floor=0, through=through) == max_clique(g)
 
 
 def test_family_from_vertices():
@@ -409,7 +450,7 @@ def test_ekr_oracle_k1_is_inapplicable(q):
     used to fail with those cliques as witnesses."""
     ctx = make_field(q, 1)
     g = build_graph(ctx, 1, 1)
-    cliques = enumerate_maximum_cliques(g, max_clique(g, DEFAULT_NODE_BUDGET).size)
+    cliques = brute_all_maximum_cliques(g.adj, g.n_vertices, max_clique(g, DEFAULT_NODE_BUDGET).size)
     assert len(cliques[0]) == q
     assert any(common_point(ctx, family_from_vertices(q, 1, cl)) is None for cl in cliques)
     rep = ekr_oracle(ctx, 1)
@@ -424,6 +465,64 @@ def test_ekr_oracle_budget_exceeded():
     assert rep.parameters["nodeBudget"] == 0
     assert rep.witnesses == []
     assert rep.counters["maxClique"] == 16  # the verified pencil
+
+
+def test_ekr_oracle_decision_obeys_the_budget():
+    """The equality case's decision stops at the node budget too: the
+    maximum is proven from the pencil in one node, but the decision needs
+    436 nodes at 2^2, so a smaller budget reports neither entry."""
+    ctx = make_field(2, 2)
+    for budget in (1, 100, 435):
+        rep = ekr_oracle(ctx, 2, budget=budget)
+        assert rep.verdict == "budget-exceeded"
+        assert rep.parameters == {"k": 2, "proven": True, "nodeBudget": budget}
+        assert rep.counters == {"vertices": 64, "edges": 1344, "maxClique": 16, "nodesExplored": 1}
+        assert rep.witnesses == []
+    rep = ekr_oracle(ctx, 2, budget=436)
+    assert rep.verdict == "pass"
+    assert rep.counters["maximumCliques"] == 16
+    assert rep.canonical_json() == ekr_oracle(ctx, 2).canonical_json()
+
+
+def test_ekr_oracle_lists_a_clique_without_a_common_point(monkeypatch):
+    """Negative control: with vertex 0, the zero polynomial, taken out of
+    every pencil mask, the pencils through the points (x, 0) hold it and
+    lie in no mask, so the decision finds one and it is the witness."""
+    real = search._through_masks
+    monkeypatch.setattr(search, "_through_masks", lambda ctx, k, points: [m & ~1 for m in real(ctx, k, points)])
+    ctx = make_field(3, 1)
+    rep = ekr_oracle(ctx, 2)
+    assert rep.verdict == "fail"
+    [witness] = rep.witnesses
+    assert witness["commonPoint"] is None
+    clique = witness["clique"]
+    assert 0 in clique and len(clique) == 9
+    assert any(clique == sorted(poly_to_vertex(3, f) for f in pencil(ctx, x, 0, 2).members) for x in range(3))
+    assert "maximumCliques" not in rep.counters and "pencilPoints" not in rep.parameters
+
+
+@pytest.mark.parametrize("q,k,floor,size", [(3, 2, 5, 7), (4, 2, 9, 10), (5, 2, 14, 15), (3, 1, 2, 3), (5, 1, 4, 5)])
+def test_decision_finds_a_family_without_a_common_point(q, k, floor, size):
+    """Positive controls: at k = 2 and floor (q^2 + q)/2 - 1, the size of
+    a Hilton-Milner family less one, and at k = 1 and floor q - 1, the
+    decision finds a pairwise intersecting family with no common point:
+    the largest, of `size` members."""
+    ctx = make_field_of_order(q)
+    g = build_graph(ctx, k, 1)
+    res = max_clique(g, floor=floor, through=search._through_masks(ctx, k, all_points(q)))
+    assert res.proven and res.size == size > floor
+    assert search.missing_edge(g, res.witness) is None
+    assert common_point(ctx, family_from_vertices(q, k, res.witness)) is None
+
+
+@pytest.mark.parametrize("q,k", [(2, 3), (3, 2), (4, 1)])
+def test_through_masks_are_the_pencils_through_each_point(q, k):
+    ctx = make_field_of_order(q)
+    points = all_points(q)
+    through = search._through_masks(ctx, k, points)
+    for (x, y), mask in zip(points, through):
+        assert mask == sum(1 << v for v in range(q ** (k + 1)) if evaluate(ctx, vertex_to_poly(q, k, v), x) == y)
+        assert mask.bit_count() == q**k
 
 
 def test_ekr_oracle_refutes_a_pencil_that_is_not_a_clique(monkeypatch):
@@ -445,6 +544,9 @@ def test_ekr_oracle_refutes_a_pencil_that_is_not_a_clique(monkeypatch):
     assert rep.witnesses[0] == {"construction": "pencil through (0, 0)", "missingEdge": [u, v]}
     assert rep.parameters["proven"]
     assert rep.counters["nodesExplored"] > 1  # the plain search ran
+    # the other 15 pencils are the maximum cliques
+    assert rep.counters["maximumCliques"] == 15
+    assert [0, 0] not in rep.parameters["pencilPoints"]
     monkeypatch.undo()
     rep = ekr_oracle(ctx, 2)
     assert rep.verdict == "pass"
@@ -779,7 +881,7 @@ def test_zero_frame_matches_the_seeded_process_exactly(q):
         assert len(_size_distribution(zero)) > 1
         assert 0 < with_a_common_point(zero) < 1
     # the through masks see the common points that common_point finds
-    through = search._through_masks(ctx)
+    through = y0_masks(ctx)
     for cl in zero:
         has_point = common_point(ctx, family_from_vertices(q, 2, cl)) is not None
         assert _in_a_pencil(cl, through) == has_point, cl
@@ -799,7 +901,7 @@ def _in_a_pencil(clique, through):
 @pytest.mark.parametrize("q", [3, 4, 5, 7])
 def test_through_masks_hold_the_pencils_on_y0_and_miss_hilton_milner(q):
     ctx = make_field_of_order(q)
-    through = search._through_masks(ctx)
+    through = y0_masks(ctx)
     # entry x: the polynomials that vanish at x, found by evaluation
     for x, mask in enumerate(through):
         assert mask == sum(1 << v for v in range(q**3) if evaluate(ctx, vertex_to_poly(q, 2, v), x) == 0)
@@ -920,7 +1022,7 @@ def _replayed_trials(ctx, adj, through, seed, trials):
 def test_zero_frame_restricts_and_renumbers_by_position(q):
     ctx = make_field_of_order(q)
     adj = build_graph(ctx, 2, 1).adj
-    through = search._through_masks(ctx)
+    through = y0_masks(ctx)
     members, fadj, fthrough = search._zero_frame(adj, through)
     assert members == [v for v in range(q**3) if adj[0] >> v & 1]
     # N(0): the nonzero polynomials with a root, that is all but the q - 1
@@ -944,7 +1046,7 @@ def test_probe_trials_match_the_replayed_greedy_walk(q, seed):
     in ascending order."""
     ctx = make_field_of_order(q)
     adj = build_graph(ctx, 2, 1).adj
-    for through in (search._through_masks(ctx), [0] * q):
+    for through in (y0_masks(ctx), [0] * q):
         frame = search._zero_frame(adj, through)
         got = search._probe_trials(q, frame, seed, 2000)
         assert got == _replayed_trials(ctx, adj, through, seed, 2000)
@@ -963,7 +1065,7 @@ def test_probe_trials_merge_over_uneven_ranges(monkeypatch, q, witnessed):
     adj = build_graph(ctx, 2, 1).adj
     # witnessed: the masks hold no vertex, so every over-threshold clique
     # is a witness
-    through = [0] * q if witnessed else search._through_masks(ctx)
+    through = [0] * q if witnessed else y0_masks(ctx)
     frame = search._zero_frame(adj, through)
     T = 401
     whole = search._probe_trials(q, frame, 7, T)
@@ -1006,9 +1108,9 @@ def test_forked_probe_split_matches_the_in_process_run(monkeypatch, q, parts, wi
     once in threads each give that report, leaving no child process."""
     ctx = make_field_of_order(q)
     T = 1001
-    through = [0] * q if witnessed else search._through_masks(ctx)
+    through = [0] * q if witnessed else y0_masks(ctx)
     if witnessed:
-        monkeypatch.setattr(search, "_through_masks", lambda ctx: [0] * ctx.q)
+        monkeypatch.setattr(search, "_through_masks", lambda ctx, k, points: [0] * len(points))
     _forbid_fork(monkeypatch)
     whole = stability_probe(ctx, T, seed=20248)
     sizes, over, witnesses = _replayed_trials(ctx, build_graph(ctx, 2, 1).adj, through, 20248, T)
@@ -1038,7 +1140,7 @@ def test_split_trials_merges_in_range_order_and_raises_for_any_failed_part(monke
     same report again."""
     _forbid_fork(monkeypatch)
     ctx = make_field_of_order(4)
-    monkeypatch.setattr(search, "_through_masks", lambda ctx: [0] * ctx.q)
+    monkeypatch.setattr(search, "_through_masks", lambda ctx, k, points: [0] * len(points))
     rep = stability_probe(ctx, 300, seed=7)
     trials = [w["trial"] for w in rep.witnesses]
     assert len(trials) == WITNESS_CAP and trials == sorted(set(trials))
