@@ -1,6 +1,15 @@
 """Command line entry point: every construction, verification and scan
 as a subcommand, plus the claim suite with tiered budgets.
 
+The commands are the table COMMANDS: one row per command, with its group,
+name, help, arguments and run(ctx, args). Arguments that several commands
+take (--field, --format, --budget, --k, --t, --predicate, --seed, --x,
+--poly, --file, --out) are declared once, in ARGUMENTS; a row names them
+and may override their keywords. main parses --field into ctx and calls run. A list of reports
+goes to stdout through _emit, a (dict, exit code) pair as one JSON line
+with sorted keys; the commands that write lines print them and return
+the exit code.
+
 The suite is the table SUITE: one row per claim, with the claim's units
 at each tier (fast, full, extended). A unit is a field order plus its
 arguments. Every claim runs at every tier, each unit in its own report
@@ -77,8 +86,7 @@ def _element(ctx, value: int, what: str) -> int:
 # field / poly / directions / charsum commands
 
 
-def cmd_field_info(args) -> int:
-    ctx = parse_field_spec(args.field)
+def _field_info(ctx, args):
     info = {
         "p": ctx.p,
         "n": ctx.n,
@@ -89,40 +97,25 @@ def cmd_field_info(args) -> int:
     }
     if ctx.sqrt_q:
         info["sqrtQ"] = ctx.sqrt_q
-    print(json.dumps(info, sort_keys=True))
-    return 0
+    return info, 0
 
 
-def cmd_field_arith(args) -> int:
-    ctx = parse_field_spec(args.field)
+def _field_arith(ctx, args):
     x, y = _element(ctx, args.x, "--x"), args.y
     if args.op in ("add", "sub", "mul", "div"):
         y = _element(ctx, y, "--y")  # pow and frobenius take an exponent
-    ops = {
-        "add": lambda: ctx.add(x, y),
-        "sub": lambda: ctx.sub(x, y),
-        "mul": lambda: ctx.mul(x, y),
-        "div": lambda: ctx.div(x, y),
-        "pow": lambda: ctx.pow(x, y),
-        "frobenius": lambda: ctx.frobenius(x, y),
-        "trace": lambda: ctx.trace(x),
-        "norm": lambda: ctx.norm_to_subfield(x),
-        "char": lambda: ctx.quadratic_character(x),
-    }
-    print(json.dumps({"op": args.op, "x": x, "y": y, "result": ops[args.op]()}))
-    return 0
+    unary = {"trace": ctx.trace, "norm": ctx.norm_to_subfield, "char": ctx.quadratic_character}
+    result = unary[args.op](x) if args.op in unary else getattr(ctx, args.op)(x, y)
+    return {"op": args.op, "x": x, "y": y, "result": result}, 0
 
 
-def cmd_poly_eval(args) -> int:
-    ctx = parse_field_spec(args.field)
+def _poly_eval(ctx, args):
     f = parse_poly(ctx, args.poly)
     x = _element(ctx, args.x, "--x")
-    print(json.dumps({"poly": format_poly(f), "x": x, "value": evaluate(ctx, f, x)}))
-    return 0
+    return {"poly": format_poly(f), "x": x, "value": evaluate(ctx, f, x)}, 0
 
 
-def cmd_poly_intersect(args) -> int:
-    ctx = parse_field_spec(args.field)
+def _poly_intersect(ctx, args):
     f = parse_poly(ctx, args.f)
     g = parse_poly(ctx, args.g)
     if f.k != g.k:
@@ -130,77 +123,38 @@ def cmd_poly_intersect(args) -> int:
     out = {"count": intersection_count(ctx, f, g)}
     if f.k == 2 and f != g:
         out["fast"] = pair_intersects_fast(ctx, f, g)
-    print(json.dumps(out, sort_keys=True))
-    return 0
+    return out, 0
 
 
-def cmd_directions_set(args) -> int:
-    ctx = parse_field_spec(args.field)
+def _directions_set(ctx, args):
     ds = directions.direction_set(ctx, parse_elements(ctx, args.values))
-    print(
-        json.dumps(
-            {"members": sorted(ds.members), "spanDim": ds.span_dim, "proper": ds.span_dim < ctx.n},
-            sort_keys=True,
-        )
-    )
-    return 0
+    return {"members": sorted(ds.members), "spanDim": ds.span_dim, "proper": ds.span_dim < ctx.n}, 0
 
 
-def cmd_directions_carlitz(args) -> int:
-    ctx = parse_field_spec(args.field)
-    return _emit([directions.carlitz_scan(ctx)], args.format)
-
-
-def cmd_charsum_weil(args) -> int:
-    ctx = parse_field_spec(args.field)
+def _charsum_weil(ctx, args):
     f = charsum.poly_trim(parse_elements(ctx, args.poly))
     res = charsum.weil_check(ctx, f, _element(ctx, args.a, "--a"))
-    print(
-        json.dumps(
-            {
-                "sum": res.sum_value,
-                "distinctRoots": res.distinct_roots,
-                "bound": res.bound,
-                "withinBound": res.within_bound,
-                "isSquareShape": res.is_square_shape,
-            },
-            sort_keys=True,
-        )
-    )
-    return 0 if (res.within_bound or res.is_square_shape) else 1
+    out = {
+        "sum": res.sum_value,
+        "distinctRoots": res.distinct_roots,
+        "bound": res.bound,
+        "withinBound": res.within_bound,
+        "isSquareShape": res.is_square_shape,
+    }
+    return out, 0 if (res.within_bound or res.is_square_shape) else 1
 
 
-def cmd_charsum_quad(args) -> int:
-    ctx = parse_field_spec(args.field)
+def _charsum_quad(ctx, args):
     a, b, c = _parse_elements(ctx, args.abc, "--abc", 3)
     exact = charsum.quad_sum_exact(ctx, a, b, c)
     brute = charsum.char_sum(ctx, charsum.poly_trim((c, b, a)), 1)
-    print(json.dumps({"exact": exact, "bruteForce": brute, "agree": exact == brute}))
-    return 0 if exact == brute else 1
+    agree = exact == brute
+    return {"exact": exact, "bruteForce": brute, "agree": agree}, 0 if agree else 1
 
 
-def cmd_charsum_square_test(args) -> int:
-    ctx = parse_field_spec(args.field)
-    f = charsum.poly_trim(parse_elements(ctx, args.poly))
-    g = charsum.perfect_square_test(ctx, f)
-    print(json.dumps({"isSquare": g is not None, "root": list(g) if g is not None else None}))
-    return 0
-
-
-def cmd_charsum_square_scan(args) -> int:
-    ctx = parse_field_spec(args.field)
-    return _emit([charsum.square_coefficient_scan(ctx, args.frob_k)], args.format)
-
-
-def cmd_charsum_shortcut(args) -> int:
-    ctx = parse_field_spec(args.field)
-    return _emit([charsum.shortcut_scan(ctx)], args.format)
-
-
-def cmd_charsum_mcconnel(args) -> int:
-    ctx = parse_field_spec(args.field)
-    rep = _mcconnel_report(ctx, args.delta)
-    return _emit([rep], args.format)
+def _charsum_square_test(ctx, args):
+    g = charsum.perfect_square_test(ctx, charsum.poly_trim(parse_elements(ctx, args.poly)))
+    return {"isSquare": g is not None, "root": list(g) if g is not None else None}, 0
 
 
 def _mcconnel_report(ctx, delta, node_budget: int = DEFAULT_NODE_BUDGET) -> Report:
@@ -233,7 +187,7 @@ def _mcconnel_report(ctx, delta, node_budget: int = DEFAULT_NODE_BUDGET) -> Repo
 
 
 # ---------------------------------------------------------------------------
-# families commands
+# families and search commands
 
 
 def _write_lines(path, lines, summary: dict) -> int:
@@ -249,15 +203,14 @@ def _write_lines(path, lines, summary: dict) -> int:
     return 0
 
 
-def cmd_families_construct(args) -> int:
-    ctx = parse_field_spec(args.field)
+def _families_construct(ctx, args) -> int:
     # refuse by the closed-form size before building anything; past k = 16
     # a pencil has more than 2^16 members at every q
     q = ctx.q
     size = {
-        "pencil": q ** min(args.k, 17),
-        "hm": (q * q + q) // 2,
-        "tangent": q * (q - 1) // 2 + 1,
+        "pencil": families.pencil_size(q, min(args.k, 17)),
+        "hm": families.hilton_milner_size(q),
+        "tangent": families.tangent_size(q),
     }[args.kind]
     if size > MAX_FIELD_ORDER:
         raise families.FamilyError(
@@ -276,81 +229,48 @@ def cmd_families_construct(args) -> int:
     return _write_lines(args.out, families.family_to_lines(ctx, fam), {"size": len(fam)})
 
 
-def cmd_families_verify(args) -> int:
-    return _emit([families.verify_file(args.file, args.t)], args.format)
-
-
-def cmd_families_extend(args) -> int:
-    ctx, fam, _ = families.load_family(args.file)
+def _families_extend(_, args):
+    ctx, fam = families.load_family(args.file)[:2]
     res = families.extend_unique(ctx, fam)
-    print(
-        json.dumps(
-            {
-                "unique": res.unique,
-                "points": [list(pt) for pt in res.points],
-                "pencilSizes": [ctx.q**fam.k] * len(res.points),
-            },
-            sort_keys=True,
-        )
-    )
-    return 0
+    out = {
+        "unique": res.unique,
+        "points": [list(pt) for pt in res.points],
+        "pencilSizes": [families.pencil_size(ctx.q, fam.k)] * len(res.points),
+    }
+    return out, 0
 
 
-def cmd_families_threshold(args) -> int:
+def _families_threshold(_, args):
     factor_prime_power(args.q)  # validates the order
-    exceeds = families.exceeds_threshold(args.q, args.size, args.k)  # validates k
-    if args.k == 2:
-        threshold = families.threshold_for(args.q).as_float()
-    else:
-        threshold = args.q**args.k - args.q ** (args.k - 1)
-    out = {"q": args.q, "size": args.size, "threshold": threshold, "exceeds": exceeds}
-    print(json.dumps(out, sort_keys=True))
-    return 0
+    out = {
+        "q": args.q,
+        "size": args.size,
+        "threshold": families.threshold(args.q, args.k),  # validates k
+        "exceeds": families.exceeds_threshold(args.q, args.size, args.k),
+    }
+    return out, 0
 
 
-# ---------------------------------------------------------------------------
-# search commands
-
-
-def cmd_search_ekr(args) -> int:
-    ctx = parse_field_spec(args.field)
-    return _emit([search.ekr_oracle(ctx, args.k, args.budget)], args.format)
-
-
-def cmd_search_clique(args) -> int:
-    ctx = parse_field_spec(args.field)
+def _graph(ctx, args):
     pred = "min_shared" if args.predicate == "min" else "max_shared"
-    g = search.build_graph(ctx, args.k, args.t, pred)
-    res = search.max_clique(g, args.budget)
-    print(
-        json.dumps(
-            {
-                "size": res.size,
-                "witness": list(res.witness),
-                "nodesExplored": res.nodes_explored,
-                "proven": res.proven,
-            },
-            sort_keys=True,
-        )
-    )
-    return 0 if res.proven else 1
+    return search.build_graph(ctx, args.k, args.t, pred)
 
 
-def cmd_search_sam0(args) -> int:
-    ctx = parse_field_spec(args.field)
-    return _emit([search.sam0_check(ctx, args.k, args.t)], args.format)
+def _search_clique(ctx, args):
+    res = search.max_clique(_graph(ctx, args), args.budget)
+    out = {
+        "size": res.size,
+        "witness": list(res.witness),
+        "nodesExplored": res.nodes_explored,
+        "proven": res.proven,
+    }
+    return out, 0 if res.proven else 1
 
 
-def cmd_search_probe(args) -> int:
-    ctx = parse_field_spec(args.field)
-    return _emit([search.stability_probe(ctx, args.trials, args.seed)], args.format)
-
-
-def cmd_search_graph(args) -> int:
-    ctx = parse_field_spec(args.field)
-    pred = "min_shared" if args.predicate == "min" else "max_shared"
-    g = search.build_graph(ctx, args.k, args.t, pred)
+def _search_graph(ctx, args) -> int:
+    g = _graph(ctx, args)
     return _write_lines(args.out, search.graph_dump_lines(g), {"vertices": g.n_vertices})
+
 
 
 # ---------------------------------------------------------------------------
@@ -399,12 +319,13 @@ def _one_report(claim_id, case, field_spec="multiple", note=None, **units):
 
 def _pencil_size_case(q, k):
     size = len(families.pencil(make_field_of_order(q), 0, 0, k))
-    return {"q": q, "k": k, "size": size, "expected": q**k, "ok": size == q**k}
+    want = families.pencil_size(q, k)
+    return {"q": q, "k": k, "size": size, "expected": want, "ok": size == want}
 
 
 def _hm_size_case(q):
     size = len(families.hilton_milner(make_field_of_order(q), (0, 1), 0, 0))
-    want = (q * q + q) // 2
+    want = families.hilton_milner_size(q)
     return {"q": q, "size": size, "expected": want, "ok": size == want}
 
 
@@ -418,7 +339,7 @@ def _hm_properties_case(q):
 
 
 def _hm_threshold_case(q):
-    size = (q * q + q) // 2
+    size = families.hilton_milner_size(q)
     return {"q": q, "size": size, "ok": not families.exceeds_threshold(q, size, 2)}
 
 
@@ -452,7 +373,7 @@ def run_tangent_size(tier: str, seed: int) -> list[Report]:
     def case(q):
         ctx = make_field_of_order(q)
         fam = families.tangent_family(ctx, 1, 0, 0)
-        want = q * (q - 1) // 2 + 1
+        want = families.tangent_size(q)
         tangency = all(
             intersection_count(ctx, base, g) == 1 for g in fam.members if g != base
         )
@@ -590,27 +511,120 @@ SUITE = [
 ]
 
 
-def cmd_suite(args) -> int:
+
+def _suite(_, args) -> list[Report]:
     if args.claim:
         missing = [c for c in args.claim if c not in dict(SUITE)]
         if missing:
             raise ValueError(f"unknown claim ids: {', '.join(missing)}")
-    reports = [
+    return [
         r for n, fn in SUITE if not args.claim or n in args.claim
         for r in fn(args.tier, args.seed)
     ]
-    return _emit(reports, args.format)
 
 
 # ---------------------------------------------------------------------------
-# parser
+# the commands and their parser
 
+_REQUIRED = {"required": True}
+_REQUIRED_INT = {"type": int, "required": True}
 
-def _add_format(p):
-    p.add_argument(
-        "--format", choices=("jsonl", "csv", "human"), default="jsonl",
-        help="report output format",
-    )
+# Arguments that several commands take, declared once. A command names one
+# as a string, or as (name, keywords) to add or override keywords.
+ARGUMENTS = {
+    "--field": {"required": True, "help": "field spec, p^n or p^n/c0,c1,...,cn"},
+    "--format": {"choices": ("jsonl", "csv", "human"), "default": "jsonl",
+                 "help": "report output format"},
+    "--budget": {"type": int, "default": DEFAULT_NODE_BUDGET, "help": "search node budget"},
+    "--k": {"type": int, "default": 2},
+    "--t": {"type": int, "default": 1},
+    "--predicate": {"choices": ("min", "max"), "default": "min"},
+    "--seed": {"type": int, "default": DEFAULT_SEED},
+    "--x": _REQUIRED_INT,
+    "--poly": {"required": True, "help": "coefficient indices, low degree first"},
+    "--file": _REQUIRED,
+    "--out": {"help": "write to file instead of stdout"},
+}
+
+GROUPS = {
+    "field": "field construction and arithmetic",
+    "poly": "evaluate and intersect polynomials",
+    "directions": "direction sets of function graphs",
+    "charsum": "character sums and square scans",
+    "families": "family constructions and file checks",
+    "search": "clique search and randomized probes",
+}
+
+# One row per command: (group, name, help, arguments, run). A row without
+# a name is a top-level command. run(ctx, args) gets the parsed --field
+# (None for a command without one) and returns a list of reports, a
+# (dict, exit code) pair, or the exit code after printing its own lines.
+# A report command names its engine through the engine's module, as the
+# SUITE rows do, so a patched module attribute sees the call.
+COMMANDS = [
+    ("field", "info", "tables and parameters of a field", ["--field"], _field_info),
+    ("field", "arith", "single arithmetic operation",
+     ["--field",
+      ("--op", {"required": True, "choices": (
+          "add", "sub", "mul", "div", "pow", "frobenius", "trace", "norm", "char")}),
+      "--x", ("--y", {"type": int, "default": 0})],
+     _field_arith),
+    ("poly", "eval", "evaluate at a point",
+     ["--field", "--poly", "--x"], _poly_eval),
+    ("poly", "intersect", "shared points of two graphs",
+     ["--field", ("--f", _REQUIRED), ("--g", _REQUIRED)], _poly_intersect),
+    ("directions", "set", "direction set of a value table",
+     ["--field", ("--values", {"required": True, "help": "q comma-separated element indices"})],
+     _directions_set),
+    ("directions", "carlitz", "proper direction span forces affine", ["--field", "--format"],
+     lambda ctx, args: [directions.carlitz_scan(ctx)]),
+    ("charsum", "weil", "character sum against the root bound",
+     ["--field", "--poly", ("--a", {"type": int, "default": 1})], _charsum_weil),
+    ("charsum", "quad", "closed form vs brute force for a quadratic",
+     ["--field", ("--abc", {"required": True, "help": "a,b,c for a x^2 + b x + c"})],
+     _charsum_quad),
+    ("charsum", "square-test", "polynomial square root, if any",
+     ["--field", "--poly"], _charsum_square_test),
+    ("charsum", "square-scan", "coefficient relations on square shapes",
+     ["--field", ("--frob-k", {"type": int, "default": 1}), "--format"],
+     lambda ctx, args: [charsum.square_coefficient_scan(ctx, args.frob_k)]),
+    ("charsum", "shortcut", "large square-value sets force the coefficient relation",
+     ["--field", "--format"], lambda ctx, args: [charsum.shortcut_scan(ctx)]),
+    ("charsum", "mcconnel", "power map classification scan",
+     ["--field", ("--delta", _REQUIRED_INT), "--format"],
+     lambda ctx, args: [_mcconnel_report(ctx, args.delta)]),
+    ("families", "construct", "write a construction as a family file",
+     [("kind", {"choices": ("pencil", "hm", "tangent")}), "--field",
+      ("--point", {"help": "alpha,beta (pencil, hm)"}),
+      ("--line", {"help": "v,w for the line y = v x + w (hm)"}),
+      ("--quad", {"help": "A,B,C for the base parabola (tangent)"}),
+      ("--k", {"help": "degree bound (pencil)"}), "--out"],
+     _families_construct),
+    ("families", "verify", "check a family file", ["--file", "--t", "--format"],
+     lambda ctx, args: [families.verify_file(args.file, args.t)]),
+    ("families", "extend", "extend a family to its pencil(s)", ["--file"],
+     _families_extend),
+    ("families", "threshold", "exact stability threshold decision",
+     [("--q", _REQUIRED_INT), ("--size", _REQUIRED_INT), "--k"], _families_threshold),
+    ("search", "ekr", "maximum clique equals the pencil size",
+     ["--field", "--k", "--budget", "--format"],
+     lambda ctx, args: [search.ekr_oracle(ctx, args.k, args.budget)]),
+    ("search", "clique", "exact maximum clique of an intersection graph",
+     ["--field", "--k", "--t", "--predicate", "--budget"], _search_clique),
+    ("search", "sam0", "clique bounds on both sides of t-intersection",
+     ["--field", ("--k", _REQUIRED), ("--t", _REQUIRED), "--format"],
+     lambda ctx, args: [search.sam0_check(ctx, args.k, args.t)]),
+    ("search", "probe", "randomized maximal intersecting families",
+     ["--field", ("--trials", {"type": int, "default": 1000}), "--seed", "--format"],
+     lambda ctx, args: [search.stability_probe(ctx, args.trials, args.seed)]),
+    ("search", "graph", "dump an intersection graph",
+     ["--field", "--k", "--t", "--predicate", "--out"], _search_graph),
+    ("suite", None, "run the claim suite",
+     [("--tier", {"choices": ("fast", "full", "extended"), "default": "fast"}),
+      ("--claim", {"action": "append", "help": "run only this claim id (repeatable)"}),
+      "--seed", "--format"],
+     _suite),
+]
 
 
 @functools.cache
@@ -623,149 +637,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("field", help="field construction and arithmetic")
-    fsub = p.add_subparsers(dest="sub", required=True)
-    pi = fsub.add_parser("info", help="tables and parameters of a field")
-    pi.add_argument("--field", required=True, help="field spec, p^n or p^n/c0,c1,...,cn")
-    pi.set_defaults(func=cmd_field_info)
-    pa = fsub.add_parser("arith", help="single arithmetic operation")
-    pa.add_argument("--field", required=True)
-    pa.add_argument("--op", required=True,
-                    choices=("add", "sub", "mul", "div", "pow", "frobenius", "trace", "norm", "char"))
-    pa.add_argument("--x", type=int, required=True)
-    pa.add_argument("--y", type=int, default=0)
-    pa.set_defaults(func=cmd_field_arith)
-
-    p = sub.add_parser("poly", help="evaluate and intersect polynomials")
-    psub = p.add_subparsers(dest="sub", required=True)
-    pe = psub.add_parser("eval", help="evaluate at a point")
-    pe.add_argument("--field", required=True)
-    pe.add_argument("--poly", required=True, help="coefficient indices, low degree first")
-    pe.add_argument("--x", type=int, required=True)
-    pe.set_defaults(func=cmd_poly_eval)
-    px = psub.add_parser("intersect", help="shared points of two graphs")
-    px.add_argument("--field", required=True)
-    px.add_argument("--f", required=True)
-    px.add_argument("--g", required=True)
-    px.set_defaults(func=cmd_poly_intersect)
-
-    p = sub.add_parser("directions", help="direction sets of function graphs")
-    dsub = p.add_subparsers(dest="sub", required=True)
-    dd = dsub.add_parser("set", help="direction set of a value table")
-    dd.add_argument("--field", required=True)
-    dd.add_argument("--values", required=True, help="q comma-separated element indices")
-    dd.set_defaults(func=cmd_directions_set)
-    dc = dsub.add_parser("carlitz", help="proper direction span forces affine")
-    dc.add_argument("--field", required=True)
-    _add_format(dc)
-    dc.set_defaults(func=cmd_directions_carlitz)
-
-    p = sub.add_parser("charsum", help="character sums and square scans")
-    csub = p.add_subparsers(dest="sub", required=True)
-    cw = csub.add_parser("weil", help="character sum against the root bound")
-    cw.add_argument("--field", required=True)
-    cw.add_argument("--poly", required=True)
-    cw.add_argument("--a", type=int, default=1)
-    cw.set_defaults(func=cmd_charsum_weil)
-    cq = csub.add_parser("quad", help="closed form vs brute force for a quadratic")
-    cq.add_argument("--field", required=True)
-    cq.add_argument("--abc", required=True, help="a,b,c for a x^2 + b x + c")
-    cq.set_defaults(func=cmd_charsum_quad)
-    ct = csub.add_parser("square-test", help="polynomial square root, if any")
-    ct.add_argument("--field", required=True)
-    ct.add_argument("--poly", required=True)
-    ct.set_defaults(func=cmd_charsum_square_test)
-    cs = csub.add_parser("square-scan", help="coefficient relations on square shapes")
-    cs.add_argument("--field", required=True)
-    cs.add_argument("--frob-k", type=int, default=1, dest="frob_k")
-    _add_format(cs)
-    cs.set_defaults(func=cmd_charsum_square_scan)
-    ch = csub.add_parser("shortcut", help="large square-value sets force the coefficient relation")
-    ch.add_argument("--field", required=True)
-    _add_format(ch)
-    ch.set_defaults(func=cmd_charsum_shortcut)
-    cm = csub.add_parser("mcconnel", help="power map classification scan")
-    cm.add_argument("--field", required=True)
-    cm.add_argument("--delta", type=int, required=True)
-    _add_format(cm)
-    cm.set_defaults(func=cmd_charsum_mcconnel)
-
-    p = sub.add_parser("families", help="family constructions and file checks")
-    msub = p.add_subparsers(dest="sub", required=True)
-    mc = msub.add_parser("construct", help="write a construction as a family file")
-    mc.add_argument("kind", choices=("pencil", "hm", "tangent"))
-    mc.add_argument("--field", required=True)
-    mc.add_argument("--point", help="alpha,beta (pencil, hm)")
-    mc.add_argument("--line", help="v,w for the line y = v x + w (hm)")
-    mc.add_argument("--quad", help="A,B,C for the base parabola (tangent)")
-    mc.add_argument("--k", type=int, default=2, help="degree bound (pencil)")
-    mc.add_argument("--out", help="write to file instead of stdout")
-    mc.set_defaults(func=cmd_families_construct)
-    mv = msub.add_parser("verify", help="check a family file")
-    mv.add_argument("--file", required=True)
-    mv.add_argument("--t", type=int, default=1)
-    _add_format(mv)
-    mv.set_defaults(func=cmd_families_verify)
-    me = msub.add_parser("extend", help="extend a family to its pencil(s)")
-    me.add_argument("--file", required=True)
-    me.set_defaults(func=cmd_families_extend)
-    mt = msub.add_parser("threshold", help="exact stability threshold decision")
-    mt.add_argument("--q", type=int, required=True)
-    mt.add_argument("--size", type=int, required=True)
-    mt.add_argument("--k", type=int, default=2)
-    mt.set_defaults(func=cmd_families_threshold)
-
-    p = sub.add_parser("search", help="clique search and randomized probes")
-    ssub = p.add_subparsers(dest="sub", required=True)
-    se = ssub.add_parser("ekr", help="maximum clique equals the pencil size")
-    se.add_argument("--field", required=True)
-    se.add_argument("--k", type=int, default=2)
-    se.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET, help="search node budget")
-    _add_format(se)
-    se.set_defaults(func=cmd_search_ekr)
-    sc = ssub.add_parser("clique", help="exact maximum clique of an intersection graph")
-    sc.add_argument("--field", required=True)
-    sc.add_argument("--k", type=int, default=2)
-    sc.add_argument("--t", type=int, default=1)
-    sc.add_argument("--predicate", choices=("min", "max"), default="min")
-    sc.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET, help="search node budget")
-    sc.set_defaults(func=cmd_search_clique)
-    s0 = ssub.add_parser("sam0", help="clique bounds on both sides of t-intersection")
-    s0.add_argument("--field", required=True)
-    s0.add_argument("--k", type=int, required=True)
-    s0.add_argument("--t", type=int, required=True)
-    _add_format(s0)
-    s0.set_defaults(func=cmd_search_sam0)
-    sp = ssub.add_parser("probe", help="randomized maximal intersecting families")
-    sp.add_argument("--field", required=True)
-    sp.add_argument("--trials", type=int, default=1000)
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    _add_format(sp)
-    sp.set_defaults(func=cmd_search_probe)
-    sg = ssub.add_parser("graph", help="dump an intersection graph")
-    sg.add_argument("--field", required=True)
-    sg.add_argument("--k", type=int, default=2)
-    sg.add_argument("--t", type=int, default=1)
-    sg.add_argument("--predicate", choices=("min", "max"), default="min")
-    sg.add_argument("--out")
-    sg.set_defaults(func=cmd_search_graph)
-
-    p = sub.add_parser("suite", help="run the claim suite")
-    p.add_argument("--tier", choices=("fast", "full", "extended"), default="fast")
-    p.add_argument("--claim", action="append", help="run only this claim id (repeatable)")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    _add_format(p)
-    p.set_defaults(func=cmd_suite)
-
+    leaves = {
+        group: sub.add_parser(group, help=text).add_subparsers(dest="sub", required=True)
+        for group, text in GROUPS.items()
+    }
+    for group, name, text, arguments, run in COMMANDS:
+        if name is None:
+            p = sub.add_parser(group, help=text)
+        else:
+            p = leaves[group].add_parser(name, help=text)
+        for arg in arguments:
+            flag, keywords = (arg, {}) if isinstance(arg, str) else arg
+            p.add_argument(flag, **{**ARGUMENTS.get(flag, {}), **keywords})
+        p.set_defaults(run=run)
     return ap
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        field = getattr(args, "field", None)
+        out = args.run(None if field is None else parse_field_spec(field), args)
+        if isinstance(out, list):
+            return _emit(out, args.format)
+        if isinstance(out, tuple):
+            print(json.dumps(out[0], sort_keys=True))
+            return out[1]
+        return out  # the command printed its own lines
     except (FieldError, families.FamilyError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

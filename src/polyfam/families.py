@@ -60,6 +60,21 @@ class Family:
         return f in self.members
 
 
+def pencil_size(q: int, k: int) -> int:
+    """q^k, the number of polynomials of degree at most k through a point."""
+    return q**k
+
+
+def hilton_milner_size(q: int) -> int:
+    """(q^2 + q) / 2, the size of the hilton_milner family."""
+    return (q * q + q) // 2
+
+
+def tangent_size(q: int) -> int:
+    """q(q - 1) / 2 + 1, the size of the tangent_family at odd q."""
+    return q * (q - 1) // 2 + 1
+
+
 def pencil(ctx: FieldCtx, alpha: Fe, beta: Fe, k: int) -> Family:
     """All q^k polynomials of degree at most k through (alpha, beta):
     the constant coefficient is determined by the k free upper ones."""
@@ -251,14 +266,22 @@ def threshold_for(q: int, k: int = 2) -> StabilityThreshold:
     return StabilityThreshold(q, c, 8 * q * q + c * q, 1 - 2 * q)
 
 
-def exceeds_threshold(q: int, size: int, k: int = 2) -> bool:
-    """Integer-only decision of size > q^k - q^(k-1) for k = 1 or k > 2,
-    or the refined k = 2 threshold."""
+def threshold(q: int, k: int = 2) -> int | float:
+    """The stability threshold q^k - q^(k-1) for k = 1 or k > 2, or the
+    refined k = 2 threshold as a float."""
     if k < 1:
         raise FamilyError(f"the threshold needs k >= 1, got {k}")
     if k == 2:
+        return threshold_for(q).as_float()
+    return q**k - q ** (k - 1)
+
+
+def exceeds_threshold(q: int, size: int, k: int = 2) -> bool:
+    """Integer-only decision of size > threshold(q, k): the k = 2
+    threshold is irrational, so it is decided by its exact encoding."""
+    if k == 2:
         return threshold_for(q).exceeded_by(size)
-    return size > q**k - q ** (k - 1)
+    return size > threshold(q, k)
 
 
 # ---------------------------------------------------------------------------

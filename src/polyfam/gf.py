@@ -24,6 +24,7 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
+import math
 import operator
 from array import array
 from dataclasses import dataclass
@@ -46,22 +47,11 @@ class FieldError(ValueError):
     """Invalid field spec, or an operation outside its domain."""
 
 
-def _is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    if m % 2 == 0:
-        return m == 2
-    f = 3
-    while f * f <= m:
-        if m % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def _check_order(p: int, n: int) -> None:
     """FieldError unless p is prime, n >= 1 and p^n is within the table cap."""
-    if not _is_prime(p):
+    # stop at the least factor: _prime_factors(p) would go on dividing, and
+    # trial division of a large cofactor does not end
+    if p < 2 or any(p % f == 0 for f in range(2, math.isqrt(p) + 1)):
         raise FieldError(f"p must be prime, got {p}")
     if n < 1:
         raise FieldError(f"n must be positive, got {n}")

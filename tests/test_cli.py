@@ -431,6 +431,46 @@ def test_search_graph_out_writes_the_stdout_lines(tmp_path, capsys):
     assert out == json.dumps({"written": str(path), "vertices": 4}) + "\n"
     assert path.read_text(encoding="utf-8") == stdout_lines
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("field", "info", "--field", "3^2"),
+        ("field", "arith", "--field", "5", "--op", "div", "--x", "3", "--y", "2"),
+        ("poly", "eval", "--field", "5", "--poly", "1,0,1", "--x", "2"),
+        ("poly", "intersect", "--field", "5", "--f", "0,0,1", "--g", "0,1,0"),
+        ("directions", "set", "--field", "5", "--values", "0,1,2,3,4"),
+        ("charsum", "weil", "--field", "3^2", "--poly", "0,1,0,1"),
+        ("charsum", "quad", "--field", "7", "--abc", "1,0,1"),
+        ("charsum", "square-test", "--field", "5", "--poly", "4"),
+        ("families", "extend", "--file", "{pencil}"),
+        ("families", "threshold", "--q", "25", "--size", "604"),
+        ("search", "clique", "--field", "3", "--k", "2"),
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_dict_commands_print_sorted_keys(tmp_path, capsys, argv):
+    """A command that prints a dict prints one JSON line with sorted keys."""
+    pencil = tmp_path / "pen.fam"
+    pencil.write_text("5^1\n0,0,1\n0,1,0\n", encoding="utf-8")
+    code, out, _ = run(capsys, *(a.format(pencil=pencil) for a in argv))
+    assert code == 0
+    assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "command", [(group, name) for group, name, *_ in cli.COMMANDS],
+    ids=lambda command: " ".join(filter(None, command)),
+)
+def test_every_command_has_help_and_is_in_the_readme(capsys, command):
+    words = list(filter(None, command))
+    with pytest.raises(SystemExit) as ei:
+        main([*words, "--help"])
+    assert ei.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: polyfam {' '.join(words)}")
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    assert f"polyfam {' '.join(words)}" in readme
+
+
 def test_suite_claim_filter_jsonl(capsys):
     code, out, _ = run(capsys, "suite", "--claim", "pencil-size")
     assert code == 0

@@ -406,6 +406,14 @@ def test_construction_rejections():
         ctx.inv(0)
 
 
+@pytest.mark.parametrize("p", [0, 1, 4, -3, 17 * 58823529411764705882352941176471])
+def test_non_prime_characteristic_is_rejected(p):
+    """The last p is 10^33 + 7: the check stops at its factor 17 rather
+    than trial-dividing the 32-digit cofactor."""
+    with pytest.raises(FieldError, match=f"^p must be prime, got {p}$"):
+        make_field(p, 1)
+
+
 def test_factor_prime_power():
     assert factor_prime_power(8) == (2, 3)
     assert factor_prime_power(7) == (7, 1)
