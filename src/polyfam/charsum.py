@@ -326,17 +326,61 @@ def _in_at_most(masks, allowed: int, full: int) -> int:
     return full ^ at_least[-1]
 
 
+def _bits(mask: int, q: int):
+    """(b, c) for each set bit b q + c of mask, in bit order."""
+    while mask:
+        low = mask & -mask
+        yield divmod(low.bit_length() - 1, q)
+        mask ^= low
+
+
+def _shortcut_violations(ctx: FieldCtx, large_bc):
+    """The large l(x) = a x^(s+1) + d x^s + b x + c with a^s b != d^s a,
+    in (a, d, b, c) order. large_bc[i] has bit b q + c set when
+    (g^i, 0, b, c) is large. a = g^i r^(s+1) with r = g^k, k the quotient
+    of log a by s + 1, so the large (b, c) of (a, 0) are the (b r, c); of
+    (a, d) the images of those under x -> x + d/a. Each image is checked
+    on its own coefficients."""
+    q, s, half_n = ctx.q, ctx.sqrt_q, ctx.n // 2
+    add, mul = ctx.add, ctx.mul
+    for a in range(1, q):
+        k, i = divmod(ctx.log[a], s + 1)
+        if not large_bc[i] >> q:  # b = 0 throughout: no violation in this coset
+            continue
+        r = ctx.exp[k]
+        fa = ctx.frobenius(a, half_n)
+        at_d0 = [(mul(b, r), c) for b, c in _bits(large_bc[i], q)]
+        for d in range(q):
+            t = ctx.div(d, a)
+            at_s, at_s1 = mul(a, ctx.pow(t, s)), mul(a, ctx.pow(t, s + 1))
+            rhs = mul(ctx.frobenius(d, half_n), a)
+            for b, c in sorted((add(b, at_s), add(add(c, mul(b, t)), at_s1)) for b, c in at_d0):
+                if mul(fa, b) != rhs:
+                    yield {"a": a, "d": d, "b": b, "c": c}
+
+
 def shortcut_scan(ctx: FieldCtx) -> Report:
-    """For odd square q > 9, scan every l(x) = a x^(s+1) + d x^s + b x + c
+    """For odd square q > 9, decide every l(x) = a x^(s+1) + d x^s + b x + c
     with a != 0 (s = sqrt(q)): whenever l takes square values on more
     than q - s/2 + 1/2 points, assert a^s b = d^s a. Also runs the
     positive control: s0^2 (t + r x)^(s+1) takes only square values.
 
-    The main scan takes all q^3 triples (d, b, c) of one a at once: a
-    mask has one slot per d, q^2 bits rounded up to whole bytes, and bit
-    b*q + c of slot d stands for the l with those d, b and c. The masks
-    are joined from the bytes of per-slot masks, read through rows of
-    the addition and multiplication tables that are built once."""
+    The (q-1) q^3 polynomials are decided from (s+1) q^2 representatives.
+    A change of variable x -> r x + t (r != 0) only reorders the q points,
+    so l and its substitute take the same values and have the same
+    nonsquare count, whatever the character table. As
+    (x + t)^s = x^s + t^s, x -> x + t maps (a, 0, b, c) to
+    (a, a t, b + a t^s, c + b t + a t^(s+1)), and x -> r x maps
+    (a, 0, b, c) to (a r^(s+1), 0, b r, c), where r^(s+1) runs over
+    F_s^*. So the scan takes d = 0 and one a per coset of F_s^* in F_q^*,
+    a = g^i for 0 <= i <= s, g the generator, and each large (b, c) of a
+    representative stands for q (s-1) large polynomials. The relation is
+    invariant under both maps and reads b = 0 at d = 0, so the images are
+    expanded, for the witnesses, only when some large representative has
+    b != 0. `scanned` counts the polynomials decided, (q-1) q^3.
+
+    One mask per x holds every (b, c) of one representative a: bit
+    b q + c is set when a x^(s+1) + b x + c is a nonsquare."""
     watch = Stopwatch()
     q = ctx.q
     if q % 2 == 0 or ctx.sqrt_q is None:
@@ -344,11 +388,9 @@ def shortcut_scan(ctx: FieldCtx) -> Report:
     if q <= 9:
         raise FieldError("shortcut scan needs q > 9")
     s = ctx.sqrt_q
-    half_n = ctx.n // 2
     qc = ctx.qchar_table
     norm = ctx.norm_table
     xs = list(range(q))
-    xp_s = [ctx.pow(x, s) for x in xs]
     xp_s1 = [ctx.pow(x, s + 1) for x in xs]
     # smallest integer count clearing q - s/2 + 1/2
     min_large = (2 * q - s + 1) // 2 + 1
@@ -358,52 +400,21 @@ def shortcut_scan(ctx: FieldCtx) -> Report:
     mul = ctx.mul
     add_rows = [[add(u, v) for v in xs] for u in xs]  # add_rows[u][v] = u + v
     mul_rows = [[mul(u, v) for v in xs] for u in xs]  # mul_rows[u][v] = u v
-    times = list(zip(*mul_rows))  # times[v][u] = u v
     nonsquare = [int(v < 0) for v in qc]
     # nonsq_c[w]: the c with w + c a nonsquare, bit c
     nonsq_c = [sum(map(lshift, map(nonsquare.__getitem__, row), xs)) for row in add_rows]
-    # nonsq_at[x][w]: the bytes of the slot of (b, c) with w + b x + c a
-    # nonsquare, read at w = a x^(s+1) + d x^s
-    slot = (q * q + 7) // 8
     b_shifts = [b * q for b in xs]
-    nonsq_at = [
-        [
-            sum(map(lshift, map(nonsq_c.__getitem__, map(row.__getitem__, bx)), b_shifts)).to_bytes(slot, "little")
-            for row in add_rows
-        ]
-        for bx in times
-    ]
-    d_xs = [times[v] for v in xp_s]  # d_xs[x][d] = d x^s
     all_bc = (1 << q * q) - 1
-    full = int.from_bytes(all_bc.to_bytes(slot, "little") * q, "little")  # every slot full
-    large = 0
-    violations = []
-    join = b"".join
-    from_bytes = int.from_bytes
-    for a in range(1, q):
-        fa = ctx.frobenius(a, half_n)
-        # the mask of x: slot d read at w = a x^(s+1) + d x^s
+    large_bc = []  # large_bc[i]: the large (b, c) of a = g^i, bit b q + c
+    for a in ctx.exp[: s + 1]:
+        # the mask of x: bit b q + c read at w = a x^(s+1) + b x
         masks = (
-            from_bytes(join(map(at_x.__getitem__, map(add_rows[ax].__getitem__, dx))), "little")
-            for at_x, ax, dx in zip(nonsq_at, map(mul_rows[a].__getitem__, xp_s1), d_xs)
+            sum(map(lshift, map(nonsq_c.__getitem__, map(add_rows[ax].__getitem__, bx)), b_shifts))
+            for ax, bx in zip(map(mul_rows[a].__getitem__, xp_s1), mul_rows)
         )
-        ok_all = _in_at_most(masks, allowed_nonsquare, full)
-        if not ok_all:
-            continue
-        large += ok_all.bit_count()
-        ok_bytes = ok_all.to_bytes(slot * q, "little")
-        for d in range(q):
-            ok = from_bytes(ok_bytes[d * slot : (d + 1) * slot], "little")
-            if not ok:
-                continue
-            # a^s b = d^s a holds for exactly one b, as a^s != 0
-            b_rel = ctx.div(mul(ctx.frobenius(d, half_n), a), fa)
-            bad = ok & ~(((1 << q) - 1) << b_rel * q)
-            while bad and len(violations) < WITNESS_CAP:
-                low = bad & -bad
-                b, c = divmod(low.bit_length() - 1, q)
-                violations.append({"a": a, "d": d, "b": b, "c": c})
-                bad ^= low
+        large_bc.append(_in_at_most(masks, allowed_nonsquare, all_bc))
+    large = q * (s - 1) * sum(ok.bit_count() for ok in large_bc)
+    violations = list(itertools.islice(_shortcut_violations(ctx, large_bc), WITNESS_CAP))
 
     def control_failures():
         # x -> t + r x is a bijection for r != 0, so (s0, t, r) fails exactly

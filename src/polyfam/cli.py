@@ -240,7 +240,13 @@ def _families_extend(_, args):
     return out, 0
 
 
+# factoring an order near 2^40 by trial division takes well under a second
+THRESHOLD_MAX_ORDER = 1 << 40
+
+
 def _families_threshold(_, args):
+    if args.q > THRESHOLD_MAX_ORDER:
+        raise FieldError(f"families threshold takes q up to 2^40 = {THRESHOLD_MAX_ORDER}, got {args.q}")
     factor_prime_power(args.q)  # validates the order
     out = {
         "q": args.q,
@@ -493,7 +499,7 @@ SUITE = [
     ("direction-span-affine", _per_field(lambda ctx, seed: directions.carlitz_scan(ctx),
                                          fast=(4,), full=(4, 8), extended=(4, 8, 9, 16))),
     ("square-value-shortcut", _per_field(lambda ctx, seed: charsum.shortcut_scan(ctx),
-                                         fast=(25,), extended=(25, 49))),
+                                         fast=(25,), extended=(25, 49, 81, 121))),
     ("square-coeff-relation", _per_field(
         lambda ctx, seed, k: charsum.square_coefficient_scan(ctx, k),
         fast=((9, 1),), extended=((9, 1), (27, 1), (27, 2), (25, 1), (81, 1)))),

@@ -48,14 +48,18 @@ class FieldError(ValueError):
 
 
 def _check_order(p: int, n: int) -> None:
-    """FieldError unless p is prime, n >= 1 and p^n is within the table cap."""
-    # stop at the least factor: _prime_factors(p) would go on dividing, and
-    # trial division of a large cofactor does not end
-    if p < 2 or any(p % f == 0 for f in range(2, math.isqrt(p) + 1)):
+    """FieldError unless p is prime, n >= 1 and p^n is within the table cap.
+
+    Trial division stops at the least factor and at isqrt(cap) = 256: a
+    composite p within the cap has a factor that small. A p or n past the
+    cap is then refused before p^n is formed, so a large prime p or a
+    large n costs at most 255 divisions."""
+    if p < 2 or any(p % f == 0 for f in range(2, min(math.isqrt(p), math.isqrt(MAX_FIELD_ORDER)) + 1)):
         raise FieldError(f"p must be prime, got {p}")
     if n < 1:
         raise FieldError(f"n must be positive, got {n}")
-    if p**n > MAX_FIELD_ORDER:
+    # 2^17 is past the cap, so no n over 16 fits
+    if p > MAX_FIELD_ORDER or n >= MAX_FIELD_ORDER.bit_length() or p**n > MAX_FIELD_ORDER:
         raise FieldError(f"field order {p}^{n} exceeds the table cap {MAX_FIELD_ORDER}")
 
 

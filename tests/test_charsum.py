@@ -678,6 +678,49 @@ def test_shortcut_scan_matches_the_per_pair_mask_kernel_q49(seed):
         assert rep.counters["violations"] == (0 if seed == 0 else 8)
 
 
+@pytest.mark.parametrize("seed,square_rate", [(13, 0.5), (24, 0.4), (14, 0.4)])
+def test_shortcut_witnesses_past_the_first_coset_and_translate(seed, square_rate):
+    """Tables whose violations all lie at one a > 1, fewer than
+    WITNESS_CAP at d = 0, so the witnesses run on into d = 1: the images
+    of the representatives come out in (a, d, b, c) order."""
+    ctx = perturbed_field(5, 2, seed, square_rate)
+    large, violations, control = pointwise_shortcut_scan(ctx)
+    rep = shortcut_scan(ctx)
+    assert rep.counters["largeValueSets"] == large
+    assert rep.witnesses == violations + control
+    assert len(violations) == WITNESS_CAP
+    assert min(w["a"] for w in violations) > 1
+    assert {w["d"] for w in violations} == {0, 1}
+
+
+@pytest.mark.parametrize("p,seed", [(5, None), (5, 3), (7, None), (7, 4)])
+def test_affine_substitution_keeps_the_nonsquare_count(p, seed):
+    """x -> r x + t reorders the points, so l and its substitute have the
+    same nonsquare count under any character table; at d = 0 the
+    translation and the scaling give the coefficients that shortcut_scan
+    expands its representatives by."""
+    ctx = make_field(p, 2) if seed is None else perturbed_field(p, 2, seed, 0.5)
+    q, s = ctx.q, ctx.sqrt_q
+    add, mul, pw = ctx.add, ctx.mul, ctx.pow
+    rng = random.Random(seed)
+
+    def ell(a, d, b, c, x):
+        return add(add(mul(a, pw(x, s + 1)), mul(d, pw(x, s))), add(mul(b, x), c))
+
+    def nonsquares(values):
+        return sum(ctx.qchar_table[v] < 0 for v in values)
+
+    for _ in range(40):
+        a, r = rng.randrange(1, q), rng.randrange(1, q)
+        d, b, c, t = (rng.randrange(q) for _ in range(4))
+        sub = [ell(a, d, b, c, add(mul(r, x), t)) for x in range(q)]
+        assert nonsquares(sub) == nonsquares(ell(a, d, b, c, x) for x in range(q))
+        shifted = (a, mul(a, t), add(b, mul(a, pw(t, s))), add(add(c, mul(b, t)), mul(a, pw(t, s + 1))))
+        assert [ell(*shifted, x) for x in range(q)] == [ell(a, 0, b, c, add(x, t)) for x in range(q)]
+        scaled = (mul(a, pw(r, s + 1)), 0, mul(b, r), c)
+        assert [ell(*scaled, x) for x in range(q)] == [ell(a, 0, b, c, mul(r, x)) for x in range(q)]
+
+
 def test_shortcut_control_witnesses_with_one_bad_norm():
     """A norm table with one nonsquare entry N(y0): the failing set is
     {y0}, not closed under y -> -y as real norms are, so the first failing

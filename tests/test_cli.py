@@ -358,6 +358,37 @@ def test_families_threshold_rejects_k_below_one(capsys):
     assert json.loads(out) == {"exceeds": True, "q": 7, "size": 7, "threshold": 6}
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        # 2^61 - 1 is prime: trial division to its square root would not end
+        (["field", "info", "--field", "2305843009213693951"],
+         "field order 2305843009213693951^1 exceeds the table cap 65536"),
+        # 10^33 + 7 = 17 times a 32-digit cofactor that factoring would divide on
+        (["families", "threshold", "--q", "1000000000000000000000000000000007", "--size", "1"],
+         "families threshold takes q up to 2^40 = 1099511627776"),
+    ],
+)
+def test_orders_past_the_bound_are_refused_before_factoring(argv, message):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    res = subprocess.run(
+        [sys.executable, "-m", "polyfam", *argv], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=10,
+    )
+    assert (res.returncode, res.stdout) == (2, "")
+    assert message in res.stderr
+
+
+def test_families_threshold_takes_orders_up_to_its_bound(capsys):
+    # the largest prime below 2^40, factored by trial division to 2^20
+    code, out, _ = run(capsys, "families", "threshold", "--q", "1099511627689", "--size", "1")
+    assert code == 0
+    assert json.loads(out)["exceeds"] is False
+    code, _, err = run(capsys, "families", "threshold", "--q", str(2**40 + 15), "--size", "1")
+    assert code == 2
+    assert "2^40" in err
+
+
 def test_search_clique_and_budget(capsys):
     # no --budget: the default node budget, which this search fits in
     code, out, _ = run(capsys, "search", "clique", "--field", "3", "--k", "2")

@@ -414,6 +414,16 @@ def test_non_prime_characteristic_is_rejected(p):
         make_field(p, 1)
 
 
+@pytest.mark.parametrize(
+    "p,n", [(65537, 1), (2**61 - 1, 1), (2**127 - 1, 2), (2, 17), (3, 10**18), (257, 2)]
+)
+def test_orders_past_the_cap_are_refused_before_factoring(p, n):
+    """A prime p past the cap is not trial-divided to its square root, and
+    p^n is not formed for a large n."""
+    with pytest.raises(FieldError, match=f"^field order {p}\\^{n} exceeds the table cap {MAX_FIELD_ORDER}$"):
+        make_field(p, n)
+
+
 def test_factor_prime_power():
     assert factor_prime_power(8) == (2, 3)
     assert factor_prime_power(7) == (7, 1)
