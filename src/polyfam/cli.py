@@ -497,7 +497,7 @@ SUITE = [
     ("weil-bound", _per_field(_weil_unit, fast=((9, 200), (25, 200)),
                               full=((9, 1000), (25, 1000), (49, 1000), (121, 1000)))),
     ("direction-span-affine", _per_field(lambda ctx, seed: directions.carlitz_scan(ctx),
-                                         fast=(4,), full=(4, 8), extended=(4, 8, 9, 16))),
+                                         fast=(4,), full=(4, 8), extended=(4, 8, 9, 16, 25, 27))),
     ("square-value-shortcut", _per_field(lambda ctx, seed: charsum.shortcut_scan(ctx),
                                          fast=(25,), extended=(25, 49, 81, 121))),
     ("square-coeff-relation", _per_field(

@@ -5,6 +5,11 @@ The direction set of sigma: F_q -> F_q collects the slopes
 The scan verifies, per field, that any function whose direction set
 spans a proper F_p-subspace must be affine, and counts the affine
 functions it meets along the way.
+
+A span is kept as the additive subgroup itself: a q-bit int with bit e
+set for each element e in it, so {0} is 1 and F_q is 2^q - 1. Adding x
+outside the span S takes the union of the translates S + j*x, j < p,
+with the field's addition, the same code at every characteristic.
 """
 
 from __future__ import annotations
@@ -27,60 +32,37 @@ class DirectionSet:
     span_dim: int
 
 
-class _FpSpan:
-    """Incremental F_p-span of field elements, tracked by row reduction of
-    their base-p digit vectors. Characteristic 2 keeps rows as plain ints."""
-
-    __slots__ = ("ctx", "rows", "dim")
-
-    def __init__(self, ctx: FieldCtx, rows=None, dim=0):
-        self.ctx = ctx
-        self.rows = [] if rows is None else rows
-        self.dim = dim
-
-    def clone(self) -> "_FpSpan":
-        return _FpSpan(self.ctx, list(self.rows), self.dim)
-
-    def add(self, x: Fe) -> bool:
-        """Insert x; True when the dimension grew."""
-        if x == 0:
-            return False
-        ctx = self.ctx
-        if ctx.p == 2:
-            # indices are the digit vectors; classic xor basis
-            v = x
-            for r in self.rows:
-                v = min(v, v ^ r)
-            if v == 0:
-                return False
-            self.rows.append(v)
-            self.rows.sort(reverse=True)
-            self.dim += 1
-            return True
-        p = ctx.p
-        vec = list(ctx.digits_of(x))
-        for lead, row in self.rows:
-            c = vec[lead]
-            if c:
-                for i in range(len(vec)):
-                    vec[i] = (vec[i] - c * row[i]) % p
-        lead = next((i for i, c in enumerate(vec) if c), None)
-        if lead is None:
-            return False
-        inv = pow(vec[lead], -1, p)
-        vec = [(c * inv) % p for c in vec]
-        self.rows.append((lead, vec))
-        self.rows.sort()
-        self.dim += 1
-        return True
+def _span_with(ctx: FieldCtx, span: int, x: Fe) -> int:
+    """The additive span of the subgroup `span` and x: span itself when x
+    is in it, F_q when span has index p, else the union of the translates
+    span + j*x for j < p."""
+    if span >> x & 1:
+        return span
+    q = ctx.q
+    if span.bit_count() * ctx.p == q:
+        return (1 << q) - 1
+    out = rest = span
+    while rest:  # each member e, lowest first, adds e + x, ..., e + (p-1)x
+        low = rest & -rest
+        rest ^= low
+        y = low.bit_length() - 1
+        for _ in range(ctx.p - 1):
+            y = ctx.add(y, x)
+            out |= 1 << y
+    return out
 
 
 def additive_span(ctx: FieldCtx, elems) -> int:
-    """Dimension of the F_p-span of the given elements."""
-    span = _FpSpan(ctx)
+    """Dimension of the F_p-span of the given elements: the exact log_p
+    of the span's size."""
+    span = 1
     for x in elems:
-        span.add(x)
-    return span.dim
+        span = _span_with(ctx, span, x)
+    size, dim = span.bit_count(), 0
+    while size > 1:
+        size //= ctx.p
+        dim += 1
+    return dim
 
 
 def direction_set(ctx: FieldCtx, values) -> DirectionSet:
@@ -132,9 +114,9 @@ def carlitz_scan(ctx: FieldCtx, node_budget: int = DEFAULT_NODE_BUDGET) -> Repor
     if q == 2:
         params["hypothesisNote"] = "classification needs q > 2; this run is vacuous"
 
-    inv_diff = [
-        [ctx.inv(ctx.sub(i, j)) if i != j else 0 for j in range(q)] for i in range(q)
-    ]
+    sub, mul = ctx.sub, ctx.mul
+    inv = [0] + [ctx.inv(d) for d in range(1, q)]
+    full = (1 << q) - 1
 
     affine = 0
     candidates = 0
@@ -142,10 +124,11 @@ def carlitz_scan(ctx: FieldCtx, node_budget: int = DEFAULT_NODE_BUDGET) -> Repor
     aborted = False
     witnesses: list = []
     # the walk, one position m at a time, in a loop rather than a
-    # recursion q deep: spans[m] holds the directions of vals[:m], and
+    # recursion q deep: spans[m] is the span of the directions of vals[:m]
+    # as a q-bit mask, bit e set for each element e in it, and
     # vals[m] + 1 is the next value to try at m once its subtree is done
     vals = [-1] * q
-    spans = [_FpSpan(ctx)] + [None] * (q - 1)
+    spans = [1] + [0] * (q - 1)
     m = 0
     while m >= 0:
         v = vals[m] + 1
@@ -161,13 +144,12 @@ def carlitz_scan(ctx: FieldCtx, node_budget: int = DEFAULT_NODE_BUDGET) -> Repor
             rate = nodes / (time.perf_counter() - watch.t0)
             print(f"direction-span-affine {spec}: {nodes} nodes, {rate:.0f} nodes/s", file=sys.stderr, flush=True)
         vals[m] = v
-        child = spans[m].clone()
-        row = inv_diff[m]
+        child = spans[m]
         for j in range(m):
-            child.add(ctx.mul(ctx.sub(v, vals[j]), row[j]))
-            if child.dim == n:
+            child = _span_with(ctx, child, mul(sub(v, vals[j]), inv[sub(m, j)]))
+            if child == full:
                 break
-        if child.dim == n:
+        if child == full:
             continue
         if m + 1 == q:
             # leaf with a proper direction span: must be affine

@@ -178,14 +178,16 @@ def test_directions_carlitz_has_no_sampler_flags(capsys, flag):
 
 def test_run_carlitz_extended_is_exhaustive():
     reps = dict(cli.SUITE)["direction-span-affine"]("extended", DEFAULT_SEED)
-    assert [r.field_spec for r in reps] == ["2^2", "2^3", "3^2", "2^4"]
+    assert [r.field_spec for r in reps] == ["2^2", "2^3", "3^2", "2^4", "5^2", "3^3"]
     for r in reps:
         p, n = map(int, r.field_spec.split("^"))
         assert r.verdict == "pass"
         assert r.parameters["mode"] == "exhaustive"
         assert r.counters["scanned"] == (p**n) ** (p**n)
-    q16 = reps[-1].counters
-    assert q16["affine"] == 256 and q16["candidates"] == 256
+    counters = {r.field_spec: r.counters for r in reps}
+    assert counters["2^4"]["affine"] == 256 and counters["2^4"]["candidates"] == 256
+    assert counters["5^2"]["affine"] == 625 and counters["5^2"]["nodesVisited"] == 128_401
+    assert counters["3^3"]["affine"] == 729 and counters["3^3"]["nodesVisited"] == 94_069
 
 
 def test_square_scan_extended_tier(capsys):

@@ -1,6 +1,7 @@
 """Direction sets and the exhaustive affine-or-spanning scan."""
 
 import itertools
+import random
 import sys
 
 import pytest
@@ -43,8 +44,6 @@ def brute_span_size(ctx, elems):
 @pytest.mark.parametrize("q", [3, 4, 5, 8, 9])
 def test_direction_set_matches_brute_force(q):
     ctx = make_field_of_order(q)
-    import random
-
     rng = random.Random(q)
     tables = [[ctx.mul(x, x) for x in range(q)], [ctx.add(x, 1) for x in range(q)]]
     tables += [[rng.randrange(q) for _ in range(q)] for _ in range(20)]
@@ -83,6 +82,49 @@ def test_additive_span_dimension(q):
         assert additive_span(ctx, [x]) == 1
 
 
+def mask_members(span):
+    return [e for e in range(span.bit_length()) if span >> e & 1]
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 32, 49, 81, 125])
+def test_mask_span_matches_the_brute_closure(q):
+    """Adding seeded random elements one at a time, each mask is the
+    span: a subgroup holding every element so far, of the brute-force
+    closure's size."""
+    ctx = make_field_of_order(q)
+    full = (1 << q) - 1
+    rng = random.Random(q)
+    grew_past_one = False
+    for _ in range(4):
+        elems = [rng.randrange(q) for _ in range(ctx.n + 2)]
+        span = 1
+        for i, x in enumerate(elems):
+            before = span
+            span = directions._span_with(ctx, span, x)
+            members = mask_members(span)
+            assert len(members) == brute_span_size(ctx, elems[: i + 1])
+            assert ctx.p ** additive_span(ctx, elems[: i + 1]) == len(members)
+            assert all(span >> e & 1 for e in elems[: i + 1])
+            assert all(span >> ctx.add(a, b) & 1 for a in members for b in members)
+            grew_past_one |= before.bit_count() >= ctx.p and span != before
+            # an element already in the span leaves it as it is
+            inside = ctx.add(ctx.mul(rng.randrange(ctx.p), x), rng.choice(members))
+            assert directions._span_with(ctx, span, inside) == span
+    # odd p too: some step grows a span of dimension 1 or more
+    assert grew_past_one
+    # the step from dimension n - 1 to the whole field
+    hyperplane = 1
+    for x in range(q):
+        grown = directions._span_with(ctx, hyperplane, x)
+        if grown != full:
+            hyperplane = grown
+    assert hyperplane.bit_count() * ctx.p == q
+    outside = next(x for x in range(q) if not hyperplane >> x & 1)
+    assert directions._span_with(ctx, hyperplane, outside) == full
+    assert additive_span(ctx, mask_members(hyperplane)) == ctx.n - 1
+    assert additive_span(ctx, mask_members(hyperplane) + [outside]) == ctx.n
+
+
 @pytest.mark.parametrize("q", [3, 4, 5, 8, 9])
 def test_is_affine(q):
     ctx = make_field_of_order(q)
@@ -116,7 +158,7 @@ def unreduced_walk(ctx):
     """carlitz_scan's odometer walk over all q^q tables, sigma(0) free:
     the oracle for its sigma(0) = 0 reduction. Returns affine,
     candidates and nodes visited."""
-    q, n = ctx.q, ctx.n
+    q = ctx.q
     affine = candidates = nodes = 0
     vals = [0] * q
 
@@ -125,10 +167,10 @@ def unreduced_walk(ctx):
         for v in range(q):
             nodes += 1
             vals[m] = v
-            child = span.clone()
+            child = span
             for j in range(m):
-                child.add(ctx.div(ctx.sub(v, vals[j]), ctx.sub(m, j)))
-            if child.dim == n:
+                child = directions._span_with(ctx, child, ctx.div(ctx.sub(v, vals[j]), ctx.sub(m, j)))
+            if child == (1 << q) - 1:
                 continue
             if m + 1 < q:
                 walk(m + 1, child)
@@ -136,7 +178,7 @@ def unreduced_walk(ctx):
                 candidates += 1
                 affine += is_affine(ctx, vals)
 
-    walk(0, directions._FpSpan(ctx))
+    walk(0, 1)
     return affine, candidates, nodes
 
 
@@ -229,6 +271,27 @@ def test_carlitz_scan_walks_past_the_recursion_limit():
     # the first leaf, the constant 0, and its q translates
     assert rep.counters == {"affine": 1024, "candidates": 1024, "nodesVisited": 2001}
     assert rep.witnesses == []
+
+
+def test_carlitz_scan_setup_is_linear_in_q(monkeypatch):
+    """The scan reads one q-entry inverse table: a short budget at 2^10
+    inverts at most q elements, and at 2^16 it stops after 101 nodes
+    where a q-by-q table would first fill 2^32 entries."""
+    ctx = make_field(2, 10)
+    calls = 0
+    field_inv = ctx.inv
+
+    def counting_inv(x):
+        nonlocal calls
+        calls += 1
+        return field_inv(x)
+
+    monkeypatch.setattr(ctx, "inv", counting_inv)
+    assert carlitz_scan(ctx, node_budget=100).verdict == "budget-exceeded"
+    assert 0 < calls <= ctx.q
+    rep = carlitz_scan(make_field(2, 16), node_budget=100)
+    assert rep.verdict == "budget-exceeded"
+    assert rep.counters == {"affine": 0, "candidates": 0, "nodesVisited": 101}
 
 
 def test_carlitz_scan_writes_progress_every_interval(monkeypatch, capsys):

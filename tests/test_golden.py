@@ -150,7 +150,7 @@ TIERS = {
         },
     ),
     "extended": (
-        "e2402cbc662c",
+        "8ec1b3386ed3",
         {
             "ekr-bound": ["2^1", "3^1", "2^2"],
             "pencil-size": ["multiple"],
@@ -160,7 +160,7 @@ TIERS = {
             "tangent-size": ["multiple"],
             "quad-sum-identity": ["3^1", "5^1", "7^1", "3^2", "11^1", "13^1"],
             "weil-bound": ["3^2", "5^2", "7^2", "11^2"],
-            "direction-span-affine": ["2^2", "2^3", "3^2", "2^4"],
+            "direction-span-affine": ["2^2", "2^3", "3^2", "2^4", "5^2", "3^3"],
             "square-value-shortcut": ["5^2", "7^2", "3^4", "11^2"],
             "square-coeff-relation": ["3^2", "3^3", "3^3", "5^2", "3^4"],
             "power-map-class": ["5^1", "3^2", "2^2"],
