@@ -4,6 +4,9 @@ Polynomials here are dense coefficient tuples over F_q, low degree first,
 always trimmed of trailing zeros; the empty tuple is the zero polynomial.
 This representation is separate from polyfun.PolyK because these routines
 care about true degree, not a degree bound.
+
+The power-map scan behind `charsum mcconnel` bounds the directions of a
+function, so it is directions.mcconnel_scan.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from operator import lshift
 
 from .gf import MAX_FIELD_ORDER, FieldCtx, Fe, FieldError
 from .polyfun import PolyK, values_by_log
-from .report import DEFAULT_NODE_BUDGET, WITNESS_CAP, Report, Stopwatch
+from .report import WITNESS_CAP, Report, Stopwatch
 
 DensePoly = tuple  # tuple[int, ...], trimmed
 
@@ -326,17 +329,17 @@ def _in_at_most(masks, allowed: int, full: int) -> int:
     return full ^ at_least[-1]
 
 
-def _bits(mask: int, q: int):
-    """(b, c) for each set bit b q + c of mask, in bit order."""
+def _bits(mask: int, width: int):
+    """(b, c) for each set bit b width + c of mask, in bit order."""
     while mask:
         low = mask & -mask
-        yield divmod(low.bit_length() - 1, q)
+        yield divmod(low.bit_length() - 1, width)
         mask ^= low
 
 
-def _shortcut_violations(ctx: FieldCtx, large_bc):
+def _shortcut_violations(ctx: FieldCtx, large_bc, width: int):
     """The large l(x) = a x^(s+1) + d x^s + b x + c with a^s b != d^s a,
-    in (a, d, b, c) order. large_bc[i] has bit b q + c set when
+    in (a, d, b, c) order. large_bc[i] has bit b width + c set when
     (g^i, 0, b, c) is large. a = g^i r^(s+1) with r = g^k, k the quotient
     of log a by s + 1, so the large (b, c) of (a, 0) are the (b r, c); of
     (a, d) the images of those under x -> x + d/a. Each image is checked
@@ -345,11 +348,11 @@ def _shortcut_violations(ctx: FieldCtx, large_bc):
     add, mul = ctx.add, ctx.mul
     for a in range(1, q):
         k, i = divmod(ctx.log[a], s + 1)
-        if not large_bc[i] >> q:  # b = 0 throughout: no violation in this coset
+        if not large_bc[i] >> width:  # b = 0 throughout: no violation in this coset
             continue
         r = ctx.exp[k]
         fa = ctx.frobenius(a, half_n)
-        at_d0 = [(mul(b, r), c) for b, c in _bits(large_bc[i], q)]
+        at_d0 = [(mul(b, r), c) for b, c in _bits(large_bc[i], width)]
         for d in range(q):
             t = ctx.div(d, a)
             at_s, at_s1 = mul(a, ctx.pow(t, s)), mul(a, ctx.pow(t, s + 1))
@@ -380,7 +383,9 @@ def shortcut_scan(ctx: FieldCtx) -> Report:
     b != 0. `scanned` counts the polynomials decided, (q-1) q^3.
 
     One mask per x holds every (b, c) of one representative a: bit
-    b q + c is set when a x^(s+1) + b x + c is a nonsquare."""
+    b width + c is set when a x^(s+1) + b x + c is a nonsquare, width
+    being q rounded up to a multiple of 8, so that a mask is its q rows'
+    bytes joined, built in time linear in its length."""
     watch = Stopwatch()
     q = ctx.q
     if q % 2 == 0 or ctx.sqrt_q is None:
@@ -401,20 +406,23 @@ def shortcut_scan(ctx: FieldCtx) -> Report:
     add_rows = [[add(u, v) for v in xs] for u in xs]  # add_rows[u][v] = u + v
     mul_rows = [[mul(u, v) for v in xs] for u in xs]  # mul_rows[u][v] = u v
     nonsquare = [int(v < 0) for v in qc]
-    # nonsq_c[w]: the c with w + c a nonsquare, bit c
-    nonsq_c = [sum(map(lshift, map(nonsquare.__getitem__, row), xs)) for row in add_rows]
-    b_shifts = [b * q for b in xs]
-    all_bc = (1 << q * q) - 1
-    large_bc = []  # large_bc[i]: the large (b, c) of a = g^i, bit b q + c
+    # a mask holds one row of bits c per b, each padded to nbytes whole
+    # bytes so that rows join as bytes; nonsq_c[w]: the c with w + c a
+    # nonsquare
+    nbytes = (q + 7) // 8
+    nonsq_c = [sum(map(lshift, map(nonsquare.__getitem__, row), xs)).to_bytes(nbytes, "little") for row in add_rows]
+    all_bc = int.from_bytes(((1 << q) - 1).to_bytes(nbytes, "little") * q, "little")
+    large_bc = []  # large_bc[i]: the large (b, c) of a = g^i, bit 8 nbytes b + c
     for a in ctx.exp[: s + 1]:
-        # the mask of x: bit b q + c read at w = a x^(s+1) + b x
+        # the mask of x: row b read at w = a x^(s+1) + b x, the rows
+        # joined in b order
         masks = (
-            sum(map(lshift, map(nonsq_c.__getitem__, map(add_rows[ax].__getitem__, bx)), b_shifts))
+            int.from_bytes(b"".join(map(nonsq_c.__getitem__, map(add_rows[ax].__getitem__, bx))), "little")
             for ax, bx in zip(map(mul_rows[a].__getitem__, xp_s1), mul_rows)
         )
         large_bc.append(_in_at_most(masks, allowed_nonsquare, all_bc))
     large = q * (s - 1) * sum(ok.bit_count() for ok in large_bc)
-    violations = list(itertools.islice(_shortcut_violations(ctx, large_bc), WITNESS_CAP))
+    violations = list(itertools.islice(_shortcut_violations(ctx, large_bc, 8 * nbytes), WITNESS_CAP))
 
     def control_failures():
         # x -> t + r x is a bijection for r != 0, so (s0, t, r) fails exactly
@@ -443,66 +451,3 @@ def shortcut_scan(ctx: FieldCtx) -> Report:
         wall_time_ms=watch.ms(),
         primary_counter="largeValueSets",
     )
-
-
-# ---------------------------------------------------------------------------
-# power map classification
-
-
-def power_map_exponent(ctx: FieldCtx, delta: int) -> int:
-    """(q-1)/delta, or ValueError unless delta exceeds 1 and divides q-1."""
-    if delta <= 1 or (ctx.q - 1) % delta != 0:
-        raise ValueError("delta must exceed 1 and divide q-1")
-    return (ctx.q - 1) // delta
-
-
-def mcconnel_scan(
-    ctx: FieldCtx, delta: int, node_budget: int = DEFAULT_NODE_BUDGET
-) -> list | None:
-    """All F: F_q -> F_q with F(0) = 0, F(1) = 1 and
-    (F(x) - F(y))^((q-1)/delta) = (x - y)^((q-1)/delta) for all x != y,
-    found by backtracking with first-violation pruning in element order.
-    Returns sorted value tables, or None when the scan would visit more
-    than node_budget nodes."""
-    q = ctx.q
-    e = power_map_exponent(ctx, delta)
-    pw = [ctx.pow(x, e) for x in range(q)]
-    sub = ctx.sub
-    found = []
-    nodes = 0
-    # positions 2.. one at a time, in a loop rather than a recursion q
-    # deep: vals[pos] + 1 is the next value to try at pos
-    vals = [0, 1] + [-1] * (q - 2)
-    pos = 2
-    while pos >= 2:
-        if pos == q:
-            found.append(tuple(vals))
-            pos -= 1
-            continue
-        z = vals[pos] + 1
-        if z == q:
-            vals[pos] = -1
-            pos -= 1
-            continue
-        vals[pos] = z
-        nodes += 1
-        if nodes > node_budget:
-            return None
-        for y in range(pos):
-            if pw[sub(z, vals[y])] != pw[sub(pos, y)]:
-                break
-        else:
-            pos += 1
-    return sorted(found)
-
-
-def power_map_prediction(ctx: FieldCtx, delta: int) -> list:
-    """Value tables of x -> x^(p^j) for 0 <= j < n with delta | p^j - 1,
-    sorted. This is the classified solution set for mcconnel_scan."""
-    q = ctx.q
-    power_map_exponent(ctx, delta)
-    out = set()
-    for j in range(ctx.n):
-        if (ctx.p**j - 1) % delta == 0:
-            out.add(tuple(ctx.frobenius(x, j) for x in range(q)))
-    return sorted(out)

@@ -159,13 +159,13 @@ def _charsum_square_test(ctx, args):
 
 def _mcconnel_report(ctx, delta, node_budget: int = DEFAULT_NODE_BUDGET) -> Report:
     watch = Stopwatch()
-    params = {"delta": delta, "exponent": charsum.power_map_exponent(ctx, delta)}
-    found = charsum.mcconnel_scan(ctx, delta, node_budget)
+    params = {"delta": delta, "exponent": directions.power_map_exponent(ctx, delta)}
+    found = directions.mcconnel_scan(ctx, delta, node_budget)
     witnesses, counters = [], {}
     if found is None:
         params["nodeBudget"] = node_budget
     else:
-        predicted = charsum.power_map_prediction(ctx, delta)
+        predicted = directions.power_map_prediction(ctx, delta)
         counters = {"found": len(found), "predicted": len(predicted)}
         if found != predicted:
             witnesses.append(

@@ -8,13 +8,13 @@ import sys
 
 import pytest
 
+from polyfam.directions import mcconnel_scan, power_map_prediction
 from polyfam.gf import FieldError, make_field, make_field_of_order
 from polyfam.report import WITNESS_CAP, Report, Stopwatch
 from polyfam.charsum import (
     _in_at_most,
     char_sum,
     distinct_root_count,
-    mcconnel_scan,
     perfect_square_test,
     poly_deg,
     poly_divmod,
@@ -23,7 +23,6 @@ from polyfam.charsum import (
     poly_pth_root,
     poly_radical,
     poly_trim,
-    power_map_prediction,
     quad_sum_exact,
     shortcut_scan,
     square_coefficient_scan,
@@ -796,6 +795,14 @@ def test_mcconnel_scan_q4_delta3():
     assert got == brute_mcconnel(ctx, 3)
     assert got == [(0, 1, 2, 3)]
     assert got == power_map_prediction(ctx, 3)
+
+
+@pytest.mark.parametrize("q, delta", [(7, 2), (7, 3), (7, 6), (8, 7), (9, 2), (9, 4)])
+def test_mcconnel_scan_matches_brute(q, delta):
+    ctx = make_field_of_order(q)
+    got = mcconnel_scan(ctx, delta)
+    assert got == brute_mcconnel(ctx, delta)
+    assert got == power_map_prediction(ctx, delta)
 
 
 def test_mcconnel_scan_q9():

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from polyfam import charsum, cli, directions
+from polyfam import cli, directions
 from polyfam.cli import _mcconnel_report, main
 from polyfam.gf import make_field
 from polyfam.report import CSV_HEADER, DEFAULT_SEED
@@ -215,9 +215,9 @@ def test_mcconnel_report_budget_exceeded():
 
 
 def test_exhausted_budget_prints_report_and_exits_1(capsys, monkeypatch):
-    carlitz, mcconnel = directions.carlitz_scan, charsum.mcconnel_scan
+    carlitz, mcconnel = directions.carlitz_scan, directions.mcconnel_scan
     monkeypatch.setattr(directions, "carlitz_scan", lambda ctx: carlitz(ctx, node_budget=10))
-    monkeypatch.setattr(charsum, "mcconnel_scan", lambda ctx, delta, budget: mcconnel(ctx, delta, 5))
+    monkeypatch.setattr(directions, "mcconnel_scan", lambda ctx, delta, budget: mcconnel(ctx, delta, 5))
     for argv in (
         ("directions", "carlitz", "--field", "3^2"),
         ("charsum", "mcconnel", "--field", "3^2", "--delta", "2"),

@@ -13,6 +13,7 @@ from polyfam.directions import (
     carlitz_scan,
     direction_set,
     is_affine,
+    mcconnel_scan,
 )
 
 
@@ -303,6 +304,23 @@ def test_carlitz_scan_writes_progress_every_interval(monkeypatch, capsys):
     assert all(line.endswith(" nodes/s") for line in lines)
     monkeypatch.setattr(directions, "PROGRESS_EVERY", 10**6)
     carlitz_scan(make_field(3, 2))
+    assert capsys.readouterr().err == ""
+
+
+def test_mcconnel_scan_writes_progress_every_interval(monkeypatch, capsys):
+    # 226 nodes at 2^4, delta 5: the fixed F(0) = 0 and F(1) = 1 count too
+    monkeypatch.setattr(directions, "PROGRESS_EVERY", 50)
+    assert mcconnel_scan(make_field(2, 4), 5) == [tuple(range(16))]
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.split(" nodes, ")[0] for line in lines] == [
+        f"power-map-class 2^4 delta 5: {n}" for n in (50, 100, 150, 200)
+    ]
+    assert all(line.endswith(" nodes/s") for line in lines)
+    assert mcconnel_scan(make_field(2, 4), 5, node_budget=225) is None
+    assert mcconnel_scan(make_field(2, 4), 5, node_budget=226) is not None
+    capsys.readouterr()
+    monkeypatch.setattr(directions, "PROGRESS_EVERY", 10**6)
+    mcconnel_scan(make_field(2, 4), 5)
     assert capsys.readouterr().err == ""
 
 

@@ -15,8 +15,7 @@ from fractions import Fraction
 import pytest
 
 from polyfam import search
-from polyfam.charsum import mcconnel_scan
-from polyfam.directions import carlitz_scan
+from polyfam.directions import carlitz_scan, mcconnel_scan
 from polyfam.families import Family, common_point, exceeds_threshold, hilton_milner, pencil
 from polyfam.gf import make_field, make_field_of_order
 from polyfam.polyfun import evaluate, intersection_count
