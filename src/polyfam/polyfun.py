@@ -70,6 +70,11 @@ def intersection_count(ctx: FieldCtx, f: PolyK, g: PolyK) -> int:
     if f.k > 2:
         h = difference(ctx, f, g)
         return (h.coeffs[0] == 0) + values_by_log(ctx, h).count(0)
+    if f.k == 2:
+        f0, f1, f2 = f.coeffs
+        g0, g1, g2 = g.coeffs
+        sub = ctx.sub
+        return ctx.quadratic_root_count(sub(f0, g0), sub(f1, g1), sub(f2, g2))
     return ctx.quadratic_root_count(*map(ctx.sub, f.coeffs, g.coeffs))
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import islice
 from operator import itemgetter
 
 from .families import exceeds_threshold, pencil
@@ -54,8 +55,12 @@ def build_graph(
     Cayley graph on (Z_p)^((k+1)n): a vertex number is the base-p packing
     of its coefficients' digits, and coefficientwise field addition adds
     those digits mod p. Row 0 holds the differences h with an eligible
-    root count; every other row is an earlier row translated by one unit
-    in a single digit, which is two masked shifts.
+    root count. For k <= 2 the counts are read from the root-count table
+    (ctx.quadratic_root_count) in one pass over the coefficients of
+    h = 1, ..., q^(k+1) - 1 in vertex order, and the mask is read from one
+    string of bits; larger k counts each difference with
+    intersection_count. Every other row is an earlier row translated by
+    one unit in a single digit, which is two masked shifts.
     """
     q = ctx.q
     nv = q ** (k + 1)
@@ -63,13 +68,22 @@ def build_graph(
         raise ValueError(f"graph would have {nv} vertices, cap is {VERTEX_CAP}")
     if predicate not in ("min_shared", "max_shared"):
         raise ValueError(f"unknown predicate {predicate!r}")
-    zero = PolyK(k, (0,) * (k + 1))
-    row0 = 0
-    for h in range(1, nv):
-        # shared points of u and u + h = roots of h
-        count = intersection_count(ctx, vertex_to_poly(q, k, h), zero)
-        if count >= t if predicate == "min_shared" else count <= t:
-            row0 |= 1 << h
+    # shared points of u and u + h = roots of h
+    if k <= 2:
+        # digit i of h = 0, 1, ..., nv - 1, its degree-i coefficient: each
+        # value q^i times in a row, the run repeated q^(k-i) times. One
+        # list per digit, not a tuple per h: thousands of short tuples
+        # would stay in the interpreter's tuple free list after the build
+        digits = [[d for d in range(q) for _ in range(q**i)] * q ** (k - i) for i in range(k + 1)]
+        counts = islice(map(ctx.quadratic_root_count, *digits), 1, None)
+    else:
+        zero = PolyK(k, (0,) * (k + 1))
+        counts = (intersection_count(ctx, vertex_to_poly(q, k, h), zero) for h in range(1, nv))
+    # bit[c]: "1" when a difference with c roots is an edge; c <= q
+    bit = ["01"[c >= t if predicate == "min_shared" else c <= t] for c in range(q + 1)]
+    # int(..., 2) reads the highest bit first: reverse the bits of
+    # h = 1, 2, ..., then shift past h = 0, which is no edge
+    row0 = int("".join(map(bit.__getitem__, counts))[::-1], 2) << 1
     p = ctx.p
     full = (1 << nv) - 1
     adj = [row0]

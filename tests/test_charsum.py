@@ -760,13 +760,19 @@ def test_shortcut_scan_validation():
 
 
 def brute_mcconnel(ctx, delta):
-    """Backtracking-free oracle: test every bijection fixing 0 and 1."""
+    """Backtracking-free oracle. At q <= 7 it tests every table with
+    F(0) = 0 and F(1) = 1, q^(q-2) of them, repeated values included; at
+    larger q every bijection fixing 0 and 1."""
     q = ctx.q
     e = (q - 1) // delta
     pw = [ctx.pow(x, e) for x in range(q)]
+    if q <= 7:
+        rests = itertools.product(range(q), repeat=q - 2)
+    else:
+        rests = itertools.permutations(range(2, q))
     out = []
-    for perm in itertools.permutations(range(2, q)):
-        full = (0, 1) + perm
+    for rest in rests:
+        full = (0, 1) + rest
         ok = True
         for x in range(q):
             for y in range(x + 1, q):
@@ -779,6 +785,29 @@ def brute_mcconnel(ctx, delta):
         if ok:
             out.append(full)
     return sorted(out)
+
+
+def brute_mcconnel_nodes(ctx, delta):
+    """The nodes mcconnel_scan visits, by exhaustion: one at each of the
+    two fixed positions, then q, one per value tried at the next
+    position, for every proper prefix F(0), ..., F(m - 1) with
+    2 <= m <= q - 1. A prefix is proper when every direction
+    (F(x) - F(y)) / (x - y) in it is an e-th root of unity; prefixes
+    with repeated values are tested too, and fail (their direction 0 is
+    no root)."""
+    q = ctx.q
+    e = (q - 1) // delta
+    pw = [ctx.pow(x, e) for x in range(q)]
+    proper = 0
+    for m in range(2, q):
+        for rest in itertools.product(range(q), repeat=m - 2):
+            vals = (0, 1) + rest
+            proper += all(
+                pw[ctx.sub(vals[x], vals[y])] == pw[ctx.sub(x, y)]
+                for x in range(m)
+                for y in range(x + 1, m)
+            )
+    return 2 + q * proper
 
 
 def test_mcconnel_scan_q5_matches_brute():
@@ -803,6 +832,17 @@ def test_mcconnel_scan_matches_brute(q, delta):
     got = mcconnel_scan(ctx, delta)
     assert got == brute_mcconnel(ctx, delta)
     assert got == power_map_prediction(ctx, delta)
+
+
+@pytest.mark.parametrize("q, delta", [(4, 3), (5, 2), (5, 4), (7, 2), (7, 3), (7, 6)])
+def test_mcconnel_scan_prunes_exactly_the_improper_prefixes(q, delta):
+    """The scan's node count is the exhaustive count: it prunes a prefix
+    at its first direction outside the group, a repeated value's
+    direction 0 included, and no proper prefix."""
+    ctx = make_field_of_order(q)
+    nodes = brute_mcconnel_nodes(ctx, delta)
+    assert mcconnel_scan(ctx, delta, node_budget=nodes) is not None
+    assert mcconnel_scan(ctx, delta, node_budget=nodes - 1) is None
 
 
 def test_mcconnel_scan_q9():

@@ -140,7 +140,8 @@ def digit_add_graph(ctx, k, t, predicate):
     [
         (2, 1, 1), (2, 1, 2), (2, 1, 3), (2, 2, 1), (2, 2, 2), (2, 2, 3), (2, 3, 1),
         (2, 3, 2), (3, 1, 1), (3, 1, 2), (3, 1, 3), (3, 2, 1), (3, 2, 2), (3, 3, 1),
-        (5, 1, 1), (5, 1, 2), (5, 2, 1), (7, 1, 1), (7, 1, 2),
+        (5, 1, 1), (5, 1, 2), (5, 2, 1), (7, 1, 1), (7, 1, 2), (2, 2, 0), (3, 1, 0),
+        (5, 1, 0),
     ],
 )
 def test_build_graph_matches_digit_add_loop(p, n, k):
@@ -169,6 +170,44 @@ def test_build_graph_q16_k2():
             ctx, vertex_to_poly(16, 2, u), vertex_to_poly(16, 2, v)
         ) >= 1
         assert bool(g.adj[u] >> v & 1) == want, (u, v)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_build_graph_row0_matches_pointwise_roots(q, k):
+    """Row 0 against root counts taken by evaluating each difference at
+    every x, which reads no root-count table."""
+    ctx = make_field_of_order(q)
+    roots = [
+        sum(evaluate(ctx, vertex_to_poly(q, k, h), x) == 0 for x in range(q))
+        for h in range(q ** (k + 1))
+    ]
+    for predicate in ("min_shared", "max_shared"):
+        for t in range(k + 1):
+            row0 = build_graph(ctx, k, t, predicate).adj[0]
+            assert not row0 & 1
+            for h in range(1, q ** (k + 1)):
+                want = roots[h] >= t if predicate == "min_shared" else roots[h] <= t
+                assert bool(row0 >> h & 1) == want, (predicate, t, h)
+
+
+def test_build_graph_counts_no_intersections_at_k_le_2(monkeypatch):
+    """Rows 0 at k <= 2 come from the root-count table alone; above k = 2
+    each difference is one intersection_count, which the patch sees."""
+    calls = Counter()
+
+    def counting(ctx, f, g):
+        calls[f.k] += 1
+        return intersection_count(ctx, f, g)
+
+    monkeypatch.setattr(search, "intersection_count", counting)
+    monkeypatch.setattr("polyfam.polyfun.intersection_count", counting)
+    for q, k in [(16, 2), (9, 2), (7, 1), (4, 0)]:
+        for predicate, t in [("min_shared", 1), ("max_shared", k)]:
+            build_graph(make_field_of_order(q), k, t, predicate)
+    assert not calls
+    build_graph(make_field(2, 1), 3, 1)
+    assert calls == {3: 15}
 
 
 @pytest.mark.parametrize(
