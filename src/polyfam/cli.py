@@ -532,6 +532,14 @@ def _suite(_, args) -> list[Report]:
 # ---------------------------------------------------------------------------
 # the commands and their parser
 
+def _node_budget(text: str) -> int:
+    """--budget: a node count, 0 or more (0 stops a search at its first node)."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"node budget must be >= 0, got {n}")
+    return n
+
+
 _REQUIRED = {"required": True}
 _REQUIRED_INT = {"type": int, "required": True}
 
@@ -541,7 +549,7 @@ ARGUMENTS = {
     "--field": {"required": True, "help": "field spec, p^n or p^n/c0,c1,...,cn"},
     "--format": {"choices": ("jsonl", "csv", "human"), "default": "jsonl",
                  "help": "report output format"},
-    "--budget": {"type": int, "default": DEFAULT_NODE_BUDGET, "help": "search node budget"},
+    "--budget": {"type": _node_budget, "default": DEFAULT_NODE_BUDGET, "help": "search node budget, >= 0"},
     "--k": {"type": int, "default": 2},
     "--t": {"type": int, "default": 1},
     "--predicate": {"choices": ("min", "max"), "default": "min"},

@@ -3,11 +3,13 @@
 Vertices are all q^(k+1) polynomials of degree at most k, numbered by the
 base-q packing of their coefficient index vectors (low-degree coefficient
 is the least significant digit). Adjacency is kept as one bitmask int per
-vertex. The solver is a deterministic branch and bound with a greedy
-colouring bound; it can start from a known clique, as `ekr_oracle` does
-from a pencil once the adjacency confirms it, or decide whether some
-clique above a floor has no common point, as `ekr_oracle`'s equality
-case does.
+vertex; the graphs are Cayley graphs, so row 0 (_row0) determines them.
+`ekr_oracle` proves its maximum from row 0 alone, by a pencil that is a
+clique and a colouring by the cosets f + F_q, and builds and searches
+the graph only when that certificate fails. The solver is a
+deterministic branch and bound with a greedy colouring bound; it can
+start from a known clique, or decide whether some clique above a floor
+has no common point, as `ekr_oracle`'s equality case does.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .polyfun import PolyK, intersection_count
 from .report import DEFAULT_NODE_BUDGET, DEFAULT_SEED, WITNESS_CAP, Report, Stopwatch
 
 VERTEX_CAP = 4096
+ROW0_CAP = 1 << 18  # most differences _row0 counts, q^(k+1)
 DECISION_CAP = 64  # most vertices on which ekr_oracle decides its equality case
 
 
@@ -45,27 +48,18 @@ def vertex_to_poly(q: int, k: int, v: int) -> PolyK:
     return PolyK(k, tuple(coeffs))
 
 
-def build_graph(
-    ctx: FieldCtx, k: int, t: int = 1, predicate: str = "min_shared"
-) -> IntersectionGraph:
-    """Graph on all degree-<=k polynomials; u ~ v when their graphs share
-    at least t points ("min_shared") or at most t points ("max_shared").
-
-    The shared-point count of (u, v) only depends on u - v, so this is a
-    Cayley graph on (Z_p)^((k+1)n): a vertex number is the base-p packing
-    of its coefficients' digits, and coefficientwise field addition adds
-    those digits mod p. Row 0 holds the differences h with an eligible
-    root count. For k <= 2 the counts are read from the root-count table
-    (ctx.quadratic_root_count) in one pass over the coefficients of
-    h = 1, ..., q^(k+1) - 1 in vertex order, and the mask is read from one
-    string of bits; larger k counts each difference with
-    intersection_count. Every other row is an earlier row translated by
-    one unit in a single digit, which is two masked shifts.
-    """
+def _row0(ctx: FieldCtx, k: int, t: int = 1, predicate: str = "min_shared") -> int:
+    """Row 0 of the graph build_graph describes, as one vertex mask: bit h
+    is set when the difference h, a degree-<=k polynomial numbered as a
+    vertex, has an eligible root count. For k <= 2 the counts are read
+    from the root-count table (ctx.quadratic_root_count) in one pass over
+    the coefficients of h = 1, ..., q^(k+1) - 1 in vertex order, and the
+    mask is read from one string of bits; larger k counts each difference
+    with intersection_count. At most ROW0_CAP differences."""
     q = ctx.q
     nv = q ** (k + 1)
-    if nv > VERTEX_CAP:
-        raise ValueError(f"graph would have {nv} vertices, cap is {VERTEX_CAP}")
+    if nv > ROW0_CAP:
+        raise ValueError(f"row 0 would have {nv} differences, cap is ROW0_CAP = {ROW0_CAP}")
     if predicate not in ("min_shared", "max_shared"):
         raise ValueError(f"unknown predicate {predicate!r}")
     # shared points of u and u + h = roots of h
@@ -83,7 +77,26 @@ def build_graph(
     bit = ["01"[c >= t if predicate == "min_shared" else c <= t] for c in range(q + 1)]
     # int(..., 2) reads the highest bit first: reverse the bits of
     # h = 1, 2, ..., then shift past h = 0, which is no edge
-    row0 = int("".join(map(bit.__getitem__, counts))[::-1], 2) << 1
+    return int("".join(map(bit.__getitem__, counts))[::-1], 2) << 1
+
+
+def build_graph(
+    ctx: FieldCtx, k: int, t: int = 1, predicate: str = "min_shared"
+) -> IntersectionGraph:
+    """Graph on all degree-<=k polynomials; u ~ v when their graphs share
+    at least t points ("min_shared") or at most t points ("max_shared").
+
+    The shared-point count of (u, v) only depends on u - v, so this is a
+    Cayley graph on (Z_p)^((k+1)n): a vertex number is the base-p packing
+    of its coefficients' digits, and coefficientwise field addition adds
+    those digits mod p. Row 0 (_row0) holds the differences h with an
+    eligible root count. Every other row is an earlier row translated by
+    one unit in a single digit, which is two masked shifts.
+    """
+    nv = ctx.q ** (k + 1)
+    if nv > VERTEX_CAP:
+        raise ValueError(f"graph would have {nv} vertices, cap is {VERTEX_CAP}")
+    row0 = _row0(ctx, k, t, predicate)
     p = ctx.p
     full = (1 << nv) - 1
     adj = [row0]
@@ -100,7 +113,7 @@ def build_graph(
             adj.append((m & rest) << w | (m & top) >> wrap)
         w = period
     # every row of a Cayley graph has the same degree
-    return IntersectionGraph(q, k, t, predicate, nv, adj, nv * row0.bit_count() // 2)
+    return IntersectionGraph(ctx.q, k, t, predicate, nv, adj, nv * row0.bit_count() // 2)
 
 
 def missing_edge(graph: IntersectionGraph, vertices) -> tuple[int, int] | None:
@@ -245,11 +258,22 @@ def ekr_oracle(ctx: FieldCtx, k: int, budget: int = DEFAULT_NODE_BUDGET) -> Repo
     every maximum clique must be a pencil (share a point). An unproven
     maximum is a lower bound: over q^k it still refutes the claim.
 
-    The search starts from the pencil through (0, 0), the q^k vertices
-    with constant term 0, once the adjacency confirms it is a clique; the
-    greedy colouring of the root then bounds the rest by q^k, so the
-    maximum is proven in one node. A pencil that is not a clique is a
-    witness, and the search then runs without a start.
+    The maximum is decided from row 0 (_row0) alone, with no graph and no
+    search node, by a clique and a colouring that meet. The graph is
+    Cayley, u ~ v exactly when u - v is in row 0, so two mask tests
+    suffice. The pencil through (0, 0), the q^k polynomials with constant
+    term 0 (vertices 0, q, 2q, ...), is a clique when row 0 holds its
+    nonzero members. The q^k cosets f + F_q are independent sets that
+    cover every vertex when row 0 holds none of the nonzero constants
+    (vertices 1, ..., q - 1). Then a clique has at most one vertex per
+    coset, so none beats q^k (the clique-colouring bound, Godsil-Meagher,
+    Erdos-Ko-Rado Theorems: Algebraic Approaches, 2015), and the pencil
+    reaches it. This works up to q^(k+1) = ROW0_CAP vertices.
+
+    When either test fails, the graph is built (up to VERTEX_CAP
+    vertices) and searched: a pencil that is not a clique is a witness,
+    and the search then runs without a start; otherwise the pencil is
+    its start.
 
     The equality case is max_clique's decision, with its own `budget`,
     at floor q^k - 1 with the pencil masks of all q^2 points. A clique it
@@ -269,18 +293,27 @@ def ekr_oracle(ctx: FieldCtx, k: int, budget: int = DEFAULT_NODE_BUDGET) -> Repo
             primary_counter="maxClique",
         )
     q = ctx.q
-    g = build_graph(ctx, k, 1)
+    nv = q ** (k + 1)
+    row0 = _row0(ctx, k)
     witnesses: list = []
-    pencil = range(0, g.n_vertices, q)
-    gap = missing_edge(g, pencil)
-    if gap is None:
-        res = max_clique(g, budget, pencil)
+    pencil = range(0, nv, q)
+    # the pencil less vertex 0: bits q, 2q, ..., nv - q
+    spokes = ((1 << nv) - 1) // ((1 << q) - 1) - 1
+    g = None
+    # the pencil is a clique, and the constants 1, ..., q - 1 are no edge
+    if row0 & spokes == spokes and not row0 & ((1 << q) - 2):
+        res = CliqueResult(q**k, tuple(pencil), 0, True)
     else:
-        witnesses.append({"construction": "pencil through (0, 0)", "missingEdge": list(gap)})
-        res = max_clique(g, budget)
+        g = build_graph(ctx, k, 1)
+        gap = missing_edge(g, pencil)
+        if gap is None:
+            res = max_clique(g, budget, pencil)
+        else:
+            witnesses.append({"construction": "pencil through (0, 0)", "missingEdge": list(gap)})
+            res = max_clique(g, budget)
     counters = {
-        "vertices": g.n_vertices,
-        "edges": g.edge_count,
+        "vertices": nv,
+        "edges": nv * row0.bit_count() // 2,
         "maxClique": res.size,
         "nodesExplored": res.nodes_explored,
     }
@@ -289,8 +322,10 @@ def ekr_oracle(ctx: FieldCtx, k: int, budget: int = DEFAULT_NODE_BUDGET) -> Repo
         params["nodeBudget"] = budget
     if res.size > q**k or (res.proven and res.size < q**k):
         witnesses.append({"maxClique": res.size, "expected": q**k, "witness": list(res.witness)})
-    elif res.proven and g.n_vertices <= DECISION_CAP:
+    elif res.proven and nv <= DECISION_CAP:
         # can a clique of q^k vertices lack a common point?
+        if g is None:
+            g = build_graph(ctx, k, 1)
         points = [(x, y) for x in range(q) for y in range(q)]
         through = _through_masks(ctx, k, points)
         dec = max_clique(g, budget, floor=q**k - 1, through=through)
@@ -304,7 +339,7 @@ def ekr_oracle(ctx: FieldCtx, k: int, budget: int = DEFAULT_NODE_BUDGET) -> Repo
             # lexicographic order of their vertex lists
             pencils = []
             for point, mask in zip(points, through):
-                members = [v for v in range(g.n_vertices) if mask >> v & 1]
+                members = [v for v in range(nv) if mask >> v & 1]
                 if missing_edge(g, members) is None:
                     pencils.append((members, list(point)))
             counters["maximumCliques"] = len(pencils)

@@ -403,6 +403,39 @@ def test_search_clique_and_budget(capsys):
     assert json.loads(out)["proven"] is False
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("search", "ekr", "--field", "2^2", "--budget", "-5"),
+        ("search", "clique", "--field", "2^2", "--k", "1", "--budget", "-1"),
+    ],
+    ids=["ekr", "clique"],
+)
+def test_negative_budget_exits_2(capsys, argv):
+    """A node budget below 0 is a bad invocation: it used to run, and
+    report an unproven result with the negative budget."""
+    with pytest.raises(SystemExit) as ei:
+        main(list(argv))
+    assert ei.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "node budget must be >= 0" in err
+    # 0 is a budget: the search stops at its first node, unproven
+    code, out, _ = run(capsys, *argv[:-1], "0")
+    assert code == 1
+    assert out
+
+
+def test_search_ekr_past_the_vertex_cap(capsys):
+    """2^5 at k = 2 has 32,768 vertices, over VERTEX_CAP: the maximum is
+    proven from row 0 with no graph built."""
+    code, out, _ = run(capsys, "search", "ekr", "--field", "2^5", "--k", "2")
+    assert code == 0
+    d = json.loads(out)
+    assert d["verdict"] == "pass"
+    assert d["counters"] == {"vertices": 32768, "edges": 284426240, "maxClique": 1024, "nodesExplored": 0}
+
+
 def test_search_ekr_k1_is_inapplicable(capsys):
     code, out, _ = run(capsys, "search", "ekr", "--field", "3^1", "--k", "1")
     assert code == 0
@@ -413,8 +446,8 @@ def test_search_ekr_k1_is_inapplicable(capsys):
 
 
 def test_search_ekr_equality_case_stops_at_the_budget(capsys):
-    """The maximum is proven in one node, but deciding the equality case
-    takes more than 100: the report is budget-exceeded, names the budget,
+    """The maximum is proven from row 0 with no node, but deciding the
+    equality case takes more than 100: the report is budget-exceeded, names the budget,
     lists no pencils, and the command exits 1."""
     code, out, _ = run(capsys, "search", "ekr", "--field", "2^2", "--budget", "100")
     assert code == 1

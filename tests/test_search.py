@@ -474,10 +474,84 @@ def test_ekr_oracle_q2_q3():
         "vertices": 27,
         "edges": 243,
         "maxClique": 9,
-        "nodesExplored": 1,
+        "nodesExplored": 0,
         "maximumCliques": 9,
     }
     assert len(rep3.parameters["pencilPoints"]) == 9
+
+
+@pytest.mark.parametrize("q,k", [(2, 2), (3, 2), (4, 2), (5, 2), (2, 3)])
+def test_ekr_certificate_matches_the_search(q, k):
+    """The row-0 certificate proves q^k with no node; the plain search,
+    with no start, proves the same maximum on the whole graph."""
+    ctx = make_field_of_order(q)
+    res = max_clique(build_graph(ctx, k, 1))
+    assert res.proven and res.size == q**k
+    rep = ekr_oracle(ctx, k)
+    assert rep.verdict == "pass"
+    assert rep.counters["maxClique"] == q**k
+    assert rep.counters["nodesExplored"] == 0
+
+
+def patch_row0(monkeypatch, extra=0, drop=0):
+    """Patch the row-0 helper, which build_graph reads too, to add the
+    differences in `extra` and drop those in `drop`."""
+    real = search._row0
+
+    def patched(ctx, k, t=1, predicate="min_shared"):
+        return real(ctx, k, t, predicate) & ~drop | extra
+
+    monkeypatch.setattr(search, "_row0", patched)
+
+
+@pytest.mark.parametrize("c", [1, 3])
+def test_ekr_oracle_searches_when_a_constant_is_an_edge(monkeypatch, c):
+    """Negative control: with the constant c an edge (the first and the
+    last nonzero constant at 2^2, each its own negative), the cosets
+    f + F_q are no colouring, so the certificate fails and the verdict
+    comes from the search on the patched graph."""
+    patch_row0(monkeypatch, extra=1 << c)
+    ctx = make_field(2, 2)
+    rep = ekr_oracle(ctx, 2)
+    want = max_clique(build_graph(ctx, 2, 1), start=range(0, 64, 4))
+    assert rep.counters["nodesExplored"] == want.nodes_explored > 0
+    assert rep.counters["maxClique"] == want.size == 16
+    assert rep.counters["edges"] == 1344 + 32
+    assert rep.verdict == "pass"
+
+
+def test_ekr_oracle_search_finds_a_clique_the_constants_make(monkeypatch):
+    """At 3^1, with every nonzero constant an edge, the search the failed
+    certificate falls back on finds a clique of 9 with no common point."""
+    patch_row0(monkeypatch, extra=(1 << 3) - 2)
+    rep = ekr_oracle(make_field(3, 1), 2)
+    assert rep.counters["nodesExplored"] > 0
+    assert rep.verdict == "fail"
+    assert rep.witnesses == [{"clique": list(range(18, 27)), "commonPoint": None}]
+
+
+def test_ekr_oracle_past_the_vertex_cap(monkeypatch):
+    """The certificate needs row 0 alone, up to ROW0_CAP differences: the
+    32,768-vertex graph at 2^5 is never built. A certificate that fails
+    there needs the graph, and build_graph refuses it."""
+    assert search.VERTEX_CAP < 2**15 <= search.ROW0_CAP
+    rep = ekr_oracle(make_field(2, 5), 2)
+    assert rep.verdict == "pass"
+    assert rep.counters == {"vertices": 2**15, "edges": 284426240, "maxClique": 2**10, "nodesExplored": 0}
+    patch_row0(monkeypatch, extra=1 << 1)
+    with pytest.raises(ValueError, match="graph would have 32768 vertices, cap is 4096"):
+        ekr_oracle(make_field(2, 5), 2)
+
+
+def test_row0_refuses_past_its_cap_before_building(monkeypatch):
+    """The cap is checked before any list is built: the field's root
+    counts are never read."""
+    ctx = make_field(2, 6)
+    monkeypatch.setattr(ctx, "quadratic_root_count", None)
+    with pytest.raises(ValueError, match="ROW0_CAP"):
+        ekr_oracle(ctx, 3)  # 2^24 differences
+    with pytest.raises(ValueError, match="ROW0_CAP"):
+        search._row0(make_field(3, 1), 11)  # 3^12 differences
 
 
 @pytest.mark.parametrize("q", [3, 5])
@@ -507,14 +581,14 @@ def test_ekr_oracle_budget_exceeded():
 
 def test_ekr_oracle_decision_obeys_the_budget():
     """The equality case's decision stops at the node budget too: the
-    maximum is proven from the pencil in one node, but the decision needs
+    maximum is proven from row 0 with no node, but the decision needs
     436 nodes at 2^2, so a smaller budget reports neither entry."""
     ctx = make_field(2, 2)
     for budget in (1, 100, 435):
         rep = ekr_oracle(ctx, 2, budget=budget)
         assert rep.verdict == "budget-exceeded"
         assert rep.parameters == {"k": 2, "proven": True, "nodeBudget": budget}
-        assert rep.counters == {"vertices": 64, "edges": 1344, "maxClique": 16, "nodesExplored": 1}
+        assert rep.counters == {"vertices": 64, "edges": 1344, "maxClique": 16, "nodesExplored": 0}
         assert rep.witnesses == []
     rep = ekr_oracle(ctx, 2, budget=436)
     assert rep.verdict == "pass"
@@ -564,31 +638,24 @@ def test_through_masks_are_the_pencils_through_each_point(q, k):
 
 
 def test_ekr_oracle_refutes_a_pencil_that_is_not_a_clique(monkeypatch):
-    """Negative control: with one edge inside the (0, 0) pencil dropped,
-    the pencil is a witness and the search runs without it."""
-    real = search.build_graph
-    u, v = 4, 8  # 1 x and 2 x (element numbers) at 2^2, both through (0, 0)
-
-    def dropped(ctx, k, t=1, predicate="min_shared"):
-        g = real(ctx, k, t, predicate)
-        g.adj[u] &= ~(1 << v)
-        g.adj[v] &= ~(1 << u)
-        return g
-
+    """Negative control: with the difference 12 = 4 + 8 dropped from row
+    0 (3 x, the sum of 1 x and 2 x at 2^2), no pencil through a point
+    (0, y) is a clique: (0, 12) is the witness, and the search runs
+    without a start."""
+    patch_row0(monkeypatch, drop=1 << 12)
     ctx = make_field(2, 2)
-    monkeypatch.setattr(search, "build_graph", dropped)
     rep = ekr_oracle(ctx, 2)
     assert rep.verdict == "fail"
-    assert rep.witnesses[0] == {"construction": "pencil through (0, 0)", "missingEdge": [u, v]}
+    assert rep.witnesses[0] == {"construction": "pencil through (0, 0)", "missingEdge": [0, 12]}
     assert rep.parameters["proven"]
     assert rep.counters["nodesExplored"] > 1  # the plain search ran
-    # the other 15 pencils are the maximum cliques
-    assert rep.counters["maximumCliques"] == 15
-    assert [0, 0] not in rep.parameters["pencilPoints"]
+    # the 12 pencils through points (x, y), x != 0, are the maximum cliques
+    assert rep.counters["maximumCliques"] == 12
+    assert all(x != 0 for x, _ in rep.parameters["pencilPoints"])
     monkeypatch.undo()
     rep = ekr_oracle(ctx, 2)
     assert rep.verdict == "pass"
-    assert rep.counters["nodesExplored"] == 1
+    assert rep.counters["nodesExplored"] == 0
 
 
 @pytest.mark.parametrize(
@@ -606,7 +673,7 @@ def fake_unproven(size):
     `size`; max_shared graphs are searched for real."""
     real = search.max_clique
 
-    def fake(g, budget=DEFAULT_NODE_BUDGET, start=()):
+    def fake(g, budget=DEFAULT_NODE_BUDGET, start=(), floor=0, through=()):
         if g.predicate == "min_shared":
             return CliqueResult(size, tuple(range(size)), budget + 1, False)
         return real(g, budget)
@@ -615,6 +682,9 @@ def fake_unproven(size):
 
 
 def test_ekr_oracle_unproven_maximum_over_the_bound_fails(monkeypatch):
+    # every nonzero constant an edge: the certificate fails and the
+    # (faked) search decides
+    patch_row0(monkeypatch, extra=(1 << 3) - 2)
     monkeypatch.setattr(search, "max_clique", fake_unproven(10))
     rep = ekr_oracle(make_field(3, 1), 2)
     assert rep.verdict == "fail"
