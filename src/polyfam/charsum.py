@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from operator import lshift
 
 from .gf import MAX_FIELD_ORDER, FieldCtx, Fe, FieldError
 from .polyfun import PolyK, values_by_log
+from .record import FrozenRecord
 from .report import WITNESS_CAP, Report, Stopwatch
 
 DensePoly = tuple  # tuple[int, ...], trimmed
@@ -180,13 +180,17 @@ def quad_sum_exact(ctx: FieldCtx, a: Fe, b: Fe, c: Fe) -> int:
     return (ctx.q - 1) * ch if disc == 0 else -ch
 
 
-@dataclass(frozen=True)
-class CharSumResult:
-    sum_value: int
-    distinct_roots: int
-    bound: float
-    within_bound: bool
-    is_square_shape: bool
+class CharSumResult(FrozenRecord):
+    _fields = ("sum_value", "distinct_roots", "bound", "within_bound", "is_square_shape")
+
+    def __init__(
+        self, sum_value: int, distinct_roots: int, bound: float, within_bound: bool, is_square_shape: bool
+    ):
+        object.__setattr__(self, "sum_value", sum_value)
+        object.__setattr__(self, "distinct_roots", distinct_roots)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "within_bound", within_bound)
+        object.__setattr__(self, "is_square_shape", is_square_shape)
 
 
 def weil_check(ctx: FieldCtx, f: DensePoly, a: Fe = 1) -> CharSumResult:

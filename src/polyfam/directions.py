@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass
 
 from .gf import FieldCtx, Fe
+from .record import FrozenRecord
 from .report import DEFAULT_NODE_BUDGET, WITNESS_CAP, Report, Stopwatch
 
 
@@ -33,10 +33,12 @@ from .report import DEFAULT_NODE_BUDGET, WITNESS_CAP, Report, Stopwatch
 PROGRESS_EVERY = 10**6
 
 
-@dataclass(frozen=True)
-class DirectionSet:
-    members: frozenset
-    span_dim: int
+class DirectionSet(FrozenRecord):
+    _fields = ("members", "span_dim")
+
+    def __init__(self, members: frozenset, span_dim: int):
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "span_dim", span_dim)
 
 
 def _span_with(ctx: FieldCtx, span: int, x: Fe) -> int:

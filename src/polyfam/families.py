@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 from .gf import FieldCtx, Fe, parse_field_spec
 from .polyfun import (
@@ -26,6 +25,7 @@ from .polyfun import (
     parse_poly,
     shared_points,
 )
+from .record import FrozenRecord
 from .report import Report, Stopwatch
 
 
@@ -33,10 +33,12 @@ class FamilyError(ValueError):
     """A family construction or check was asked outside its domain."""
 
 
-@dataclass(frozen=True)
-class Family:
-    k: int
-    members: tuple[PolyK, ...]
+class Family(FrozenRecord):
+    _fields = ("k", "members")
+
+    def __init__(self, k: int, members: tuple[PolyK, ...]):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "members", members)
 
     @classmethod
     def from_polys(cls, k: int, polys) -> "Family":
@@ -188,13 +190,15 @@ def all_common_points(ctx: FieldCtx, fam: Family) -> list[PointAG]:
     return lane_points(ctx, vs[0], common_lanes(ctx.q, vs))
 
 
-@dataclass(frozen=True)
-class ExtensionResult:
+class ExtensionResult(FrozenRecord):
     """The common points of a family: the pencil through each of them
     contains it."""
 
-    unique: bool
-    points: tuple[PointAG, ...]
+    _fields = ("unique", "points")
+
+    def __init__(self, unique: bool, points: tuple[PointAG, ...]):
+        object.__setattr__(self, "unique", unique)
+        object.__setattr__(self, "points", points)
 
 
 def extend_unique(ctx: FieldCtx, fam: Family) -> ExtensionResult:
@@ -236,17 +240,19 @@ def _distinct_tails(fam: Family, t: int) -> bool:
 # stability threshold
 
 
-@dataclass(frozen=True)
-class StabilityThreshold:
+class StabilityThreshold(FrozenRecord):
     """Exact encoding of the k = 2 size threshold
     q^2 - q sqrt(q)/4 + c q/8 + sqrt(q)/8 with c = 1 for even q, 3 for
     odd q: a family size N exceeds it iff 8N > M + K sqrt(q), with
     M = 8 q^2 + c q and K = 1 - 2q."""
 
-    q: int
-    c: int
-    M: int
-    K: int
+    _fields = ("q", "c", "M", "K")
+
+    def __init__(self, q: int, c: int, M: int, K: int):
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "M", M)
+        object.__setattr__(self, "K", K)
 
     def exceeded_by(self, size: int) -> bool:
         lhs = 8 * size

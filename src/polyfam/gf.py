@@ -27,7 +27,8 @@ import itertools
 import math
 import operator
 from array import array
-from dataclasses import dataclass
+
+from .record import FrozenRecord
 
 Fe = int  # element index in [0, q)
 
@@ -140,7 +141,11 @@ def _poly_divides(d, f, p):
     return all(c == 0 for c in rem)
 
 
-def _is_irreducible(modulus, p) -> bool:
+@functools.lru_cache(maxsize=None)
+def _is_irreducible(modulus: tuple[int, ...], p: int) -> bool:
+    """Whether the monic modulus has no monic factor of degree 1..n/2,
+    by trial division. Memoized: FieldSpec tests again the modulus that
+    default_modulus has just proven irreducible."""
     n = len(modulus) - 1
     if n == 1:
         return True
@@ -167,30 +172,29 @@ def default_modulus(p: int, n: int) -> tuple[int, ...]:
     # search starts at constant term 1
     first = range(p) if n == 1 else range(1, p)
     for low in itertools.product(first, *[range(p)] * (n - 1)):
-        coeffs = list(low) + [1]
+        coeffs = (*low, 1)
         if _is_irreducible(coeffs, p):
-            return tuple(coeffs)
+            return coeffs
     raise FieldError(f"no irreducible of degree {n} over F_{p}")  # unreachable
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(FrozenRecord):
     """Validated description of F_{p^n}: prime p, degree n, monic modulus
     of degree n given low degree first."""
 
-    p: int
-    n: int
-    modulus: tuple[int, ...]
+    _fields = ("p", "n", "modulus")
 
-    def __post_init__(self):
-        _check_order(self.p, self.n)
-        m = self.modulus
-        if len(m) != self.n + 1 or m[-1] != 1:
+    def __init__(self, p: int, n: int, modulus: tuple[int, ...]):
+        _check_order(p, n)
+        if len(modulus) != n + 1 or modulus[-1] != 1:
             raise FieldError("modulus must be monic of degree n, low degree first")
-        if any(not (0 <= c < self.p) for c in m):
+        if any(not (0 <= c < p) for c in modulus):
             raise FieldError("modulus coefficients must be reduced mod p")
-        if not _is_irreducible(list(m), self.p):
-            raise FieldError(f"modulus {m} is reducible over F_{self.p}")
+        if not _is_irreducible(tuple(modulus), p):
+            raise FieldError(f"modulus {modulus} is reducible over F_{p}")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "modulus", modulus)
 
     @property
     def q(self) -> int:

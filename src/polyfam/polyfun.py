@@ -11,37 +11,33 @@ compare all q points of two graphs in a few big-int operations.
 
 from __future__ import annotations
 
+import collections
 import functools
 import sys
 from array import array
-from dataclasses import dataclass
-from typing import NamedTuple
 
 from .gf import FieldCtx, Fe, digit_bits
+from .record import FrozenRecord
+
+PointAG = collections.namedtuple("PointAG", "x y")
+PointAG.__doc__ = """Affine plane point (x, y), both element indices."""
 
 
-class PointAG(NamedTuple):
-    """Affine plane point (x, y), both element indices."""
-
-    x: Fe
-    y: Fe
-
-
-@dataclass(frozen=True, slots=True)
-class PolyK:
+class PolyK(FrozenRecord):
     """Degree bound k plus exactly k+1 coefficients, low degree first.
-    Trailing coefficients may be zero; equality is on (k, coeffs)."""
+    Trailing coefficients may be zero; equality is on (k, coeffs).
+    Slotted: intersection_count reads .k and .coeffs on every pair."""
 
-    k: int
-    coeffs: tuple[int, ...]
+    _fields = ("k", "coeffs")
+    __slots__ = _fields
 
-    def __post_init__(self):
-        if self.k < 0:
-            raise ValueError(f"degree bound must be >= 0, got {self.k}")
-        if len(self.coeffs) != self.k + 1:
-            raise ValueError(
-                f"need {self.k + 1} coefficients for k={self.k}, got {len(self.coeffs)}"
-            )
+    def __init__(self, k: int, coeffs: tuple[int, ...]):
+        if k < 0:
+            raise ValueError(f"degree bound must be >= 0, got {k}")
+        if len(coeffs) != k + 1:
+            raise ValueError(f"need {k + 1} coefficients for k={k}, got {len(coeffs)}")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "coeffs", coeffs)
 
 
 def evaluate(ctx: FieldCtx, f: PolyK, x: Fe) -> Fe:

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+
+from .record import Record
 
 VERDICTS = ("pass", "fail", "inapplicable", "budget-exceeded")
 
@@ -23,36 +24,61 @@ DEFAULT_NODE_BUDGET = 10**7
 WITNESS_CAP = 8
 
 
-@dataclass
-class Report:
+class Report(Record):
     """One claim run. A witness refutes the claim, so the report fails;
     without one it passes, unless the run checked nothing (`inapplicable`)
-    or stopped at its budget (`budget-exceeded`)."""
+    or stopped at its budget (`budget-exceeded`). parameters, witnesses
+    and counters default to a new empty dict, list and dict."""
 
-    claim_id: str
-    field_spec: str
-    verdict: str | None = None
-    parameters: dict = field(default_factory=dict)
-    witnesses: list = field(default_factory=list)
-    counters: dict = field(default_factory=dict)
-    wall_time_ms: int = 0
-    seed: int | None = None
-    tool_version: str = ""
-    primary_counter: str | None = None
+    _fields = (
+        "claim_id",
+        "field_spec",
+        "verdict",
+        "parameters",
+        "witnesses",
+        "counters",
+        "wall_time_ms",
+        "seed",
+        "tool_version",
+        "primary_counter",
+    )
 
-    def __post_init__(self):
-        if not self.tool_version:
+    def __init__(
+        self,
+        claim_id: str,
+        field_spec: str,
+        verdict: str | None = None,
+        parameters: dict | None = None,
+        witnesses: list | None = None,
+        counters: dict | None = None,
+        wall_time_ms: int = 0,
+        seed: int | None = None,
+        tool_version: str = "",
+        primary_counter: str | None = None,
+    ):
+        if not tool_version:
             from . import __version__
 
-            self.tool_version = __version__
-        if self.verdict not in (None, *VERDICTS):
-            raise ValueError(f"unknown verdict {self.verdict!r}")
-        if self.witnesses and self.verdict != "pass":
-            self.verdict = "fail"
-        elif self.verdict is None:
-            self.verdict = "pass"
-        if (self.verdict == "fail") != bool(self.witnesses):
+            tool_version = __version__
+        if verdict not in (None, *VERDICTS):
+            raise ValueError(f"unknown verdict {verdict!r}")
+        witnesses = [] if witnesses is None else witnesses
+        if witnesses and verdict != "pass":
+            verdict = "fail"
+        elif verdict is None:
+            verdict = "pass"
+        if (verdict == "fail") != bool(witnesses):
             raise ValueError("a report fails exactly when it carries a witness")
+        self.claim_id = claim_id
+        self.field_spec = field_spec
+        self.verdict = verdict
+        self.parameters = {} if parameters is None else parameters
+        self.witnesses = witnesses
+        self.counters = {} if counters is None else counters
+        self.wall_time_ms = wall_time_ms
+        self.seed = seed
+        self.tool_version = tool_version
+        self.primary_counter = primary_counter
 
     def to_dict(self) -> dict:
         return {

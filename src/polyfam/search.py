@@ -15,13 +15,13 @@ has no common point, as `ekr_oracle`'s equality case does.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import islice
 from operator import itemgetter
 
 from .families import exceeds_threshold, pencil
 from .gf import FieldCtx
 from .polyfun import PolyK, intersection_count
+from .record import FrozenRecord, Record
 from .report import DEFAULT_NODE_BUDGET, DEFAULT_SEED, WITNESS_CAP, Report, Stopwatch
 
 VERTEX_CAP = 4096
@@ -29,15 +29,19 @@ ROW0_CAP = 1 << 18  # most differences _row0 counts, q^(k+1)
 DECISION_CAP = 64  # most vertices on which ekr_oracle decides its equality case
 
 
-@dataclass
-class IntersectionGraph:
-    q: int
-    k: int
-    t: int
-    predicate: str  # "min_shared": count >= t; "max_shared": count <= t
-    n_vertices: int
-    adj: list[int]
-    edge_count: int
+class IntersectionGraph(Record):
+    _fields = ("q", "k", "t", "predicate", "n_vertices", "adj", "edge_count")
+
+    def __init__(
+        self, q: int, k: int, t: int, predicate: str, n_vertices: int, adj: list[int], edge_count: int
+    ):
+        self.q = q
+        self.k = k
+        self.t = t
+        self.predicate = predicate  # "min_shared": count >= t; "max_shared": count <= t
+        self.n_vertices = n_vertices
+        self.adj = adj
+        self.edge_count = edge_count
 
 
 def vertex_to_poly(q: int, k: int, v: int) -> PolyK:
@@ -56,6 +60,10 @@ def _row0(ctx: FieldCtx, k: int, t: int = 1, predicate: str = "min_shared") -> i
     the coefficients of h = 1, ..., q^(k+1) - 1 in vertex order, and the
     mask is read from one string of bits; larger k counts each difference
     with intersection_count. At most ROW0_CAP differences."""
+    if k < 0:
+        raise ValueError(f"degree bound k must be >= 0, got {k}")
+    if t < 0:
+        raise ValueError(f"shared-point count t must be >= 0, got {t}")
     q = ctx.q
     nv = q ** (k + 1)
     if nv > ROW0_CAP:
@@ -135,12 +143,14 @@ def missing_edge(graph: IntersectionGraph, vertices) -> tuple[int, int] | None:
     return None
 
 
-@dataclass(frozen=True)
-class CliqueResult:
-    size: int
-    witness: tuple[int, ...]
-    nodes_explored: int
-    proven: bool
+class CliqueResult(FrozenRecord):
+    _fields = ("size", "witness", "nodes_explored", "proven")
+
+    def __init__(self, size: int, witness: tuple[int, ...], nodes_explored: int, proven: bool):
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "nodes_explored", nodes_explored)
+        object.__setattr__(self, "proven", proven)
 
 
 def max_clique(

@@ -1,5 +1,6 @@
 """CLI surface: exit codes, output formats, end-to-end file flows."""
 
+import ast
 import gc
 import importlib
 import importlib.util
@@ -426,6 +427,27 @@ def test_negative_budget_exits_2(capsys, argv):
     assert out
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("search", "graph", "--field", "2^2", "--k", "-1"), "degree bound k must be >= 0, got -1"),
+        (("search", "clique", "--field", "2^2", "--k", "-1"), "degree bound k must be >= 0, got -1"),
+        (("search", "graph", "--field", "2^2", "--k", "1", "--t", "-1"), "t must be >= 0, got -1"),
+        (("search", "clique", "--field", "2^2", "--k", "1", "--t", "-3", "--predicate", "max"),
+         "t must be >= 0, got -3"),
+    ],
+    ids=["graph-k", "clique-k", "graph-t", "clique-t"],
+)
+def test_negative_k_or_t_exits_2(capsys, argv, message):
+    """A negative --k crashed the graph build with a TypeError traceback;
+    a negative --t built a graph that means nothing (the clique command
+    printed a 1-clique). Both are bad invocations."""
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
 def test_search_ekr_past_the_vertex_cap(capsys):
     """2^5 at k = 2 has 32,768 vertices, over VERTEX_CAP: the maximum is
     proven from row 0 with no graph built."""
@@ -652,6 +674,48 @@ def test_cli_and_a_split_probe_import_no_process_pool():
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines() == ["[]", "[]", "no child"]
+
+
+def test_cli_imports_neither_dataclasses_nor_inspect():
+    """dataclasses, with the inspect, ast, dis and tokenize it loads, cost
+    a cold `import polyfam` about 7.5 of its 9 ms (suite-full setup_s).
+    Neither the package, the CLI module nor a suite run imports them.
+    The interpreter skips site, whose .pth files may import anything."""
+    code = (
+        "import sys\n"
+        "mods = ('dataclasses', 'inspect')\n"
+        "import polyfam\n"
+        "print([m for m in mods if m in sys.modules])\n"
+        "from polyfam import cli\n"
+        "print([m for m in mods if m in sys.modules])\n"
+        "code = cli.main(['suite', '--tier', 'fast', '--claim', 'pencil-size'])\n"
+        "print([m for m in mods if m in sys.modules], code)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    res = subprocess.run(
+        [sys.executable, "-S", "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.splitlines()
+    assert lines[:2] == ["[]", "[]"] and lines[-1] == "[] 0"
+    assert json.loads(lines[2])["verdict"] == "pass"
+
+
+def test_no_module_imports_dataclasses_or_typing():
+    """The rule behind the test above, read from the source: no module of
+    the package imports dataclasses or, at run time, typing (12-19 ms on
+    an interpreter without site)."""
+    pkg = Path(cli.__file__).resolve().parent
+    for path in sorted(pkg.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not {n.split(".")[0] for n in names} & {"dataclasses", "typing"}, path.name
 
 
 def test_version_flag(capsys):

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from polyfam import gf
 from polyfam.gf import (
     FieldCtx,
     FieldError,
@@ -404,6 +405,27 @@ def test_construction_rejections():
     with pytest.raises(FieldError):
         ctx = make_field(5, 1)
         ctx.inv(0)
+
+
+def test_field_spec_tests_the_default_modulus_once(monkeypatch):
+    """default_modulus proves its result irreducible by trial division;
+    FieldSpec's own test of it is then a lookup, with no division. A
+    reducible modulus the caller gives still raises, every time."""
+    divisions = []
+    divides = gf._poly_divides
+    monkeypatch.setattr(gf, "_poly_divides", lambda d, f, p: divisions.append(d) or divides(d, f, p))
+    gf._is_irreducible.cache_clear()
+    mod = default_modulus.__wrapped__(3, 4)
+    searched = len(divisions)
+    assert searched > 0
+    ctx = FieldCtx(FieldSpec(3, 4, mod))
+    assert len(divisions) == searched
+    assert ctx.exp == make_field(3, 4).exp and ctx.spec == make_field(3, 4).spec
+    for _ in range(2):
+        with pytest.raises(FieldError, match="reducible"):
+            FieldSpec(2, 2, (0, 1, 1))
+        with pytest.raises(FieldError, match="reducible"):
+            make_field(3, 2, modulus=(2, 0, 1))  # x^2 - 1
 
 
 @pytest.mark.parametrize("p", [0, 1, 4, -3, 17 * 58823529411764705882352941176471])

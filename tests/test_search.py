@@ -150,6 +150,10 @@ def test_build_graph_matches_digit_add_loop(p, n, k):
     for predicate, t in sorted(
         {("min_shared", 1), ("min_shared", k), ("max_shared", 0), ("max_shared", k - 1)}
     ):
+        if t < 0:  # k = 0: a shared-point count below 0 is refused
+            with pytest.raises(ValueError, match="t must be >= 0"):
+                build_graph(ctx, k, t, predicate)
+            continue
         g = build_graph(ctx, k, t, predicate)
         want = digit_add_graph(ctx, k, t, predicate)
         assert g.adj == want, (predicate, t)
@@ -552,6 +556,18 @@ def test_row0_refuses_past_its_cap_before_building(monkeypatch):
         ekr_oracle(ctx, 3)  # 2^24 differences
     with pytest.raises(ValueError, match="ROW0_CAP"):
         search._row0(make_field(3, 1), 11)  # 3^12 differences
+
+
+@pytest.mark.parametrize("k, t", [(-1, 1), (-3, 0), (0, -1), (2, -2)])
+def test_build_graph_refuses_negative_k_or_t(monkeypatch, k, t):
+    """Before any table is read: k < 0 gave map() no digit lists, and
+    t < 0 made every or no difference an edge."""
+    ctx = make_field(2, 2)
+    monkeypatch.setattr(ctx, "quadratic_root_count", None)
+    with pytest.raises(ValueError, match=">= 0"):
+        build_graph(ctx, k, t)
+    with pytest.raises(ValueError, match=">= 0"):
+        search._row0(ctx, k, t, "max_shared")
 
 
 @pytest.mark.parametrize("q", [3, 5])
