@@ -24,7 +24,6 @@ the invocation itself was bad.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import itertools
@@ -55,6 +54,9 @@ from .report import CSV_HEADER, DEFAULT_NODE_BUDGET, DEFAULT_SEED, WITNESS_CAP, 
 
 def _emit(reports, fmt: str) -> int:
     if fmt == "csv":
+        # only this branch writes CSV, so only it pays for the import
+        import csv
+
         out = io.StringIO()
         w = csv.writer(out)
         w.writerow(CSV_HEADER)

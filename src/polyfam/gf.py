@@ -141,18 +141,116 @@ def _poly_divides(d, f, p):
     return all(c == 0 for c in rem)
 
 
+# ---------------------------------------------------------------------------
+# packed-int arithmetic for the modulus and generator searches: one Python
+# int per polynomial, so a product or a division step is a few int operations
+
+
+def _gf2_divides(d: int, f: int) -> bool:
+    """Whether d divides f over F_2, both packed with bit i the
+    coefficient of x^i: XOR in shifted copies of d until the remainder's
+    degree is below d's."""
+    dd = d.bit_length()
+    while f.bit_length() >= dd:
+        f ^= d << (f.bit_length() - dd)
+    return f == 0
+
+
+def _packed_ring(p: int, modulus: tuple[int, ...]):
+    """(pack, mul) for F_p[x]/(modulus): pack takes an element index to a
+    packed int, mul multiplies two packed residues; 1 packs to 1.
+
+    At p = 2 the index is already packed, bit i the coefficient of x^i,
+    and a product is shift-and-XOR, reduced by the modulus as it goes. At
+    odd p coefficient i sits at bit i*s (Kronecker packing), s wide enough
+    that no digit of a product carries, so a product is one int product.
+    Its digits are read back mod p, and the high half is folded in through
+    the packed x^k mod modulus for k = n..2n-2. At n = 1 an element is its
+    own residue mod p."""
+    n = len(modulus) - 1
+    if p == 2:
+        m = sum(c << i for i, c in enumerate(modulus))
+
+        def mul(a, b):
+            r = 0
+            while b:
+                if b & 1:
+                    r ^= a
+                b >>= 1
+                a <<= 1
+                if a >> n:
+                    a ^= m
+            return r
+
+        return int, mul
+    if n == 1:
+        return int, lambda a, b: a * b % p
+
+    # a digit of the folded sum is at most (2n-1)(p-1)^2
+    s = ((2 * n - 1) * (p - 1) ** 2).bit_length()
+    mask = (1 << s) - 1
+    shifts = range(0, s * n, s)
+    # x^n, then x^(k+1) = x * x^k: the top digit of x^k wraps round
+    # through x^n
+    xn = xk = [(-c) % p for c in modulus[:n]]
+    folds = []
+    for k in range(n, 2 * n - 1):
+        folds.append((s * k, sum(c << sh for c, sh in zip(xk, shifts))))
+        xk = [(c + xk[-1] * w) % p for c, w in zip([0, *xk[:-1]], xn)]
+    low = (1 << s * n) - 1
+
+    def pack(x):
+        out = 0
+        for sh in shifts:
+            x, d = divmod(x, p)
+            out |= d << sh
+        return out
+
+    def mul(a, b):
+        prod = a * b
+        acc = prod & low
+        for sh, t in folds:
+            acc += (prod >> sh & mask) % p * t
+        out = 0
+        for sh in shifts:
+            out |= (acc >> sh & mask) % p << sh
+        return out
+
+    return pack, mul
+
+
+def _packed_pow(x: int, e: int, mul) -> int:
+    r = 1
+    while e:
+        if e & 1:
+            r = mul(r, x)
+        x = mul(x, x)
+        e >>= 1
+    return r
+
+
 @functools.lru_cache(maxsize=None)
 def _is_irreducible(modulus: tuple[int, ...], p: int) -> bool:
     """Whether the monic modulus has no monic factor of degree 1..n/2,
-    by trial division. Memoized: FieldSpec tests again the modulus that
-    default_modulus has just proven irreducible."""
+    by trial division, on packed ints at p = 2. Memoized: FieldSpec tests
+    again the modulus that default_modulus has just proven irreducible."""
     n = len(modulus) - 1
     if n == 1:
         return True
     if modulus[0] == 0:
         return False
+    # the modulus has a nonzero constant term, so a divisor with constant
+    # term 0 (a multiple of x) cannot divide it
+    if p == 2:
+        f = sum(c << i for i, c in enumerate(modulus))
+        # the ints 2 .. 2^(n/2+1) - 1 are the monic polynomials of degree
+        # 1..n/2, in the order of the loop below; the odd ones have
+        # constant term 1
+        return not any(_gf2_divides(d, f) for d in range(3, 1 << (n // 2 + 1), 2))
     for deg in range(1, n // 2 + 1):
         for low in range(p**deg):
+            if low % p == 0:
+                continue
             d = []
             t = low
             for _ in range(deg):
@@ -176,6 +274,33 @@ def default_modulus(p: int, n: int) -> tuple[int, ...]:
         if _is_irreducible(coeffs, p):
             return coeffs
     raise FieldError(f"no irreducible of degree {n} over F_{p}")  # unreachable
+
+
+def _add_table(p: int, c: int) -> list[int]:
+    """The flat digitwise addition table over c base-p digits: entry
+    x * p^c + y is x + y digit by digit mod p. It is built by rows, whole
+    lists at a time: row x of F_p is a slice of range(p) twice over, and
+    row x + p^i * d over i+1 digits joins p copies of row x over i digits,
+    the j-th shifted by p^i * ((d + j) mod p). Row x over i digits is the
+    slice of the table over i digits at x * p^i."""
+    base = list(range(p)) * 2
+    table = []
+    for x in range(p):
+        table += base[x : x + p]
+    w = p
+    for _ in range(c - 1):
+        shifts = [w * d for d in range(p)]
+        rows = [table[x : x + w] for x in range(0, w * w, w)]
+        # the p shifted copies of each row, twice over, so that every d
+        # reads its p copies as one slice
+        copies = [[[t + s for t in row] for s in shifts] * 2 for row in rows]
+        table = []
+        for d in range(p):
+            for cc in copies:
+                for part in cc[d : d + p]:
+                    table += part
+        w *= p
+    return table
 
 
 class FieldSpec(FrozenRecord):
@@ -248,7 +373,7 @@ class FieldCtx:
         else:
             # None marks one chunk: the flat table, read whole
             self._chunk = None if b == q else b
-            self._add = [s for x in range(b) for s in self._digitwise(x, c)]
+            self._add = _add_table(p, c)
 
         if p > 2:  # at p = 2 negation is the identity and nothing reads _neg
             self._neg = self._digitwise(0, n, sign=-1)
@@ -366,19 +491,18 @@ class FieldCtx:
         return exp, log
 
     def _find_generator(self) -> Fe:
+        """The least element index c of order q - 1: c^((q-1)/r) != 1 for
+        every prime r dividing q - 1, the powers taken on packed ints."""
         q = self.q
         if q == 2:
             return 1
-        rs = _prime_factors(q - 1)
-        mod = list(self.spec.modulus)
+        cofactors = [(q - 1) // r for r in _prime_factors(q - 1)]
+        pack, mul = _packed_ring(self.p, self.spec.modulus)
         # past degree 1 the prime subfield 0..p-1 holds no generator: the
         # order of each of its elements divides p - 1
         for c in range(2 if self.n == 1 else self.p, q):
-            vec = self.digits_of(c)
-            if all(
-                self._pack(_vec_pow_mod(vec, (q - 1) // r, mod, self.p)) != 1
-                for r in rs
-            ):
+            x = pack(c)
+            if all(_packed_pow(x, e, mul) != 1 for e in cofactors):
                 return c
         raise FieldError("no generator found")  # unreachable for true fields
 

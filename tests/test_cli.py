@@ -702,6 +702,28 @@ def test_cli_imports_neither_dataclasses_nor_inspect():
     assert json.loads(lines[2])["verdict"] == "pass"
 
 
+def test_cli_and_a_jsonl_suite_run_import_no_csv():
+    """Only --format csv writes CSV, so only that branch imports csv
+    (about 0.5 ms of every CLI import). The interpreter skips site, whose
+    .pth files may import anything."""
+    code = (
+        "import sys\n"
+        "import polyfam.cli\n"
+        "print('csv' in sys.modules)\n"
+        "code = polyfam.cli.main(['suite', '--tier', 'fast', '--claim', 'pencil-size'])\n"
+        "print('csv' in sys.modules, code)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    res = subprocess.run(
+        [sys.executable, "-S", "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.splitlines()
+    assert lines[0] == "False" and lines[-1] == "False 0"
+    assert json.loads(lines[1])["verdict"] == "pass"
+
+
 def test_no_module_imports_dataclasses_or_typing():
     """The rule behind the test above, read from the source: no module of
     the package imports dataclasses or, at run time, typing (12-19 ms on

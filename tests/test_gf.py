@@ -428,6 +428,33 @@ def test_field_spec_tests_the_default_modulus_once(monkeypatch):
             make_field(3, 2, modulus=(2, 0, 1))  # x^2 - 1
 
 
+def test_field_spec_tests_the_default_modulus_once_at_p2(monkeypatch):
+    """The same at p = 2, where the trial division runs on packed ints:
+    default_modulus divides, FieldSpec's test of its result does not, and
+    a reducible modulus raises every time. No coefficient-list division
+    runs at p = 2."""
+    divisions = []
+    divides = gf._gf2_divides
+    monkeypatch.setattr(gf, "_gf2_divides", lambda d, f: divisions.append(d) or divides(d, f))
+
+    def list_division(d, f, p):
+        raise AssertionError("coefficient-list trial division at p = 2")
+
+    monkeypatch.setattr(gf, "_poly_divides", list_division)
+    gf._is_irreducible.cache_clear()
+    mod = default_modulus.__wrapped__(2, 8)
+    searched = len(divisions)
+    assert searched > 0
+    ctx = FieldCtx(FieldSpec(2, 8, mod))
+    assert len(divisions) == searched
+    assert ctx.exp == make_field(2, 8).exp and ctx.spec == make_field(2, 8).spec
+    for _ in range(2):
+        with pytest.raises(FieldError, match="reducible"):
+            FieldSpec(2, 4, (1, 0, 0, 0, 1))  # (x + 1)^4
+        with pytest.raises(FieldError, match="reducible"):
+            make_field(2, 2, modulus=(1, 0, 1))  # (x + 1)^2
+
+
 @pytest.mark.parametrize("p", [0, 1, 4, -3, 17 * 58823529411764705882352941176471])
 def test_non_prime_characteristic_is_rejected(p):
     """The last p is 10^33 + 7: the check stops at its factor 17 rather
@@ -606,6 +633,88 @@ def test_tables_match_the_digit_constructor(pn):
     if ctx.q <= 256:
         pairs = [(x, y) for x in range(ctx.q) for y in range(ctx.q)]
         assert [ctx.add(x, y) for x, y in pairs] == [digit_add(p, n, x, y) for x, y in pairs]
+
+
+# ---------------------------------------------------------------------------
+# the coefficient-list searches and the per-row addition table that the
+# packed-int searches and the row build replaced, kept as their oracles
+
+
+def vector_generator(p, n, modulus):
+    """The least candidate c with c^((q-1)/r) != 1 for every prime r of
+    q - 1, the powers taken on coefficient vectors by _vec_pow_mod; past
+    degree 1 the candidates start at p."""
+    q = p**n
+    if q == 2:
+        return 1
+    rs = _prime_factors(q - 1)
+    mod = list(modulus)
+    pw = [p**i for i in range(n)]
+    for c in range(2 if n == 1 else p, q):
+        vec = [c // w % p for w in pw]
+        powers = (_vec_pow_mod(vec, (q - 1) // r, mod, p) for r in rs)
+        if all(sum(d * w for d, w in zip(v, pw)) != 1 for v in powers):
+            return c
+    raise AssertionError("no generator")
+
+
+def digitwise_add_table(ctx):
+    """The flat addition table over one chunk of c digits, one _digitwise
+    row per x; None for F_p with p > 256."""
+    p, n = ctx.p, ctx.n
+    c = 1
+    while c < n and p ** (c + 1) <= 256:
+        c += 1
+    if p**c > 256:
+        return None
+    return [s for x in range(p**c) for s in ctx._digitwise(x, c)]
+
+
+def trial_division_irreducible(coeffs, p):
+    """No monic factor of degree 1..n/2, by _poly_divides on coefficient
+    lists."""
+    n = len(coeffs) - 1
+    return not any(
+        gf._poly_divides((*low, 1), coeffs, p)
+        for deg in range(1, n // 2 + 1)
+        for low in itertools.product(range(p), repeat=deg)
+    )
+
+
+@pytest.mark.parametrize("pn", ORACLE_FIELDS + [(2, 16), (3, 10), (251, 2)], ids=field_id)
+def test_generator_add_and_neg_match_the_list_oracles(pn):
+    p, n = pn
+    ctx = make_field(p, n)
+    assert ctx.generator == vector_generator(p, n, ctx.spec.modulus)
+    if p > 2:
+        assert ctx._add == digitwise_add_table(ctx)
+        assert ctx._neg == [digit_neg(p, n, x) for x in range(ctx.q)]
+
+
+def test_packed_irreducibility_matches_trial_division_at_p2():
+    """Every monic polynomial over F_2 of degree 1..12. The irreducible
+    ones number (1/n) sum over d | n of mu(d) 2^(n/d)."""
+    counts = []
+    for n in range(1, 13):
+        found = 0
+        for low in itertools.product(range(2), repeat=n):
+            coeffs = (*low, 1)
+            irreducible = gf._is_irreducible.__wrapped__(coeffs, 2)
+            assert irreducible == trial_division_irreducible(coeffs, 2), coeffs
+            found += irreducible
+        counts.append(found)
+    assert counts == [2, 1, 2, 3, 6, 9, 18, 30, 56, 99, 186, 335]
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_default_modulus_matches_the_trial_division_search_at_p2(n):
+    first = range(2) if n == 1 else range(1, 2)
+    want = next(
+        (*low, 1)
+        for low in itertools.product(first, *[range(2)] * (n - 1))
+        if trial_division_irreducible((*low, 1), 2)
+    )
+    assert default_modulus.__wrapped__(2, n) == want
 
 
 @pytest.mark.parametrize("n", range(1, 9))
