@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from operator import lshift
+from operator import eq, lshift
 
 from .gf import MAX_FIELD_ORDER, FieldCtx, Fe, FieldError
 from .polyfun import PolyK, values_by_log
@@ -275,8 +275,17 @@ def square_coefficient_scan(ctx: FieldCtx, frob_k: int = 1) -> Report:
     candidate g, and g^2 has the shape exactly when it vanishes at
     positions 2..p^k-1; then (b, c) = (g^2[1], g^2[0]), and no other
     (b, c) makes a square. With a = 0 the squares are the (q+1)/2
-    constants c that are 0 or a square, and they never violate. Every one
-    of the q^4 tuples is thereby decided, so `scanned` stays q^4.
+    constants c that are 0 or a square, and they never violate.
+
+    The recursion is homogeneous in d: g_(m-j) is d^j times its value at
+    d = 1, so position i of g^2 is d^(2m-i) times its value there. So g
+    and g^2 are built once per a, at d = 1. At d = 0 g^2 is a x^(2m), a
+    square of the shape; every d != 0 gives one exactly when d = 1 does,
+    with (b, c) = (f_1 d^(p^k), f_0 d^(p^k+1)), f = g^2 at d = 1. The
+    relations of all d are then read from whole rows (ctx.mul_row), with
+    no field call per d. Every one of the q^4 tuples is thereby decided,
+    so `scanned` stays q^4.
+
     Violations are listed in (a, d, b, c) order, at most WITNESS_CAP."""
     watch = Stopwatch()
     if ctx.q % 2 == 0:
@@ -288,26 +297,37 @@ def square_coefficient_scan(ctx: FieldCtx, frob_k: int = 1) -> Report:
         raise ValueError(f"p^frob_k = {ctx.p}^{frob_k} exceeds the cap {MAX_FIELD_ORDER}")
     q = ctx.q
     pk = ctx.p**frob_k
-    zeros = (0,) * ((pk - 1) // 2)  # positions m..2m-2 of the shape
+    top = (0,) * ((pk - 1) // 2) + (1,)  # positions m..2m-1 of the shape at d = 1
+    ds = range(q)
+    fd = [ctx.frobenius(d, frob_k) for d in ds]
+    fd_d = list(map(ctx.mul, fd, ds))
+    # g^2 at position 1 and 0 scales by d^(p^k) and d^(p^k+1)
+    d_pk = [ctx.pow(d, pk) for d in ds]
+    d_pk1 = [ctx.pow(d, pk + 1) for d in ds]
     squares = (q + 1) // 2
     violations = []
     for a in range(1, q):
         gm = ctx.sqrt(a)
         if gm is None:
             continue
+        g = _root_from_top(ctx, top, gm)
+        f = poly_mul(ctx, g, g)
+        # d = 0 always gives the square a x^(2m); every other d when the
+        # shape holds at d = 1
+        n_d = 1 if any(f[2:pk]) else q
+        squares += n_d
+        b = list(map(ctx.mul_row(f[1]).__getitem__, d_pk[:n_d]))
+        c = list(map(ctx.mul_row(f[0]).__getitem__, d_pk1[:n_d]))
+        # d^(p^k) a = b a^(p^k) and d^(p^k+1) a = c a^(p^k+1), d by d
         fa = ctx.frobenius(a, frob_k)
-        for d in range(q):
-            g = _root_from_top(ctx, zeros + (d,), gm)
-            f = poly_mul(ctx, g, g)
-            if any(f[2:pk]):
-                continue
-            squares += 1
-            b, c = f[1], f[0]
-            fd = ctx.frobenius(d, frob_k)
-            ok = ctx.mul(fd, a) == ctx.mul(b, fa)
-            ok = ok and ctx.mul(ctx.mul(fd, d), a) == ctx.mul(c, ctx.mul(fa, a))
-            if not ok and len(violations) < WITNESS_CAP:
-                violations.append({"a": a, "d": d, "b": b, "c": c})
+        times_a = ctx.mul_row(a)
+        rel1 = list(map(eq, map(times_a.__getitem__, fd), map(ctx.mul_row(fa).__getitem__, b)))
+        rel2 = list(map(eq, map(times_a.__getitem__, fd_d), map(ctx.mul_row(ctx.mul(fa, a)).__getitem__, c)))
+        if all(rel1) and all(rel2):
+            continue
+        for d, ok1, ok2 in zip(ds, rel1, rel2):
+            if not (ok1 and ok2) and len(violations) < WITNESS_CAP:
+                violations.append({"a": a, "d": d, "b": b[d], "c": c[d]})
     return Report(
         claim_id="square-coeff-relation",
         field_spec=ctx.report_spec_string(),
@@ -399,16 +419,14 @@ def shortcut_scan(ctx: FieldCtx) -> Report:
     s = ctx.sqrt_q
     qc = ctx.qchar_table
     norm = ctx.norm_table
-    xs = list(range(q))
+    xs = range(q)
     xp_s1 = [ctx.pow(x, s + 1) for x in xs]
     # smallest integer count clearing q - s/2 + 1/2
     min_large = (2 * q - s + 1) // 2 + 1
     allowed_nonsquare = q - min_large
 
-    add = ctx.add
-    mul = ctx.mul
-    add_rows = [[add(u, v) for v in xs] for u in xs]  # add_rows[u][v] = u + v
-    mul_rows = [[mul(u, v) for v in xs] for u in xs]  # mul_rows[u][v] = u v
+    add_rows = [ctx.add_row(u) for u in xs]  # add_rows[u][v] = u + v
+    mul_rows = [ctx.mul_row(u) for u in xs]  # mul_rows[u][v] = u v
     nonsquare = [int(v < 0) for v in qc]
     # a mask holds one row of bits c per b, each padded to nbytes whole
     # bytes so that rows join as bytes; nonsq_c[w]: the c with w + c a
@@ -432,9 +450,10 @@ def shortcut_scan(ctx: FieldCtx) -> Report:
         # x -> t + r x is a bijection for r != 0, so (s0, t, r) fails exactly
         # when some y has s0^2 N(y) nonsquare, first at x = min (y - t) / r
         for s0 in range(1, q):
-            s0sq = mul(s0, s0)
-            bad_y = [y for y in xs if qc[mul(s0sq, norm[y])] < 0]
-            if bad_y:
+            values = mul_rows[mul_rows[s0][s0]]  # s0^2 y at y
+            chars = list(map(qc.__getitem__, map(values.__getitem__, norm)))
+            if -1 in chars:
+                bad_y = [y for y in xs if chars[y] < 0]
                 for t in xs:
                     for r in range(1, q):
                         x = min(ctx.div(ctx.sub(y, t), r) for y in bad_y)

@@ -106,8 +106,10 @@ def _walk(ctx: FieldCtx, label: str, prefix, start: int, grow, leaf, node_budget
     start at m = 0. Each value v at position m adds its direction to
     every earlier position j through grow(ctx, mask, d), which returns
     the full mask to prune; a table that survives every position goes to
-    leaf(vals). The prefix positions are walked, and counted, like the
-    rest, each with its one value. Returns the nodes visited, which is
+    leaf(vals). grow None keeps the set at start: the first direction
+    outside it prunes, tested inline on one flag per direction. The
+    prefix positions are walked, and counted, like the rest, each with
+    its one value. Returns the nodes visited, which is
     node_budget + 1 when the budget stopped the walk. Every
     PROGRESS_EVERY nodes the walk writes label, the nodes so far and the
     rate to stderr."""
@@ -118,6 +120,8 @@ def _walk(ctx: FieldCtx, label: str, prefix, start: int, grow, leaf, node_budget
     # or 0 when v = w; exp runs twice round, so the sum needs no reduction
     log, exp = ctx.log, ctx.exp * 2
     full = (1 << q) - 1
+    # a fixed set as one flag per direction, by log: no shift of a q-bit int
+    inside = [start >> y & 1 for y in exp] if grow is None else None
     t0 = time.perf_counter()
     # position m takes the values first[m], ..., stop[m] - 1, and
     # vals[m] + 1 is the next one to try once its subtree is done: a
@@ -145,11 +149,18 @@ def _walk(ctx: FieldCtx, label: str, prefix, start: int, grow, leaf, node_budget
         vals[m] = v
         child = masks[m]
         row = rows[m]
-        for j in range(m):
-            x = sub(v, vals[j])
-            child = grow(ctx, child, exp[log[x] + row[j]] if x else 0)
-            if child == full:
-                break
+        if grow is None:  # a fixed set: the first direction outside it prunes
+            for j in range(m):
+                x = sub(v, vals[j])
+                if not (inside[log[x] + row[j]] if x else start & 1):
+                    child = full
+                    break
+        else:
+            for j in range(m):
+                x = sub(v, vals[j])
+                child = grow(ctx, child, exp[log[x] + row[j]] if x else 0)
+                if child == full:
+                    break
         if child == full:
             continue
         if m + 1 == q:
@@ -248,11 +259,9 @@ def mcconnel_scan(
     q = ctx.q
     e = power_map_exponent(ctx, delta)
     roots = sum(1 << x for x in range(1, q) if ctx.pow(x, e) == 1)
-    full = (1 << q) - 1
     found: list = []
     label = f"power-map-class {ctx.report_spec_string()} delta {delta}"
-    nodes = _walk(ctx, label, (0, 1), roots, lambda ctx, mask, d: mask if mask >> d & 1 else full,
-                  lambda vals: found.append(tuple(vals)), node_budget)
+    nodes = _walk(ctx, label, (0, 1), roots, None, lambda vals: found.append(tuple(vals)), node_budget)
     return None if nodes > node_budget else found
 
 

@@ -606,6 +606,20 @@ class FieldCtx:
             return 0
         return self.exp[(self.log[x] + self.log[y]) % (self.q - 1)]
 
+    # -- whole rows: one list of q elements, no Python call per element --------
+
+    def add_row(self, x: Fe) -> list[Fe]:
+        """[x + y for y below q]."""
+        return self._digitwise(x, self.n)
+
+    def mul_row(self, x: Fe) -> list[Fe]:
+        """[x y for y below q]: x g^j = g^(log x + j), so the row reads the
+        powers of g rotated by log x at log y."""
+        if x == 0:
+            return [0] * self.q
+        exp, i = self.exp, self.log[x]
+        return [0, *map((exp[i:] + exp[:i]).__getitem__, self.log[1:])]
+
     def inv(self, x: Fe) -> Fe:
         if x == 0:
             raise FieldError("division by zero")

@@ -15,12 +15,13 @@ has no common point, as `ekr_oracle`'s equality case does.
 from __future__ import annotations
 
 import random
-from itertools import islice
-from operator import itemgetter
+from collections import Counter
+from itertools import repeat
+from operator import add, itemgetter, mod, sub
 
 from .families import exceeds_threshold, pencil
 from .gf import FieldCtx
-from .polyfun import PolyK, intersection_count
+from .polyfun import PolyK
 from .record import FrozenRecord, Record
 from .report import DEFAULT_NODE_BUDGET, DEFAULT_SEED, WITNESS_CAP, Report, Stopwatch
 
@@ -55,11 +56,24 @@ def vertex_to_poly(q: int, k: int, v: int) -> PolyK:
 def _row0(ctx: FieldCtx, k: int, t: int = 1, predicate: str = "min_shared") -> int:
     """Row 0 of the graph build_graph describes, as one vertex mask: bit h
     is set when the difference h, a degree-<=k polynomial numbered as a
-    vertex, has an eligible root count. For k <= 2 the counts are read
-    from the root-count table (ctx.quadratic_root_count) in one pass over
-    the coefficients of h = 1, ..., q^(k+1) - 1 in vertex order, and the
-    mask is read from one string of bits; larger k counts each difference
-    with intersection_count. At most ROW0_CAP differences."""
+    vertex, has an eligible root count. The mask is read from one string
+    of bits, h = 0, 1, ..., q^(k+1) - 1, joined from rows of q bits, one
+    per upper coefficient vector, over the constant term a.
+
+    For k <= 2 the rows are root counts of a + b x + c x^2, and four of
+    them are read from ctx.quadratic_root_count: (b, c) = (0, 0), (1, 0),
+    (0, 1) and (1, 1). At c = 0 every row but b = 0's is the row of
+    b = 1, one root each. For c != 0, h has the roots of h/c, so the row
+    of (0, c) is the row of (0, 1) read at a/c; and x = (b/c) z turns h
+    into (b^2/c)(z^2 + z + ac/b^2), so the row of (b, c), b != 0, is the
+    row of (1, 1) read at a c/b^2. Each such read is one ctx.mul_row, so
+    2(q - 1) strings serve all the (q - 1) q rows with c != 0.
+
+    Above k = 2 the roots are counted by x: the h that vanish at x are
+    those with h_0 = -(h_1 x + ... + h_k x^k), one for each upper vector
+    (h_1, ..., h_k). Their constant terms are built by Horner's rule over
+    whole rows (ctx.mul_row, ctx.add_row) and counted with one Counter
+    update per x. At most ROW0_CAP differences."""
     if k < 0:
         raise ValueError(f"degree bound k must be >= 0, got {k}")
     if t < 0:
@@ -70,22 +84,49 @@ def _row0(ctx: FieldCtx, k: int, t: int = 1, predicate: str = "min_shared") -> i
         raise ValueError(f"row 0 would have {nv} differences, cap is ROW0_CAP = {ROW0_CAP}")
     if predicate not in ("min_shared", "max_shared"):
         raise ValueError(f"unknown predicate {predicate!r}")
-    # shared points of u and u + h = roots of h
-    if k <= 2:
-        # digit i of h = 0, 1, ..., nv - 1, its degree-i coefficient: each
-        # value q^i times in a row, the run repeated q^(k-i) times. One
-        # list per digit, not a tuple per h: thousands of short tuples
-        # would stay in the interpreter's tuple free list after the build
-        digits = [[d for d in range(q) for _ in range(q**i)] * q ** (k - i) for i in range(k + 1)]
-        counts = islice(map(ctx.quadratic_root_count, *digits), 1, None)
-    else:
-        zero = PolyK(k, (0,) * (k + 1))
-        counts = (intersection_count(ctx, vertex_to_poly(q, k, h), zero) for h in range(1, nv))
-    # bit[c]: "1" when a difference with c roots is an edge; c <= q
+    # shared points of u and u + h = roots of h; bit[c]: "1" when a
+    # difference with c roots is an edge, c <= q
     bit = ["01"[c >= t if predicate == "min_shared" else c <= t] for c in range(q + 1)]
+    if k <= 2:
+        count = ctx.quadratic_root_count
+
+        def row(b, c):
+            return "".join(map(bit.__getitem__, map(count, range(q), repeat(b), repeat(c))))
+
+        rows = [row(0, 0)]
+        if k:
+            rows += [row(1, 0)] * (q - 1)
+        if k == 2:
+            log, exp, qm = ctx.log, ctx.exp, q - 1
+            rows_01, rows_11 = row(0, 1), row(1, 1)
+            # scaled[j][a] = a g^j: by_inv[j] is the row of (0, g^-j), and
+            # by_ratio[j] the row of every (b, c) with c/b^2 = g^j
+            scaled = [ctx.mul_row(y) for y in exp]
+            by_inv = ["".join(map(rows_01.__getitem__, m)) for m in scaled]
+            by_ratio = ["".join(map(rows_11.__getitem__, m)) for m in scaled]
+            two_log_b = [2 * j for j in log[1:]]
+            for c in range(1, q):
+                rows.append(by_inv[-log[c] % qm])
+                ratios = map(mod, map(sub, repeat(log[c]), two_log_b), repeat(qm))
+                rows += map(by_ratio.__getitem__, ratios)
+        text = "".join(rows)
+    else:
+        neg = ctx.mul_row(ctx.p - 1)  # -1 is the element p - 1
+        adds = [ctx.add_row(y) for y in range(q)]
+        hits: Counter = Counter()
+        for x in range(q):
+            times_x = ctx.mul_row(x)
+            # w: h_i + x (h_(i+1) + ...) for i = k, ..., 1 in turn, over
+            # the upper vectors in vertex order (h_i the lowest digit)
+            w = range(q)
+            for _ in range(k - 1):
+                w = [s for y in w for s in adds[times_x[y]]]
+            # h = -x w + q (h_1 + h_2 q + ...) vanishes at x
+            hits.update(map(add, map(ctx.mul_row(neg[x]).__getitem__, w), range(0, nv, q)))
+        text = "".join(map(bit.__getitem__, map(hits.get, range(nv), repeat(0))))
     # int(..., 2) reads the highest bit first: reverse the bits of
-    # h = 1, 2, ..., then shift past h = 0, which is no edge
-    return int("".join(map(bit.__getitem__, counts))[::-1], 2) << 1
+    # h = 1, 2, ..., nv - 1; h = 0 is no edge
+    return int(text[:0:-1], 2) << 1
 
 
 def build_graph(

@@ -635,6 +635,21 @@ def test_tables_match_the_digit_constructor(pn):
         assert [ctx.add(x, y) for x, y in pairs] == [digit_add(p, n, x, y) for x, y in pairs]
 
 
+@pytest.mark.parametrize("pn", ORACLE_FIELDS + [(2, 16), (3, 10), (251, 2), (257, 1)], ids=field_id)
+def test_add_and_mul_rows_match_the_per_element_ops(pn):
+    """add_row(x) and mul_row(x) against ctx.add and ctx.mul at every y,
+    for 0, 1, -1, the generator, q - 1 and eight drawn x: at 2^16, 3^10
+    and 251^2 an add reads the chunked table, at F_257 it is mod p."""
+    p, n = pn
+    ctx = make_field(p, n)
+    q = ctx.q
+    rng = random.Random(20248 + q)
+    xs = {0, 1, p - 1, ctx.generator, q - 1, *(rng.randrange(q) for _ in range(8))}
+    for x in sorted(xs):
+        assert ctx.add_row(x) == [ctx.add(x, y) for y in range(q)], x
+        assert ctx.mul_row(x) == [ctx.mul(x, y) for y in range(q)], x
+
+
 # ---------------------------------------------------------------------------
 # the coefficient-list searches and the per-row addition table that the
 # packed-int searches and the row build replaced, kept as their oracles

@@ -17,8 +17,8 @@ import pytest
 from polyfam import search
 from polyfam.directions import carlitz_scan, mcconnel_scan
 from polyfam.families import Family, common_point, exceeds_threshold, hilton_milner, pencil
-from polyfam.gf import make_field, make_field_of_order
-from polyfam.polyfun import evaluate, intersection_count
+from polyfam.gf import _prime_factors, make_field, make_field_of_order
+from polyfam.polyfun import PolyK, evaluate, intersection_count
 from polyfam.report import DEFAULT_NODE_BUDGET, WITNESS_CAP
 from polyfam.search import (
     CliqueResult,
@@ -196,22 +196,51 @@ def test_build_graph_row0_matches_pointwise_roots(q, k):
 
 
 def test_build_graph_counts_no_intersections_at_k_le_2(monkeypatch):
-    """Rows 0 at k <= 2 come from the root-count table alone; above k = 2
-    each difference is one intersection_count, which the patch sees."""
+    """Rows 0 at k <= 2 come from the root-count table alone, and above
+    k = 2 from roots counted by x over whole rows: no difference is one
+    intersection_count, at any k."""
     calls = Counter()
 
     def counting(ctx, f, g):
         calls[f.k] += 1
         return intersection_count(ctx, f, g)
 
-    monkeypatch.setattr(search, "intersection_count", counting)
     monkeypatch.setattr("polyfam.polyfun.intersection_count", counting)
-    for q, k in [(16, 2), (9, 2), (7, 1), (4, 0)]:
+    for q, k in [(16, 2), (9, 2), (7, 1), (4, 0), (2, 3), (3, 4)]:
         for predicate, t in [("min_shared", 1), ("max_shared", k)]:
             build_graph(make_field_of_order(q), k, t, predicate)
     assert not calls
-    build_graph(make_field(2, 1), 3, 1)
-    assert calls == {3: 15}
+    assert not hasattr(search, "intersection_count")
+
+
+def per_difference_counts(ctx, k):
+    """The root counts of h = 1, ..., q^(k+1) - 1 the way _row0 read them
+    before it joined whole rows: one quadratic_root_count per difference
+    on the digit lists of h at k <= 2, one intersection_count with the
+    zero polynomial above."""
+    q = ctx.q
+    if k <= 2:
+        digits = [[d for d in range(q) for _ in range(q**i)] * q ** (k - i) for i in range(k + 1)]
+        return list(map(ctx.quadratic_root_count, *digits))[1:]
+    zero = PolyK(k, (0,) * (k + 1))
+    return [intersection_count(ctx, vertex_to_poly(q, k, h), zero) for h in range(1, q ** (k + 1))]
+
+
+PRIME_POWERS_TO_64 = [q for q in range(2, 65) if len(_prime_factors(q)) == 1]
+
+
+@pytest.mark.parametrize(
+    "q, k", [(q, k) for q in PRIME_POWERS_TO_64 for k in range(3)] + [(2, 3), (3, 3), (3, 4), (4, 3), (5, 3), (8, 3)]
+)
+def test_row0_matches_the_per_difference_counts(q, k):
+    """Both predicates at every t = 0..k+1: bit h of row 0 is set exactly
+    when the h-th per-difference count passes, and bit 0 never is."""
+    ctx = make_field_of_order(q)
+    counts = per_difference_counts(ctx, k)
+    for predicate in ("min_shared", "max_shared"):
+        for t in range(k + 2):
+            bits = "".join("01"[c >= t if predicate == "min_shared" else c <= t] for c in counts)
+            assert search._row0(ctx, k, t, predicate) == int(bits[::-1], 2) << 1, (predicate, t)
 
 
 @pytest.mark.parametrize(
